@@ -441,9 +441,9 @@ func BenchmarkChipStep(b *testing.B) {
 
 // BenchmarkFPTrainSample measures the reference implementation's
 // per-sample training cost on the paper's dense topology (the
-// production KernelAuto density cutover).
+// production packed kernel).
 func BenchmarkFPTrainSample(b *testing.B) {
-	benchFPTrainSample(b, snn.KernelAuto)
+	benchFPTrainSample(b, snn.KernelPacked)
 }
 
 // BenchmarkFPTrainSample_DenseKernel forces the reference dense kernel —

@@ -48,13 +48,6 @@ type Result struct {
 	// bounded-lag batch-1 — per-sample updates applied in sample order,
 	// each pass reading weights exactly Pipeline-1 updates stale.
 	Protocol string `json:"protocol,omitempty"`
-	// Kernel labels the spike-integration kernel a row forces on the FP
-	// backend ("dense", "sparse", "packed", "packed-int8"); absent rows
-	// run the production per-step auto cutover. Forced-kernel rows are
-	// bit-identical to each other — the kernel family's equivalence
-	// contract — so their accuracies must agree and only throughput
-	// differs.
-	Kernel string `json:"kernel,omitempty"`
 	// Pipeline is the two-phase pipeline depth of a pipelined row (the
 	// update lag is Pipeline-1).
 	Pipeline int `json:"pipeline,omitempty"`
@@ -128,12 +121,6 @@ type Report struct {
 	// AsyncEvalSavedPct is the wall-clock fraction async evaluation
 	// saves over the synchronous train+evaluate loop at equal results.
 	AsyncEvalSavedPct float64 `json:"async_eval_saved_pct"`
-	// PackedSpeedup compares the word-parallel packed kernel against the
-	// event-driven sparse kernel (the previous production hot path) on
-	// end-to-end online training. The two rows train bit-identically —
-	// same weights, same predictions — so this is an iso-accuracy
-	// kernel-only ratio.
-	PackedSpeedup float64 `json:"packed_speedup"`
 	// SweepSpeedup compares the warm-cache orchestrated Fig-3 quick sweep
 	// against the flat cell-per-worker sweep. The orchestrated path is
 	// bit-identical to the flat one (asserted per run), so this is an
@@ -218,7 +205,7 @@ func main() {
 	}
 
 	rep := Report{
-		Schema:     "emstdp-bench/v7",
+		Schema:     "emstdp-bench/v8",
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Dataset:    dataset.MNIST.String(),
@@ -412,52 +399,6 @@ func main() {
 
 	rep.Results = []Result{rTrainSeq, rEvalSeq, rTrainPar, rEvalPar, rTrainPipe, rTrainStream, rAsync}
 
-	// Forced-kernel rows (FP backend only): the same online protocol with
-	// the spike-integration kernel pinned, attributing throughput to the
-	// kernel alone. The dense/sparse/packed trainings are bit-identical —
-	// the snn equivalence suites prove it per step, and the accuracy
-	// check here proves it held end to end — so the rows differ only in
-	// time. train_online_packed additionally moves the weights onto the
-	// chip's 8-bit power-of-two grid (core.Options.Quant8), the
-	// configuration under which the int8 mantissa kernel engages; its
-	// trajectory is a different (quantized) protocol, so its accuracy is
-	// reported but not compared.
-	if backend == core.FP {
-		trainKernel := func(name, kernel string, mut func(*core.Options)) Result {
-			var km *core.Model
-			el := bestOf(func() time.Duration {
-				km = build(1, 1, func(o *core.Options) {
-					o.Kernel = kernel
-					if mut != nil {
-						mut(o)
-					}
-				})
-				start := time.Now()
-				km.Train(1)
-				return time.Since(start)
-			})
-			r := mkResult(name, 1, 1, *trainN, el)
-			r.Accuracy = km.Evaluate().Accuracy()
-			r.Protocol = "online"
-			r.Kernel = kernel
-			return r
-		}
-		rKDense := trainKernel("train_kernel_dense", "dense", nil)
-		rKSparse := trainKernel("train_kernel_sparse", "sparse", nil)
-		rKPacked := trainKernel("train_kernel_packed", "packed", nil)
-		for _, r := range []Result{rKDense, rKSparse, rKPacked} {
-			if r.Accuracy != rTrainSeq.Accuracy {
-				fmt.Fprintf(os.Stderr, "bench: %s accuracy %.4f != auto-kernel %.4f (kernels must be bit-identical)\n",
-					r.Name, r.Accuracy, rTrainSeq.Accuracy)
-				os.Exit(1)
-			}
-		}
-		rQuant := trainKernel("train_online_packed", "packed", func(o *core.Options) { o.Quant8 = true })
-		rQuant.Kernel = "packed-int8"
-		rep.Results = append(rep.Results, rQuant, rKDense, rKSparse, rKPacked)
-		rep.PackedSpeedup = rKSparse.NsPerOp / rKPacked.NsPerOp
-	}
-
 	// Sweep orchestration: the Fig-3 quick grid once as the flat
 	// cell-per-worker sweep and twice as a dependency task graph with
 	// content-addressed stage caching — cold cache (every stage computed,
@@ -599,10 +540,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
 		os.Exit(1)
 	}
-	packedNote := ""
-	if rep.PackedSpeedup > 0 {
-		packedNote = fmt.Sprintf(", packed kernel %.2fx over sparse", rep.PackedSpeedup)
-	}
-	fmt.Printf("bench: wrote %s (train %.2fx, pipeline %.2fx at depth %d, eval %.2fx at %d workers; stream %+.1f%%, async eval saves %.1f%%%s, warm orchestrated sweep %.2fx over flat)\n",
-		*out, rep.TrainSpeedup, rep.PipelineSpeedup, *pipeline, rep.EvalSpeedup, *workers, rep.StreamOverheadPct, rep.AsyncEvalSavedPct, packedNote, rep.SweepSpeedup)
+	fmt.Printf("bench: wrote %s (train %.2fx, pipeline %.2fx at depth %d, eval %.2fx at %d workers; stream %+.1f%%, async eval saves %.1f%%, warm orchestrated sweep %.2fx over flat)\n",
+		*out, rep.TrainSpeedup, rep.PipelineSpeedup, *pipeline, rep.EvalSpeedup, *workers, rep.StreamOverheadPct, rep.AsyncEvalSavedPct, rep.SweepSpeedup)
 }

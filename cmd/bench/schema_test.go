@@ -11,13 +11,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden file from the current schema")
 
-// goldenReport builds a fully-populated v7 report with fixed synthetic
+// goldenReport builds a fully-populated v8 report with fixed synthetic
 // values: every field the emitter can write appears once, so the golden
 // file pins the complete wire schema — field names, JSON key order,
 // omitempty behaviour — not any measured number.
 func goldenReport() Report {
 	return Report{
-		Schema:     "emstdp-bench/v7",
+		Schema:     "emstdp-bench/v8",
 		GoMaxProcs: 2,
 		NumCPU:     2,
 		Dataset:    "MNIST",
@@ -46,16 +46,6 @@ func goldenReport() Report {
 				Window: 256, HeapBytes: 5000000, StreamStalls: 3, StreamStalledNs: 120000,
 			},
 			{
-				Name: "train_online_packed", Workers: 1, Batch: 1, Samples: 400,
-				NsPerOp: 700000, SamplesPerSec: 1428.6, Accuracy: 0.74,
-				Protocol: "online", Kernel: "packed-int8",
-			},
-			{
-				Name: "train_kernel_packed", Workers: 1, Batch: 1, Samples: 400,
-				NsPerOp: 650000, SamplesPerSec: 1538.5, Accuracy: 0.75,
-				Protocol: "online", Kernel: "packed",
-			},
-			{
 				Name: "sweep_flat", Workers: 2, Batch: 1, Samples: 12,
 				NsPerOp: 200000000, SamplesPerSec: 5,
 			},
@@ -79,7 +69,6 @@ func goldenReport() Report {
 		EvalSpeedup:       1.9,
 		StreamOverheadPct: 10.0,
 		AsyncEvalSavedPct: 9.5,
-		PackedSpeedup:     1.45,
 		SweepSpeedup:      200.0,
 	}
 }
@@ -98,7 +87,7 @@ func TestBenchSchemaGolden(t *testing.T) {
 	}
 	got = append(got, '\n')
 
-	path := filepath.Join("testdata", "bench_v7_golden.json")
+	path := filepath.Join("testdata", "bench_v8_golden.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -125,7 +114,7 @@ func TestBenchSchemaOmitsEmptyOptionals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"accuracy", "protocol", "kernel", "pipeline", "window", "heap_bytes", "stream_stalls", "stream_stalled_ns",
+	for _, key := range []string{"accuracy", "protocol", "pipeline", "window", "heap_bytes", "stream_stalls", "stream_stalled_ns",
 		"topology", "chips", "mesh_spikes", "mesh_hops", "mesh_stalls", "mesh_max_link_load"} {
 		if bytes.Contains(b, []byte(`"`+key+`"`)) {
 			t.Fatalf("zero-valued optional %q leaked into the wire format: %s", key, b)

@@ -120,7 +120,7 @@ type fabric interface {
 	ResetMembranes()
 	ResetState()
 	CountHostTransaction(n int)
-	SetDenseDelivery(v bool)
+	SetDelivery(m loihi.DeliveryMode)
 	Counters() loihi.Counters
 	ResetCounters()
 	ActiveCores() int

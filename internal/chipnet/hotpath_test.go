@@ -3,6 +3,7 @@ package chipnet
 import (
 	"testing"
 
+	"emstdp/internal/loihi"
 	"emstdp/internal/rng"
 )
 
@@ -35,7 +36,7 @@ func TestChipTrainingBitIdenticalAcrossDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense.SetDenseDelivery(true)
+	dense.fab.SetDelivery(loihi.DeliveryDense)
 
 	xs, ys := chipStream(rng.New(31), 40, 10, 40)
 	for i := range xs {

@@ -149,11 +149,6 @@ func (n *Network) Predict(x []float64) int {
 	return bi
 }
 
-// SetDenseDelivery forwards the equivalence-test hook to the chip: every
-// connector switches between the reference dense kernel and the
-// event-driven one (bit-identical by construction).
-func (n *Network) SetDenseDelivery(v bool) { n.fab.SetDenseDelivery(v) }
-
 // OutputCountsPhase2 returns the output layer's phase-2 spike counts of
 // the most recent TrainSample — ĥ, exposed for tests and diagnostics.
 func (n *Network) OutputCountsPhase2() []int {

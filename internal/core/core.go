@@ -28,7 +28,6 @@ import (
 	"emstdp/internal/mapping"
 	"emstdp/internal/metrics"
 	"emstdp/internal/rng"
-	"emstdp/internal/snn"
 	"emstdp/internal/stream"
 	"emstdp/internal/tensor"
 	"emstdp/internal/trace"
@@ -143,16 +142,6 @@ type Options struct {
 	// next epoch trains, so accuracy curves cost near-zero wall clock.
 	// Reported accuracies are identical to the synchronous path.
 	AsyncEval bool
-	// Quant8 puts the FP backend's weights on the chip's 8-bit grid
-	// with a power-of-two step (emstdp.Config QuantBits=8 + QuantPow2),
-	// which lets the int8 packed forward kernel engage losslessly —
-	// the chip-fidelity ablation. FP backend only.
-	Quant8 bool
-	// Kernel forces the FP backend's spike-integration kernel: ""/"auto"
-	// (per-step cutover, the default), "dense", "sparse" or "packed".
-	// A benchmark and equivalence hook; results are bit-identical across
-	// kernels by construction. FP backend only.
-	Kernel string
 	// Seed drives every random choice (default 1).
 	Seed uint64
 	// Trace, when set, records the run's timeline onto the shared
@@ -266,22 +255,8 @@ func (m *Model) buildBackend() error {
 		cfg.T = opts.T
 		cfg.Mode = opts.Mode
 		cfg.Seed = opts.Seed + 3
-		if opts.Quant8 {
-			cfg.QuantBits = 8
-			cfg.QuantPow2 = true
-		}
 		m.fp = emstdp.New(cfg)
-		k, err := parseKernel(opts.Kernel)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		if k != snn.KernelAuto {
-			m.fp.SetKernel(k)
-		}
 	case Chip:
-		if opts.Quant8 || (opts.Kernel != "" && opts.Kernel != "auto") {
-			return fmt.Errorf("core: Quant8 and Kernel select FP-backend kernels; the chip backend is always int8 with packed delivery")
-		}
 		cfg := chipnet.DefaultConfig(sizes...)
 		cfg.T = opts.T
 		cfg.Mode = opts.Mode
@@ -311,22 +286,6 @@ func (m *Model) buildBackend() error {
 		return fmt.Errorf("core: unknown backend %d", opts.Backend)
 	}
 	return nil
-}
-
-// parseKernel maps the Options.Kernel label to the snn kernel selector.
-func parseKernel(name string) (snn.Kernel, error) {
-	switch name {
-	case "", "auto":
-		return snn.KernelAuto, nil
-	case "dense":
-		return snn.KernelDense, nil
-	case "sparse":
-		return snn.KernelSparse, nil
-	case "packed":
-		return snn.KernelPacked, nil
-	default:
-		return snn.KernelAuto, fmt.Errorf("unknown kernel %q (want auto, dense, sparse or packed)", name)
-	}
 }
 
 // featurize maps raw samples to normalised feature-rate samples.

@@ -108,11 +108,9 @@ type Config struct {
 	QuantBits int
 	// QuantPow2 snaps the QuantBits grid step up to the nearest power of
 	// two and snaps the initial weights onto that grid. Every weight is
-	// then an exact int mantissa times a power-of-two scale at all times,
-	// which is the precondition for the int8 packed forward kernel
-	// (snn.IFLayer.Quantized, enabled automatically) to engage while
-	// staying bit-identical to the float64 reference. Only meaningful
-	// with QuantBits > 0 and WClipK > 0.
+	// then an exact int mantissa times one power-of-two scale per layer
+	// at all times — the chip's mantissa-and-exponent weight format.
+	// Only meaningful with QuantBits > 0 and WClipK > 0.
 	QuantPow2 bool
 	// TargetHigh and TargetLow are the label-neuron rates for the true
 	// class and the other classes.
@@ -230,9 +228,9 @@ func New(cfg Config) *Network {
 		l := snn.NewIFLayer(r.Split(), fanIn, cfg.LayerSizes[i], scale, cfg.Theta)
 		if step := layerStep(cfg, layerClip(cfg, fanIn)); step > 0 && cfg.QuantPow2 {
 			// Snap the initial weights onto the power-of-two grid so the
-			// layer is int8-packable from the first step, and ask the
-			// packed kernel to use the mantissa path. Every later update
-			// lands back on the grid (applyFrom rounds to the same step).
+			// layer holds mantissa×step weights from the first step.
+			// Every later update lands back on the grid (applyFrom
+			// rounds to the same step).
 			for k, w := range l.W {
 				m := int64(w/step + 0.5)
 				if w < 0 {
@@ -241,7 +239,6 @@ func New(cfg Config) *Network {
 				l.W[k] = float64(m) * step
 			}
 			l.MarkWeightsDirty()
-			l.Quantized = true
 		}
 		n.layers = append(n.layers, l)
 	}
@@ -325,8 +322,8 @@ func layerClip(cfg Config, fanIn int) float64 {
 // given clip (zero when quantization is disabled). With QuantPow2 the
 // step is rounded UP to the nearest power of two and sized so the grid
 // spans ±(2^(bits−1)−1) steps within the clip — every on-grid weight is
-// then an int8 mantissa times an exactly representable power-of-two
-// scale, the losslessness invariant snn's int8 packed kernel verifies.
+// then a QuantBits-bit mantissa times an exactly representable
+// power-of-two scale.
 func layerStep(cfg Config, clip float64) float64 {
 	if cfg.QuantBits <= 0 || clip <= 0 {
 		return 0
@@ -391,8 +388,8 @@ func (n *Network) NumFeedbackNeurons() int {
 func (n *Network) Layer(i int) *snn.IFLayer { return n.layers[i] }
 
 // SetKernel forces every trainable layer's integration kernel — the
-// equivalence-test and benchmark hook (production stays KernelAuto,
-// which cuts over per step on presynaptic popcount).
+// equivalence-test and benchmark hook (production stays on the zero
+// value, snn.KernelPacked).
 func (n *Network) SetKernel(k snn.Kernel) {
 	for _, l := range n.layers {
 		l.Kernel = k
@@ -460,21 +457,19 @@ func (n *Network) reset() {
 
 // forwardStep advances encoder and all layers one timestep, recording
 // counts into the given counters. Spikes travel as (dense vector,
-// active-index list, bitset) triples so each layer's kernel can pick
-// word-parallel or event-driven iteration without rebuilding views.
+// bitset) pairs so the packed kernel never rebuilds the word view; the
+// counters read each producer's active-index list.
 func (n *Network) forwardStep(encCounter *spike.Counter, layerCounters []*spike.Counter) {
 	s := n.enc.Step()
-	act := n.enc.Active()
 	bits := n.enc.Bits()
 	if encCounter != nil {
-		encCounter.ObserveActive(act)
+		encCounter.ObserveActive(n.enc.Active())
 	}
 	for i, l := range n.layers {
-		s = l.StepBits(s, act, bits)
-		act = l.Active()
+		s = l.Step(s, bits)
 		bits = l.Bits()
 		if layerCounters != nil {
-			layerCounters[i].ObserveActive(act)
+			layerCounters[i].ObserveActive(l.Active())
 		}
 	}
 }
@@ -798,7 +793,7 @@ func (n *Network) applyFrom(enc []int, h1, h2 [][]int) {
 			}
 		}
 		// The in-place weight write invalidates the layer's transposed
-		// view; mark once per sample so the sparse kernel retransposes
+		// view; mark once per sample so the packed kernel retransposes
 		// lazily on the next step, not per timestep.
 		layer.MarkWeightsDirty()
 	}

@@ -1,8 +1,10 @@
 package emstdp
 
 import (
+	"math"
 	"testing"
 
+	"emstdp/internal/fixed"
 	"emstdp/internal/rng"
 	"emstdp/internal/snn"
 )
@@ -21,64 +23,73 @@ func trainStream(r *rng.Source, in, classes, n int) ([][]float64, []int) {
 }
 
 // TestTrainingBitIdenticalAcrossKernels trains two networks from the
-// same seed — one forced onto the dense kernel, one onto the
-// event-driven sparse kernel — and demands byte-identical learned
-// weights and predictions. This is the acceptance bar of the hot-path
-// rewrite: the cutover may pick either kernel per step without changing
-// a single bit of the trajectory.
+// same seed — one forced onto the dense reference kernel, one on the
+// production packed kernel — and demands byte-identical learned weights
+// and predictions: the packed kernel changes cost, never a bit of the
+// trajectory.
 func TestTrainingBitIdenticalAcrossKernels(t *testing.T) {
 	for _, mode := range []FeedbackMode{DFA, FA} {
 		cfg := DefaultConfig(60, 40, 10)
 		cfg.Mode = mode
 		cfg.Seed = 21
 		dense := New(cfg)
-		sparse := New(cfg)
 		packed := New(cfg)
-		auto := New(cfg)
 		dense.SetKernel(snn.KernelDense)
-		sparse.SetKernel(snn.KernelSparse)
-		packed.SetKernel(snn.KernelPacked)
 
 		xs, ys := trainStream(rng.New(77), 60, 10, 60)
 		for i := range xs {
 			dense.TrainSample(xs[i], ys[i])
-			sparse.TrainSample(xs[i], ys[i])
 			packed.TrainSample(xs[i], ys[i])
-			auto.TrainSample(xs[i], ys[i])
 		}
 		for li := 0; li < dense.NumLayers(); li++ {
-			wd := dense.Layer(li).W
-			ws := sparse.Layer(li).W
-			wp := packed.Layer(li).W
-			wa := auto.Layer(li).W
+			wd, wp := dense.Layer(li).W, packed.Layer(li).W
 			for k := range wd {
-				if wd[k] != ws[k] {
-					t.Fatalf("%v: layer %d weight %d: dense %v sparse %v", mode, li, k, wd[k], ws[k])
-				}
 				if wd[k] != wp[k] {
 					t.Fatalf("%v: layer %d weight %d: dense %v packed %v", mode, li, k, wd[k], wp[k])
-				}
-				if wd[k] != wa[k] {
-					t.Fatalf("%v: layer %d weight %d: dense %v auto %v", mode, li, k, wd[k], wa[k])
 				}
 			}
 		}
 		probe, _ := trainStream(rng.New(5), 60, 10, 20)
 		for _, x := range probe {
-			pd, ps, pp, pa := dense.Predict(x), sparse.Predict(x), packed.Predict(x), auto.Predict(x)
-			if pd != ps || pd != pp || pd != pa {
-				t.Fatalf("%v: predictions diverge: dense %d sparse %d packed %d auto %d", mode, pd, ps, pp, pa)
+			if pd, pp := dense.Predict(x), packed.Predict(x); pd != pp {
+				t.Fatalf("%v: predictions diverge: dense %d packed %d", mode, pd, pp)
 			}
 		}
 	}
 }
 
-// TestQuantPow2PackedInt8Engages pins the quantized weight path end to
-// end: a QuantPow2 config must (a) keep every layer on the power-of-two
-// int8 grid through training so the mantissa kernel stays engaged,
-// (b) train bit-identically to the dense reference under the SAME
-// config, and (c) allocate nothing per sample.
-func TestQuantPow2PackedInt8Engages(t *testing.T) {
+// assertOnPow2Grid fails unless every weight of every layer of n is an
+// int8 mantissa times one power-of-two step shared by the layer.
+func assertOnPow2Grid(t *testing.T, n *Network, when string) {
+	t.Helper()
+	for li := 0; li < n.NumLayers(); li++ {
+		l := n.Layer(li)
+		step := layerStep(n.Config(), layerClip(n.Config(), l.In))
+		if frac, _ := math.Frexp(step); frac != 0.5 {
+			t.Fatalf("%s: layer %d grid step %v is not a power of two", when, li, step)
+		}
+		nonzero := 0
+		for k, w := range l.W {
+			m := w / step
+			if m != math.Trunc(m) || m < fixed.WeightMin || m > fixed.WeightMax {
+				t.Fatalf("%s: layer %d weight %d = %v is not an int8 multiple of %v", when, li, k, w, step)
+			}
+			if m != 0 {
+				nonzero++
+			}
+		}
+		if nonzero == 0 {
+			t.Fatalf("%s: layer %d has only zero weights", when, li)
+		}
+	}
+}
+
+// TestQuantPow2WeightsStayOnGrid pins the QuantPow2 training rule: under
+// QuantBits 8 every weight is an int8 mantissa times one power-of-two
+// step per layer, at init and after training; the dense reference and
+// the packed kernel train bit-identically under that config; and
+// TrainSample allocates nothing.
+func TestQuantPow2WeightsStayOnGrid(t *testing.T) {
 	cfg := DefaultConfig(60, 40, 10)
 	cfg.Seed = 21
 	cfg.QuantBits = 8
@@ -86,25 +97,18 @@ func TestQuantPow2PackedInt8Engages(t *testing.T) {
 	dense := New(cfg)
 	packed := New(cfg)
 	dense.SetKernel(snn.KernelDense)
-	packed.SetKernel(snn.KernelPacked)
-	for li := 0; li < packed.NumLayers(); li++ {
-		if !packed.Layer(li).Packable() {
-			t.Fatalf("layer %d not int8-packable at init under QuantPow2", li)
-		}
-	}
+	assertOnPow2Grid(t, packed, "init")
 	xs, ys := trainStream(rng.New(77), 60, 10, 60)
 	for i := range xs {
 		dense.TrainSample(xs[i], ys[i])
 		packed.TrainSample(xs[i], ys[i])
 	}
+	assertOnPow2Grid(t, packed, "after training")
 	for li := 0; li < dense.NumLayers(); li++ {
-		if !packed.Layer(li).Packable() {
-			t.Fatalf("layer %d fell off the int8 grid after training", li)
-		}
 		wd, wp := dense.Layer(li).W, packed.Layer(li).W
 		for k := range wd {
 			if wd[k] != wp[k] {
-				t.Fatalf("layer %d weight %d: dense %v int8-packed %v", li, k, wd[k], wp[k])
+				t.Fatalf("layer %d weight %d: dense %v packed %v", li, k, wd[k], wp[k])
 			}
 		}
 	}

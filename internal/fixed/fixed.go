@@ -168,10 +168,9 @@ func QuantizeBits(w float64, bits int, step float64) int {
 }
 
 // Pow2Ceil returns the smallest power of two ≥ x (x must be positive
-// and finite). Quantized-weight configurations use it to snap their grid
-// step onto a power of two so that mantissa extraction (w / step) is an
-// exact float64 operation — the precondition for the int8 packed kernel
-// to be bit-identical with the float64 reference.
+// and finite). Quantized-weight configurations (emstdp.Config.QuantPow2)
+// use it to snap their grid step onto a power of two so that mantissa
+// extraction (w / step) is an exact float64 operation.
 func Pow2Ceil(x float64) float64 {
 	if x <= 0 || math.IsNaN(x) || math.IsInf(x, 0) {
 		panic("fixed: Pow2Ceil requires a positive finite argument")

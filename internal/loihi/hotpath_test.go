@@ -44,25 +44,21 @@ func buildStepBench(tb testing.TB, preset ...DeliveryMode) *Chip {
 	return chip
 }
 
-// TestDeliveryKernelsBitIdentical steps identical chips across every
-// kernel — the reference dense scan, the active-index list walk, and
-// the packed word-traversal default — and, for each kernel, both call
-// orders (SetDelivery after all Connects, and SetDelivery on the empty
-// chip before any Connect), comparing every membrane, spike vector and
-// counter each step.
+// TestDeliveryKernelsBitIdentical steps identical chips across both
+// kernels — the reference dense scan and the packed word-traversal
+// default — and, for each kernel, both call orders (SetDelivery after
+// all Connects, and SetDelivery on the empty chip before any Connect),
+// comparing every membrane, spike vector and counter each step.
 func TestDeliveryKernelsBitIdentical(t *testing.T) {
 	dense := buildStepBench(t)
-	list := buildStepBench(t)
 	packed := buildStepBench(t)
 	dense.SetDelivery(DeliveryDense)
-	list.SetDelivery(DeliveryList)
 	packed.SetDelivery(DeliveryPacked)
 	// Set-then-connect ordering: the persisted mode must produce the
 	// same run as selecting it after wiring.
 	chips := []*Chip{
-		dense, list, packed,
+		dense, packed,
 		buildStepBench(t, DeliveryDense),
-		buildStepBench(t, DeliveryList),
 		buildStepBench(t, DeliveryPacked),
 	}
 	for step := 0; step < 256; step++ {
@@ -114,7 +110,7 @@ func TestMeshDeliverySetThenConnect(t *testing.T) {
 	}
 
 	mesh := mustMesh(t, 2)
-	mesh.SetDelivery(DeliveryList)
+	mesh.SetDelivery(DeliveryDense)
 	c := NewPopulation("c", PopulationConfig{N: 4, Theta: 16, VMin: 0})
 	d := NewPopulation("d", PopulationConfig{N: 4, Theta: 16, VMin: 0})
 	if err := mesh.AddPopulation(c, 0, 0, 4, 0, 2); err != nil {
@@ -127,8 +123,8 @@ func TestMeshDeliverySetThenConnect(t *testing.T) {
 	if err := mesh.Connect(sg); err != nil {
 		t.Fatal(err)
 	}
-	if sg.delivery != DeliveryList {
-		t.Fatalf("mesh group connected after SetDelivery runs %v, want %v", sg.delivery, DeliveryList)
+	if sg.delivery != DeliveryDense {
+		t.Fatalf("mesh group connected after SetDelivery runs %v, want %v", sg.delivery, DeliveryDense)
 	}
 }
 
@@ -166,8 +162,7 @@ func TestActiveSpikesMatchesSpikes(t *testing.T) {
 }
 
 // BenchmarkLoihiStep measures the simulator's raw step rate on the dense
-// training shape with the production (packed) delivery — the number the
-// delivery cutover and BENCH_2 read.
+// training shape with the production (packed) delivery.
 func BenchmarkLoihiStep(b *testing.B) {
 	chip := buildStepBench(b)
 	b.ResetTimer()
@@ -176,30 +171,8 @@ func BenchmarkLoihiStep(b *testing.B) {
 	}
 }
 
-// BenchmarkLoihiStep_PackedDelivery names the default explicitly, so the
-// packed-vs-list comparison reads off the benchmark list directly.
-func BenchmarkLoihiStep_PackedDelivery(b *testing.B) {
-	chip := buildStepBench(b)
-	chip.SetDelivery(DeliveryPacked)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chip.Step()
-	}
-}
-
-// BenchmarkLoihiStep_ListDelivery is the pre-packed event-driven walk of
-// the active-index list, for the packed-vs-list ratio.
-func BenchmarkLoihiStep_ListDelivery(b *testing.B) {
-	chip := buildStepBench(b)
-	chip.SetDelivery(DeliveryList)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		chip.Step()
-	}
-}
-
 // BenchmarkLoihiStep_DenseDelivery is the reference kernel's rate, for
-// the speedup ratio.
+// the packed-vs-dense ratio.
 func BenchmarkLoihiStep_DenseDelivery(b *testing.B) {
 	chip := buildStepBench(b)
 	chip.SetDelivery(DeliveryDense)

@@ -107,8 +107,7 @@ type Chip struct {
 
 	// delivery is the persisted kernel selection, applied to groups
 	// connected after SetDelivery so the call is order-independent.
-	delivery    DeliveryMode
-	deliverySet bool
+	delivery DeliveryMode
 
 	// OnStep, when non-nil, runs at the end of every Step — the probe
 	// point for spike-raster recording and other diagnostics.
@@ -228,9 +227,7 @@ func (c *Chip) connectRange(g Connector, lo, hi int, chargeFanIn, tracePre bool)
 	if lo != 0 || hi != post.N {
 		g.prepareRange(lo, hi)
 	}
-	if c.deliverySet {
-		g.setDelivery(c.delivery)
-	}
+	g.setDelivery(c.delivery)
 	c.groups = append(c.groups, connEntry{g: g, lo: lo, hi: hi, tracePre: tracePre})
 	return nil
 }
@@ -286,28 +283,15 @@ func (c *Chip) Counters() Counters { return c.counters }
 func (c *Chip) ResetCounters() { c.counters = Counters{} }
 
 // SetDelivery selects every connector's spike-iteration kernel: packed
-// word traversal (the default), active-index list, or the reference
-// dense scan. All three are bit-identical by construction; this hook
-// exists so the equivalence tests can prove it end to end and the
-// benchmarks can attribute the per-kernel cost. The mode persists on
-// the chip and applies to groups connected afterwards, so SetDelivery
-// and Connect commute.
+// word traversal (the default) or the reference dense scan. Both are
+// bit-identical by construction; this hook exists so the equivalence
+// tests can prove it end to end. The mode persists on the chip and
+// applies to groups connected afterwards, so SetDelivery and Connect
+// commute.
 func (c *Chip) SetDelivery(m DeliveryMode) {
-	c.delivery, c.deliverySet = m, true
+	c.delivery = m
 	for _, e := range c.groups {
 		e.g.setDelivery(m)
-	}
-}
-
-// SetDenseDelivery forces every connector onto the reference dense
-// delivery kernel (true) or back to the default packed one (false) —
-// the original two-way equivalence-test hook, kept for callers that
-// predate DeliveryMode.
-func (c *Chip) SetDenseDelivery(v bool) {
-	if v {
-		c.SetDelivery(DeliveryDense)
-	} else {
-		c.SetDelivery(DeliveryPacked)
 	}
 }
 

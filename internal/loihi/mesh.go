@@ -53,8 +53,7 @@ type Mesh struct {
 
 	// delivery is the persisted kernel selection, applied to groups
 	// connected after SetDelivery so the call is order-independent.
-	delivery    DeliveryMode
-	deliverySet bool
+	delivery DeliveryMode
 
 	// OnStep, when non-nil, runs at the end of every mesh step — the
 	// multi-die analogue of Chip.OnStep.
@@ -320,9 +319,7 @@ func (m *Mesh) Connect(g Connector) error {
 		mg.shards = append(mg.shards, connShard{Die: s.Die, Lo: s.Lo, Hi: s.Hi})
 		mpPre.subscribe(s.Die, len(m.chips), g, s.Lo, s.Hi)
 	}
-	if m.deliverySet {
-		g.setDelivery(m.delivery)
-	}
+	g.setDelivery(m.delivery)
 	m.groups = append(m.groups, mg)
 	return nil
 }
@@ -497,18 +494,9 @@ func (m *Mesh) LatchGates() {
 // mode persists on the mesh, so groups connected after the call pick it
 // up too — SetDelivery and Connect commute.
 func (m *Mesh) SetDelivery(dm DeliveryMode) {
-	m.delivery, m.deliverySet = dm, true
+	m.delivery = dm
 	for _, mg := range m.groups {
 		mg.g.setDelivery(dm)
-	}
-}
-
-// SetDenseDelivery forwards the equivalence-test hook to every group.
-func (m *Mesh) SetDenseDelivery(v bool) {
-	if v {
-		m.SetDelivery(DeliveryDense)
-	} else {
-		m.SetDelivery(DeliveryPacked)
 	}
 }
 

@@ -7,20 +7,16 @@ import (
 )
 
 // DeliveryMode selects how a connector iterates last step's presynaptic
-// spikes. All three modes visit the same (pre, post) pairs in the same
+// spikes. Both modes visit the same (pre, post) pairs in the same
 // ascending order and accumulate through the same saturating addInput,
-// so they are bit-identical by construction; the hooks exist so the
-// equivalence tests can prove it end to end and the benchmarks can
-// attribute the win.
+// so they are bit-identical by construction; the hook exists so the
+// equivalence tests can prove it end to end.
 type DeliveryMode int
 
 const (
 	// DeliveryPacked traverses the word-parallel spike bitset with
 	// trailing-zeros iteration — the production default.
 	DeliveryPacked DeliveryMode = iota
-	// DeliveryList walks the active-index list one int32 at a time (the
-	// pre-packed event-driven kernel, kept for benchmarking).
-	DeliveryList
 	// DeliveryDense scans the dense spike vector — the reference kernel
 	// the equivalence suites compare against.
 	DeliveryDense
@@ -55,7 +51,7 @@ type Connector interface {
 	// reset clears all learning state at the sample boundary.
 	reset()
 	// setDelivery selects the spike-iteration kernel — the hook behind
-	// Chip.SetDelivery / Chip.SetDenseDelivery.
+	// Chip.SetDelivery / Mesh.SetDelivery.
 	setDelivery(m DeliveryMode)
 
 	// GroupName identifies the group in errors and reports.
@@ -171,7 +167,7 @@ func (g *SparseGroup) finalizeFanIn() {
 }
 
 // deliver routes spikes through the adjacency lists, iterating the
-// presynaptic active-index list instead of scanning the dense vector.
+// presynaptic bitset instead of scanning the dense vector.
 func (g *SparseGroup) deliver() int64 { return g.deliverRange(0, g.Post.N, true) }
 
 // deliverRange delivers the synapses whose post compartment lies in
@@ -197,20 +193,9 @@ func (g *SparseGroup) deliverRange(lo, hi int, _ bool) int64 {
 			filter = true
 		}
 	}
-	if g.delivery == DeliveryPacked {
-		return g.deliverPacked(fanOut, filter, lo, hi)
-	}
-	var events int64
-	for _, k := range g.Pre.ActiveSpikes() {
-		events += g.deliverFanOut(fanOut[k], filter, lo, hi)
-	}
-	return events
-}
-
-// deliverPacked is the list kernel with trailing-zeros iteration over
-// the presynaptic bitset instead of the index walk — identical visit
-// order, so identical saturating accumulation.
-func (g *SparseGroup) deliverPacked(fanOut [][]SparseSynapse, filter bool, lo, hi int) int64 {
+	// Trailing-zeros iteration over the presynaptic bitset visits the
+	// set bits in ascending order — the dense kernel's order, so the
+	// saturating accumulation is identical.
 	var events int64
 	for wi, word := range g.Pre.SpikeBits().Words() {
 		base := wi << 6

@@ -42,8 +42,8 @@ type SynapseGroup struct {
 	wt      []int8
 	wtDirty bool
 	// delivery selects the spike-iteration kernel (packed word traversal
-	// by default; list and dense kept for benchmarks and equivalence
-	// tests — see Chip.SetDelivery).
+	// by default; dense kept for the equivalence tests — see
+	// Chip.SetDelivery).
 	delivery DeliveryMode
 }
 
@@ -147,9 +147,9 @@ func (g *SynapseGroup) WeightFloat(o, k int, scale float64) float64 {
 
 // deliver routes last step's presynaptic spikes into the post
 // population, returning the number of synaptic events (per-spike fan-out
-// deliveries). The event-driven kernel walks the presynaptic
-// active-index list and scatters each spike's contiguous transposed
-// weight column — the simulator finally does work proportional to the
+// deliveries). The event-driven kernel walks the presynaptic spike
+// bitset and scatters each spike's contiguous transposed weight
+// column — the simulator finally does work proportional to the
 // SynapticEvents it counts, like the chip. Membrane accumulation is
 // saturating-integer in the same order as the dense reference (ascending
 // presynaptic index per post neuron), so results are bit-identical.
@@ -170,50 +170,13 @@ func (g *SynapseGroup) deliverRange(lo, hi int, tracePre bool) int64 {
 		return 0
 	}
 	g.ensureTransposed()
-	if g.delivery == DeliveryPacked {
-		return g.deliverPackedRange(lo, hi, tracePre)
-	}
-	active := g.Pre.ActiveSpikes()
-	postN := g.Post.N
-	if lo == 0 && hi == postN {
-		// Full-range fast path (the single-die hot loop): no per-synapse
-		// index offset.
-		var events int64
-		for _, k := range active {
-			if tracePre && g.preTrace != nil {
-				g.preTrace[k] = fixed.SatTrace(int64(g.preTrace[k]) + 1)
-			}
-			col := g.wt[int(k)*postN : (int(k)+1)*postN]
-			for o, w := range col {
-				if w != 0 {
-					g.Post.addInput(o, int32(w)<<g.Exp)
-				}
-			}
-			events += int64(postN)
-		}
-		return events
-	}
-	span := int64(hi - lo)
-	var events int64
-	for _, k := range active {
-		if tracePre && g.preTrace != nil {
-			g.preTrace[k] = fixed.SatTrace(int64(g.preTrace[k]) + 1)
-		}
-		col := g.wt[int(k)*postN+lo : int(k)*postN+hi]
-		for o, w := range col {
-			if w != 0 {
-				g.Post.addInput(lo+o, int32(w)<<g.Exp)
-			}
-		}
-		events += span
-	}
-	return events
+	return g.deliverPackedRange(lo, hi, tracePre)
 }
 
-// deliverPackedRange is the list kernel with trailing-zeros iteration
-// over the presynaptic spike bitset — nonzero words are scanned and each
-// set bit's transposed weight column is scattered in the same ascending
-// order the index list produces, so the saturating accumulation is
+// deliverPackedRange is the production kernel: trailing-zeros iteration
+// over the presynaptic spike bitset scans the nonzero words and scatters
+// each set bit's transposed weight column in ascending presynaptic
+// order — the dense reference's order, so the saturating accumulation is
 // bit-identical while the spike iteration itself costs one popcount-
 // bounded loop per 64 presynaptic neurons.
 func (g *SynapseGroup) deliverPackedRange(lo, hi int, tracePre bool) int64 {

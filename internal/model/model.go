@@ -88,6 +88,10 @@ func Load(r io.Reader) (*core.Model, error) {
 		return nil, fmt.Errorf("model: conv shape mismatch (snapshot %d/%d, model %d/%d)",
 			len(snap.ConvW1), len(snap.ConvW2), m.Conv.Conv1.W.Len(), m.Conv.Conv2.W.Len())
 	}
+	if len(snap.ConvB1) != len(m.Conv.Conv1.B) || len(snap.ConvB2) != len(m.Conv.Conv2.B) {
+		return nil, fmt.Errorf("model: conv bias mismatch (snapshot %d/%d, model %d/%d)",
+			len(snap.ConvB1), len(snap.ConvB2), len(m.Conv.Conv1.B), len(m.Conv.Conv2.B))
+	}
 	copy(m.Conv.Conv1.W.Data, snap.ConvW1)
 	copy(m.Conv.Conv2.W.Data, snap.ConvW2)
 	copy(m.Conv.Conv1.B, snap.ConvB1)
@@ -110,9 +114,9 @@ func Load(r io.Reader) (*core.Model, error) {
 		}
 	}
 	if ch := m.ChipNetwork(); ch != nil {
-		if len(snap.ChipW) != ch.NumPlasticLayers() {
-			return nil, fmt.Errorf("model: snapshot has %d chip layers, model %d",
-				len(snap.ChipW), ch.NumPlasticLayers())
+		if len(snap.ChipW) != ch.NumPlasticLayers() || len(snap.ChipExps) != len(snap.ChipW) {
+			return nil, fmt.Errorf("model: snapshot has %d chip layers and %d exponents, model %d layers",
+				len(snap.ChipW), len(snap.ChipExps), ch.NumPlasticLayers())
 		}
 		for i, w := range snap.ChipW {
 			g := ch.Plastic(i)

@@ -8,7 +8,7 @@ import (
 	"emstdp/internal/dataset"
 )
 
-func trainedModel(t *testing.T, backend core.Backend) *core.Model {
+func builtModel(t *testing.T, backend core.Backend) *core.Model {
 	t.Helper()
 	m, err := core.Build(core.Options{
 		Dataset:        dataset.MNIST,
@@ -22,6 +22,12 @@ func trainedModel(t *testing.T, backend core.Backend) *core.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func trainedModel(t *testing.T, backend core.Backend) *core.Model {
+	t.Helper()
+	m := builtModel(t, backend)
 	m.Train(1)
 	return m
 }
@@ -115,5 +121,52 @@ func TestLoadRejectsBadFormat(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Error("expected decode error")
+	}
+}
+
+// TestLoadRejectsMalformedSnapshot re-encodes saved snapshots with one
+// field truncated: Load must return an error, neither panicking nor
+// silently keeping the rebuilt skeleton's values for the missing part.
+func TestLoadRejectsMalformedSnapshot(t *testing.T) {
+	cases := []struct {
+		name    string
+		backend core.Backend
+		mutate  func(*Snapshot)
+	}{
+		{"short ChipExps", core.Chip, func(s *Snapshot) { s.ChipExps = s.ChipExps[:len(s.ChipExps)-1] }},
+		{"nil ChipExps", core.Chip, func(s *Snapshot) { s.ChipExps = nil }},
+		{"short ConvB1", core.FP, func(s *Snapshot) { s.ConvB1 = s.ConvB1[:len(s.ConvB1)-1] }},
+		{"short ConvB2", core.FP, func(s *Snapshot) { s.ConvB2 = s.ConvB2[:len(s.ConvB2)-1] }},
+	}
+	saved := map[core.Backend][]byte{}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw, ok := saved[tc.backend]
+			if !ok {
+				var buf bytes.Buffer
+				if err := Save(&buf, builtModel(t, tc.backend)); err != nil {
+					t.Fatal(err)
+				}
+				raw = buf.Bytes()
+				saved[tc.backend] = raw
+			}
+			var snap Snapshot
+			if err := decode(bytes.NewReader(raw), &snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&snap)
+			var buf bytes.Buffer
+			if err := encode(&buf, &snap); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("Load panicked: %v", r)
+				}
+			}()
+			if _, err := Load(&buf); err == nil {
+				t.Fatal("Load accepted a malformed snapshot")
+			}
+		})
 	}
 }

@@ -4,52 +4,52 @@ import (
 	"fmt"
 	"testing"
 
-	"emstdp/internal/fixed"
 	"emstdp/internal/rng"
 	"emstdp/internal/spike"
 )
 
-// TestPackedKernelBitIdenticalToDense extends the PR 2 equivalence suite
-// to the word-parallel kernel: dense, packed-from-active-list,
-// packed-from-bitset and the auto cutover must produce byte-identical
-// spikes, membranes and active lists at every step across the density
-// sweep. This pins the register-blocked multi-column scatter to the
-// reference accumulation order (bias first, then ascending presynaptic
-// index).
+// randomSpikes fills pre with the given firing density.
+func randomSpikes(r *rng.Source, pre []bool, density float64) {
+	for i := range pre {
+		pre[i] = r.Float64() < density
+	}
+}
+
+// TestPackedKernelBitIdenticalToDense drives identical layers — the
+// dense reference, the packed kernel on a caller-provided bitset, and
+// the packed kernel building its bitset from the dense vector in
+// scratch — with the same spike trains across a density sweep, and
+// demands byte-identical spikes, membranes, active lists and output
+// bitsets at every step. Density 0 covers the empty step. This pins the
+// register-blocked multi-column scatter to the reference accumulation
+// order (bias first, then ascending presynaptic index).
 func TestPackedKernelBitIdenticalToDense(t *testing.T) {
 	const in, out = 97, 53
 	for _, density := range []float64{0, 0.02, 0.1, 0.3, 0.6, 0.95, 1} {
 		dense := NewIFLayer(rng.New(11), in, out, 0.4, 1.0)
 		packed := dense.Clone()
-		packedBits := dense.Clone()
-		auto := dense.Clone()
+		scratch := dense.Clone()
 		dense.Kernel = KernelDense
-		packed.Kernel = KernelPacked
-		packedBits.Kernel = KernelPacked
-		auto.Kernel = KernelAuto
 		r := rng.New(uint64(1000 * (1 + density)))
 		pre := make([]bool, in)
 		bits := spike.NewBitset(in)
 		for step := 0; step < 200; step++ {
-			active := randomSpikes(r, pre, density)
+			randomSpikes(r, pre, density)
 			bits.FromBools(pre)
-			sd := dense.StepSparse(pre, active)
-			sp := packed.StepSparse(pre, active)
-			sb := packedBits.StepBits(pre, active, bits)
-			sa := auto.StepBits(pre, active, bits)
+			sd := dense.Step(pre, nil)
+			sp := packed.Step(pre, bits)
+			ss := scratch.Step(pre, nil)
 			for o := 0; o < out; o++ {
-				if sd[o] != sp[o] || sd[o] != sb[o] || sd[o] != sa[o] {
-					t.Fatalf("density %.2f step %d: spike[%d] dense=%v packed=%v packedBits=%v auto=%v",
-						density, step, o, sd[o], sp[o], sb[o], sa[o])
+				if sd[o] != sp[o] || sd[o] != ss[o] {
+					t.Fatalf("density %.2f step %d: spike[%d] dense=%v packed=%v scratch=%v",
+						density, step, o, sd[o], sp[o], ss[o])
 				}
-				if dense.Potential(o) != packed.Potential(o) ||
-					dense.Potential(o) != packedBits.Potential(o) ||
-					dense.Potential(o) != auto.Potential(o) {
+				if dense.Potential(o) != packed.Potential(o) || dense.Potential(o) != scratch.Potential(o) {
 					t.Fatalf("density %.2f step %d: u[%d] diverges across kernels", density, step, o)
 				}
 			}
 			da := dense.Active()
-			for _, l := range []*IFLayer{packed, packedBits, auto} {
+			for _, l := range []*IFLayer{packed, scratch} {
 				la := l.Active()
 				if len(da) != len(la) {
 					t.Fatalf("density %.2f step %d: active lengths %d vs %d", density, step, len(da), len(la))
@@ -68,186 +68,78 @@ func TestPackedKernelBitIdenticalToDense(t *testing.T) {
 	}
 }
 
-// quantizeLayerToGrid snaps every weight of l onto the power-of-two int8
-// grid that spans its current magnitude — the invariant ensurePacked
-// verifies — and returns the grid step.
-func quantizeLayerToGrid(l *IFLayer) float64 {
-	maxAbs := 0.0
-	for _, w := range l.W {
-		a := w
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
+// TestPackedKernelSeesInPlaceWeightWrites verifies the invalidation
+// contract: an in-place W write followed by MarkWeightsDirty must be
+// visible through the transposed view on the next packed step.
+func TestPackedKernelSeesInPlaceWeightWrites(t *testing.T) {
+	l := NewIFLayer(rng.New(3), 4, 2, 0, 1.0)
+	pre := []bool{true, false, false, false}
+	l.Step(pre, nil) // builds the transpose from the zero weights
+	if got := l.Potential(0); got != 0 {
+		t.Fatalf("potential %v before weight write, want 0", got)
 	}
-	step := fixed.NewQuantizer(maxAbs).Scale()
-	for i, w := range l.W {
-		m := int(w/step + 0.5)
-		if w < 0 {
-			m = int(w/step - 0.5)
-		}
-		if m > fixed.WeightMax {
-			m = fixed.WeightMax
-		}
-		if m < fixed.WeightMin {
-			m = fixed.WeightMin
-		}
-		l.W[i] = float64(m) * step
-	}
+	l.W[0*4+0] = 0.75 // post 0 <- pre 0
 	l.MarkWeightsDirty()
-	return step
-}
-
-// TestPackedInt8BitIdenticalToDense puts a layer's weights exactly on a
-// power-of-two int8 grid (zero bias) and demands the int8 mantissa
-// kernel engage AND stay bit-identical to the dense float64 reference:
-// every partial sum the reference computes is an integer multiple of the
-// grid step far inside float64's 53-bit significand, so no addition ever
-// rounds and int32 mantissa accumulation reconstructs the same values.
-func TestPackedInt8BitIdenticalToDense(t *testing.T) {
-	const in, out = 97, 53
-	for _, density := range []float64{0.05, 0.3, 0.8} {
-		dense := NewIFLayer(rng.New(21), in, out, 0.4, 1.0)
-		quantizeLayerToGrid(dense)
-		q := dense.Clone()
-		dense.Kernel = KernelDense
-		q.Kernel = KernelPacked
-		q.Quantized = true
-		if !q.Packable() {
-			t.Fatalf("grid-quantized layer did not pack")
-		}
-		r := rng.New(77)
-		pre := make([]bool, in)
-		for step := 0; step < 200; step++ {
-			active := randomSpikes(r, pre, density)
-			sd := dense.StepSparse(pre, active)
-			sq := q.StepSparse(pre, active)
-			for o := 0; o < out; o++ {
-				if sd[o] != sq[o] || dense.Potential(o) != q.Potential(o) {
-					t.Fatalf("density %.2f step %d neuron %d: int8 kernel diverges (u %v vs %v)",
-						density, step, o, dense.Potential(o), q.Potential(o))
-				}
-			}
-		}
+	l.Step(pre, nil)
+	if got := l.Potential(0); got != 0.75 {
+		t.Fatalf("potential %v after marked weight write, want 0.75", got)
 	}
 }
 
-// TestPackedInt8FallsBackOffGrid verifies the safety property of
-// Quantized: weights off the power-of-two grid (or a nonzero bias) must
-// refuse to pack, and the packed step silently runs the float64 kernel
-// with unchanged results.
-func TestPackedInt8FallsBackOffGrid(t *testing.T) {
-	l := NewIFLayer(rng.New(5), 16, 8, 0.4, 1.0)
-	l.Quantized = true
-	if l.Packable() {
-		t.Fatalf("uniform random weights should not sit on an int8 grid")
-	}
-	quantizeLayerToGrid(l)
-	if !l.Packable() {
-		t.Fatalf("grid-quantized layer should pack")
-	}
-	l.Bias[0] = 0.25
-	l.MarkWeightsDirty()
-	if l.Packable() {
-		t.Fatalf("nonzero bias must refuse the int8 pack")
-	}
-	l.Bias[0] = 0
-	l.W[3] += l.wqScale / 2 // half a grid step off
-	l.MarkWeightsDirty()
-	if l.Packable() {
-		t.Fatalf("off-grid weight must refuse the int8 pack")
-	}
-	// And the fallback still matches dense.
-	ref := l.Clone()
-	ref.Kernel = KernelDense
-	ref.Quantized = false
-	l.Kernel = KernelPacked
-	pre := make([]bool, 16)
-	r := rng.New(9)
-	for step := 0; step < 50; step++ {
-		active := randomSpikes(r, pre, 0.4)
-		sd := ref.StepSparse(pre, active)
-		sp := l.StepSparse(pre, active)
-		for o := range sd {
-			if sd[o] != sp[o] || ref.Potential(o) != l.Potential(o) {
-				t.Fatalf("step %d neuron %d: float fallback diverges", step, o)
-			}
-		}
-	}
-}
-
-// TestStepBitsAllocatesNothing pins the zero-allocation contract on the
-// packed per-step path, including the forced-kernel scratch fills.
-func TestStepBitsAllocatesNothing(t *testing.T) {
+// TestStepAllocatesNothing pins the zero-allocation contract of Step on
+// both kernels, with a caller-provided bitset and with the nil-bitset
+// path that fills the layer's scratch.
+func TestStepAllocatesNothing(t *testing.T) {
 	const in, out = 200, 100
 	l := NewIFLayer(rng.New(1), in, out, 0.2, 1.0)
 	r := rng.New(2)
 	pre := make([]bool, in)
-	active := randomSpikes(r, pre, 0.25)
+	randomSpikes(r, pre, 0.25)
 	bits := spike.NewBitset(in)
 	bits.FromBools(pre)
-	l.StepBits(pre, active, bits) // warm transpose + scratch
-	for _, k := range []Kernel{KernelAuto, KernelDense, KernelSparse, KernelPacked} {
+	l.Step(pre, bits) // warm the transpose
+	for _, k := range []Kernel{KernelPacked, KernelDense} {
 		l.Kernel = k
 		if n := testing.AllocsPerRun(50, func() {
-			l.StepBits(pre, active, bits)
-			l.StepBits(pre, active, nil)
-			l.StepBits(pre, nil, bits)
+			l.Step(pre, bits)
+			l.Step(pre, nil)
 		}); n != 0 {
-			t.Fatalf("kernel %d: StepBits allocates %v per run", k, n)
+			t.Fatalf("kernel %d: Step allocates %v per run", k, n)
 		}
-	}
-	l.Kernel = KernelPacked
-	l.Quantized = true
-	quantizeLayerToGrid(l)
-	l.StepBits(pre, active, bits)
-	if !l.wqOK {
-		t.Fatalf("int8 pack did not engage")
-	}
-	if n := testing.AllocsPerRun(50, func() { l.StepBits(pre, active, bits) }); n != 0 {
-		t.Fatalf("int8 packed StepBits allocates %v per run", n)
 	}
 }
 
-// benchLayerStepBits mirrors benchLayerStep with the caller-provided
-// bitset the packed kernel consumes in production.
-func benchLayerStepBits(b *testing.B, k Kernel, densityPct int, quant bool) {
+// benchLayerStep times one kernel at one density on the paper's 200→100
+// layer shape, with the caller-provided bitset the packed kernel
+// consumes in production.
+func benchLayerStep(b *testing.B, k Kernel, densityPct int) {
 	const in, out = 200, 100
 	l := NewIFLayer(rng.New(1), in, out, 0.2, 1.0)
 	l.Kernel = k
-	l.Quantized = quant
-	if quant {
-		quantizeLayerToGrid(l)
-	}
 	r := rng.New(2)
 	pre := make([]bool, in)
-	active := randomSpikes(r, pre, float64(densityPct)/100)
+	randomSpikes(r, pre, float64(densityPct)/100)
 	bits := spike.NewBitset(in)
 	bits.FromBools(pre)
-	l.StepBits(pre, active, bits) // warm the transpose/pack outside the timer
-	if quant && !l.wqOK {
-		b.Fatalf("int8 pack did not engage")
-	}
+	l.Step(pre, bits) // warm the transpose outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.StepBits(pre, active, bits)
+		l.Step(pre, bits)
+	}
+}
+
+func BenchmarkIFLayerStep_Dense(b *testing.B) {
+	for _, d := range []int{5, 25, 75} {
+		b.Run(fmt.Sprintf("density=%d%%", d), func(b *testing.B) {
+			benchLayerStep(b, KernelDense, d)
+		})
 	}
 }
 
 func BenchmarkIFLayerStep_Packed(b *testing.B) {
 	for _, d := range []int{5, 25, 75, 100} {
 		b.Run(fmt.Sprintf("density=%d%%", d), func(b *testing.B) {
-			benchLayerStepBits(b, KernelPacked, d, false)
-		})
-	}
-}
-
-func BenchmarkIFLayerStep_PackedInt8(b *testing.B) {
-	for _, d := range []int{5, 25, 75, 100} {
-		b.Run(fmt.Sprintf("density=%d%%", d), func(b *testing.B) {
-			benchLayerStepBits(b, KernelPacked, d, true)
+			benchLayerStep(b, KernelPacked, d)
 		})
 	}
 }

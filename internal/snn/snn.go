@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"emstdp/internal/fixed"
 	"emstdp/internal/rng"
 	"emstdp/internal/spike"
 )
@@ -24,50 +23,15 @@ import (
 type Kernel int
 
 const (
-	// KernelAuto picks dense, sparse or packed per step from the
-	// presynaptic popcount (the density cutover) — the production
-	// setting.
-	KernelAuto Kernel = iota
-	// KernelDense always runs the dense row-gather kernel.
+	// KernelPacked is the production kernel: presynaptic spikes as a
+	// []uint64 bitset, trailing-zeros iteration over the nonzero words,
+	// and a register-blocked multi-column scatter from the transposed
+	// weight view.
+	KernelPacked Kernel = iota
+	// KernelDense is the O(Out×In) row gather over the dense spike
+	// vector — the reference the equivalence suites compare the packed
+	// kernel against.
 	KernelDense
-	// KernelSparse always runs the event-driven column-scatter kernel.
-	KernelSparse
-	// KernelPacked always runs the word-parallel kernel: presynaptic
-	// spikes as a []uint64 bitset, trailing-zeros iteration over the
-	// nonzero words, and a register-blocked multi-column scatter (int8
-	// mantissa accumulation when the weights pack losslessly — see
-	// Quantized).
-	KernelPacked
-)
-
-// The KernelAuto three-way cutover, chosen from BenchmarkIFLayerStep on
-// the paper's 200→100 layer (1-vCPU reference runner, go1.24, ns/op):
-//
-//	density   dense    sparse   packed   packed-int8
-//	    1%       —       394      355        —
-//	    5%     8334      617      541       716
-//	   25%    12624     2494     1681      2344
-//	   75%    13390     7357     4850      6359
-//	  100%       —        —      6397      8240
-//
-// The packed scatter processes four presynaptic columns per pass over
-// the accumulator (one acc load/store amortised over four adds, in the
-// same per-neuron add order as the reference), so it beats the
-// one-column sparse scatter at every measured density — including two
-// active spikes out of 200, with the bitset rebuilt from the index list
-// — and never falls behind the dense gather even at full saturation.
-// The data therefore picks degenerate thresholds: dense is never
-// auto-selected (denseCutoverPct above 100; it stays the reference the
-// equivalence suites compare against), and the one-column sparse
-// scatter handles only the empty step, where it skips the word scan
-// outright. The int8 mantissa kernel is measurably SLOWER than the
-// float64 packed kernel on this host (the int8→int32 widening per
-// element costs more than the wider float loads save), so it is never
-// auto-selected either: it exists as the chip-fidelity arm, engaged
-// explicitly via Quantized for quantized-weight runs.
-const (
-	packedMinActive = 1
-	denseCutoverPct = 101
 )
 
 // IFLayer is a dense layer of integrate-and-fire neurons.
@@ -86,43 +50,23 @@ type IFLayer struct {
 	// arbitrarily negative, from which they could not recover within the
 	// phase; the floor mirrors Loihi's saturating membrane register.
 	UMin float64
-	// Kernel overrides the per-step kernel choice (tests and benchmarks;
-	// leave KernelAuto in production).
+	// Kernel selects the integration kernel (KernelDense is the
+	// equivalence-test reference; leave the zero value in production).
 	Kernel Kernel
-	// Quantized asks the packed kernel to try the int8 mantissa path:
-	// when every weight sits exactly on a shared power-of-two grid (and
-	// every bias is zero), a presynaptic spike's 64-synapse block
-	// reduces to int8 loads into int32 accumulators, dequantized once at
-	// the threshold comparison. The pack pass VERIFIES losslessness and
-	// falls back to the float64 packed kernel otherwise, so setting this
-	// on an unquantized layer costs one scan per weight write and
-	// changes nothing else.
-	Quantized bool
 
 	u      []float64
 	spikes []bool
 	active []int32
 	bits   *spike.Bitset
-	// wt is the column-major (In×Out) transposed weight view the sparse
+	// wt is the column-major (In×Out) transposed weight view the packed
 	// kernel scatters from; rebuilt lazily when wtDirty.
 	wt      []float64
 	wtDirty bool
-	// acc is the sparse/packed kernels' membrane-drive accumulator.
+	// acc is the membrane-drive accumulator both kernels fill.
 	acc []float64
-	// preScratch is the layer-owned presynaptic bitset used when a
-	// packed step is requested without a caller-provided bitset.
+	// preScratch is the layer-owned presynaptic bitset used when Step is
+	// called without a caller-provided one.
 	preScratch *spike.Bitset
-	// preIdx is the layer-owned index scratch used when a sparse step is
-	// forced without a caller-provided active list.
-	preIdx []int32
-	// wq is the column-major int8 mantissa view of W (weight =
-	// mantissa·wqScale with wqScale a power of two); valid when wqOK.
-	wq      []int8
-	wqScale float64
-	wqDirty bool
-	wqOK    bool
-	// acc32 is the int8 kernel's mantissa accumulator.
-	acc32 []int32
 }
 
 // NewIFLayer builds a dense IF layer with uniformly initialised weights
@@ -142,10 +86,6 @@ func NewIFLayer(r *rng.Source, in, out int, scale, theta float64) *IFLayer {
 		wtDirty:    true,
 		acc:        make([]float64, out),
 		preScratch: spike.NewBitset(in),
-		preIdx:     make([]int32, 0, in),
-		wq:         make([]int8, in*out),
-		wqDirty:    true,
-		acc32:      make([]int32, out),
 	}
 	r.FillUniform(l.W, -scale, scale)
 	return l
@@ -162,7 +102,6 @@ func (l *IFLayer) Clone() *IFLayer {
 		Theta:      l.Theta,
 		UMin:       l.UMin,
 		Kernel:     l.Kernel,
-		Quantized:  l.Quantized,
 		u:          make([]float64, l.Out),
 		spikes:     make([]bool, l.Out),
 		active:     make([]int32, 0, l.Out),
@@ -171,24 +110,17 @@ func (l *IFLayer) Clone() *IFLayer {
 		wtDirty:    true,
 		acc:        make([]float64, l.Out),
 		preScratch: spike.NewBitset(l.In),
-		preIdx:     make([]int32, 0, l.In),
-		wq:         make([]int8, len(l.W)),
-		wqDirty:    true,
-		acc32:      make([]int32, l.Out),
 	}
 	copy(c.W, l.W)
 	copy(c.Bias, l.Bias)
 	return c
 }
 
-// MarkWeightsDirty invalidates the transposed weight view (and the int8
-// mantissa pack) after W was written in place. The trainer calls it once
-// per applied update (once per sample), so the rebuilds are amortised
-// over the 2T steps of the next sample rather than paid per step.
-func (l *IFLayer) MarkWeightsDirty() {
-	l.wtDirty = true
-	l.wqDirty = true
-}
+// MarkWeightsDirty invalidates the transposed weight view after W was
+// written in place. The trainer calls it once per applied update (once
+// per sample), so the rebuild is amortised over the 2T steps of the
+// next sample rather than paid per step.
+func (l *IFLayer) MarkWeightsDirty() { l.wtDirty = true }
 
 // ensureTransposed rebuilds the In×Out view if W changed since the last
 // build.
@@ -206,85 +138,25 @@ func (l *IFLayer) ensureTransposed() {
 }
 
 // Step integrates one timestep of presynaptic spikes and returns the
-// layer's spike vector (valid until the next Step). Without an
-// active-index list the dense kernel runs; StepBits is the event-driven
-// entry point.
-func (l *IFLayer) Step(pre []bool) []bool {
+// layer's spike vector (valid until the next Step). preBits is the
+// word-parallel view of the same spikes as the upstream producer
+// publishes it; when nil, the packed kernel builds it from pre in
+// layer-owned scratch. Both kernels accumulate each neuron's drive in
+// the same order — bias first, then ascending presynaptic index — so the
+// float result is bit-identical whichever runs.
+func (l *IFLayer) Step(pre []bool, preBits *spike.Bitset) []bool {
 	if len(pre) != l.In {
 		panic(fmt.Sprintf("snn: layer expects %d inputs, got %d", l.In, len(pre)))
 	}
-	l.stepDense(pre)
-	return l.spikes
-}
-
-// StepSparse integrates one timestep given the dense spike vector and
-// its active-index list. It is StepBits without a presynaptic bitset:
-// the packed kernel, when chosen, rebuilds the word view from the index
-// list into layer-owned scratch.
-func (l *IFLayer) StepSparse(pre []bool, preActive []int32) []bool {
-	return l.StepBits(pre, preActive, nil)
-}
-
-// StepBits integrates one timestep given up to three views of the same
-// presynaptic spikes: the dense vector, the ascending active-index list,
-// and the word-parallel bitset (as produced together by the upstream
-// producer's Step). Under KernelAuto the kernel is chosen per step from
-// the popcount: the dense row gather above denseCutoverPct, the
-// one-column scatter below packedMinActive spikes, the word-parallel
-// blocked scatter in between. Every kernel accumulates each neuron's
-// drive in the same order — bias first, then ascending presynaptic
-// index — so the float result is bit-identical whichever runs.
-func (l *IFLayer) StepBits(pre []bool, preActive []int32, preBits *spike.Bitset) []bool {
-	if len(pre) != l.In {
-		panic(fmt.Sprintf("snn: layer expects %d inputs, got %d", l.In, len(pre)))
-	}
-	if preActive == nil && preBits == nil && l.Kernel != KernelPacked {
+	if l.Kernel == KernelDense {
 		l.stepDense(pre)
 		return l.spikes
 	}
-	n := 0
-	switch {
-	case preActive != nil:
-		n = len(preActive)
-	case preBits != nil:
-		n = preBits.Count()
-	default:
-		// Forced packed with only the dense vector: build the word view.
+	if preBits == nil {
 		preBits = l.preScratch
 		preBits.FromBools(pre)
-		n = preBits.Count()
 	}
-	k := l.Kernel
-	if k == KernelAuto {
-		switch {
-		case n*100 >= l.In*denseCutoverPct:
-			k = KernelDense
-		case n < packedMinActive && preActive != nil:
-			k = KernelSparse
-		default:
-			k = KernelPacked
-		}
-	}
-	switch k {
-	case KernelDense:
-		l.stepDense(pre)
-	case KernelSparse:
-		if preActive == nil {
-			preActive = preBits.AppendIndices(l.preIdx[:0])
-			l.preIdx = preActive
-		}
-		l.stepSparse(preActive)
-	default:
-		if preBits == nil {
-			preBits = l.preScratch
-			preBits.FromActive(preActive)
-		}
-		if l.Quantized && l.ensurePacked() {
-			l.stepPackedInt8(preBits)
-		} else {
-			l.stepPackedFloat(preBits)
-		}
-	}
+	l.stepPacked(preBits)
 	return l.spikes
 }
 
@@ -297,7 +169,7 @@ func (l *IFLayer) Active() []int32 { return l.active }
 func (l *IFLayer) Bits() *spike.Bitset { return l.bits }
 
 // stepDense is the O(Out×In) row-gather kernel — the reference the
-// equivalence suites compare every other kernel against.
+// equivalence suites compare the packed kernel against.
 func (l *IFLayer) stepDense(pre []bool) {
 	acc := l.acc
 	for o := 0; o < l.Out; o++ {
@@ -313,31 +185,14 @@ func (l *IFLayer) stepDense(pre []bool) {
 	l.finishAll()
 }
 
-// stepSparse is the event-driven kernel: for each active presynaptic
-// index, add its contiguous weight column into the membrane accumulator
-// — O(spikes×Out) cache-friendly scatter instead of the dense gather.
-func (l *IFLayer) stepSparse(preActive []int32) {
-	l.ensureTransposed()
-	out := l.Out
-	acc := l.acc
-	copy(acc, l.Bias)
-	for _, k := range preActive {
-		col := l.wt[int(k)*out : (int(k)+1)*out]
-		for o, w := range col {
-			acc[o] += w
-		}
-	}
-	l.finishAll()
-}
-
-// stepPackedFloat is the word-parallel float64 kernel: trailing-zeros
-// iteration over the nonzero words of the presynaptic bitset gathers up
-// to four transposed weight columns, which one fused pass adds into the
+// stepPacked is the word-parallel kernel: trailing-zeros iteration over
+// the nonzero words of the presynaptic bitset gathers up to four
+// transposed weight columns, which one fused pass adds into the
 // accumulator. Per output neuron the four additions happen left to
 // right — the same ascending-presynaptic-index order as the reference —
 // but each accumulator element is loaded and stored once per four
 // columns instead of once per column.
-func (l *IFLayer) stepPackedFloat(preBits *spike.Bitset) {
+func (l *IFLayer) stepPacked(preBits *spike.Bitset) {
 	l.ensureTransposed()
 	out := l.Out
 	acc := l.acc
@@ -368,47 +223,6 @@ func (l *IFLayer) stepPackedFloat(preBits *spike.Bitset) {
 	l.finishAll()
 }
 
-// stepPackedInt8 is the quantized word-parallel kernel: weights are int8
-// mantissas sharing a power-of-two scale (see ensurePacked), so a
-// presynaptic spike's contribution block is int8 loads summed into int32
-// accumulators, dequantized once at the threshold comparison. Bit
-// identity with the float64 reference holds exactly: every weight is
-// mantissa·2^e with |mantissa| ≤ 127, so each float64 partial sum the
-// reference computes is an integer multiple of 2^e well inside the
-// 53-bit significand — float64 addition never rounds, and the reference
-// sum IS (Σ mantissas)·2^e, the value this kernel reconstructs.
-func (l *IFLayer) stepPackedInt8(preBits *spike.Bitset) {
-	out := l.Out
-	acc := l.acc32
-	for o := range acc {
-		acc[o] = 0
-	}
-	var cols [4][]int8
-	nb := 0
-	for wi, w := range preBits.Words() {
-		base := wi << 6
-		for w != 0 {
-			k := base + bits.TrailingZeros64(w)
-			w &= w - 1
-			cols[nb] = l.wq[k*out : (k+1)*out]
-			nb++
-			if nb == 4 {
-				addCols4i8(acc, cols[0], cols[1], cols[2], cols[3])
-				nb = 0
-			}
-		}
-	}
-	switch nb {
-	case 1:
-		addCols1i8(acc, cols[0])
-	case 2:
-		addCols2i8(acc, cols[0], cols[1])
-	case 3:
-		addCols3i8(acc, cols[0], cols[1], cols[2])
-	}
-	l.finishQuant()
-}
-
 // addCols1..4 add one to four weight columns into the accumulator in one
 // pass. Go evaluates the chained additions left to right, preserving the
 // reference's per-neuron accumulation order exactly.
@@ -437,37 +251,6 @@ func addCols4(acc, a, b, c, d []float64) {
 	a, b, c, d = a[:len(acc)], b[:len(acc)], c[:len(acc)], d[:len(acc)]
 	for o := range acc {
 		acc[o] = acc[o] + a[o] + b[o] + c[o] + d[o]
-	}
-}
-
-// addCols1i8..4i8 are the int8-mantissa variants. Integer addition is
-// exact and associative, so order is free here; the blocked form is for
-// the same load/store amortisation.
-func addCols1i8(acc []int32, a []int8) {
-	a = a[:len(acc)]
-	for o := range acc {
-		acc[o] += int32(a[o])
-	}
-}
-
-func addCols2i8(acc []int32, a, b []int8) {
-	a, b = a[:len(acc)], b[:len(acc)]
-	for o := range acc {
-		acc[o] += int32(a[o]) + int32(b[o])
-	}
-}
-
-func addCols3i8(acc []int32, a, b, c []int8) {
-	a, b, c = a[:len(acc)], b[:len(acc)], c[:len(acc)]
-	for o := range acc {
-		acc[o] += int32(a[o]) + int32(b[o]) + int32(c[o])
-	}
-}
-
-func addCols4i8(acc []int32, a, b, c, d []int8) {
-	a, b, c, d = a[:len(acc)], b[:len(acc)], c[:len(acc)], d[:len(acc)]
-	for o := range acc {
-		acc[o] += int32(a[o]) + int32(b[o]) + int32(c[o]) + int32(d[o])
 	}
 }
 
@@ -507,99 +290,12 @@ func (l *IFLayer) finishAll() {
 	l.active = l.bits.AppendIndices(l.active[:0])
 }
 
-// finishQuant is finishAll over the int32 mantissa accumulator: the one
-// dequantization of the packed int8 kernel happens here, at the
-// threshold comparison.
-func (l *IFLayer) finishQuant() {
-	theta, umin, scale := l.Theta, l.UMin, l.wqScale
-	acc := l.acc32
-	words := l.bits.Words()
-	var w uint64
-	wi := 0
-	for o, a := range acc {
-		u := l.u[o] + float64(a)*scale
-		fired := u >= theta
-		b := b2u(fired)
-		u -= theta * float64(b)
-		if u < umin {
-			u = umin
-		}
-		l.u[o] = u
-		l.spikes[o] = fired
-		w |= b << (uint(o) & 63)
-		if o&63 == 63 {
-			words[wi] = w
-			w = 0
-			wi++
-		}
-	}
-	if len(acc)&63 != 0 {
-		words[wi] = w
-	}
-	l.active = l.bits.AppendIndices(l.active[:0])
-}
-
 // b2u converts a bool to 0/1 without a branch.
 func b2u(v bool) uint64 {
 	if v {
 		return 1
 	}
 	return 0
-}
-
-// ensurePacked rebuilds the int8 mantissa view if W changed since the
-// last build, verifying losslessness: every weight must be an int8
-// multiple of one shared power-of-two scale and every bias must be zero
-// (the int32 accumulator carries mantissas only). Any violation marks
-// the layer unpackable until the next weight write and the packed step
-// falls back to the float64 kernel, so Quantized is always safe to set.
-func (l *IFLayer) ensurePacked() bool {
-	if !l.wqDirty {
-		return l.wqOK
-	}
-	l.wqDirty = false
-	l.wqOK = false
-	for _, b := range l.Bias {
-		if b != 0 {
-			return false
-		}
-	}
-	maxAbs := 0.0
-	for _, w := range l.W {
-		a := w
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	q := fixed.NewQuantizer(maxAbs)
-	scale := q.Scale()
-	out := l.Out
-	for o := 0; o < out; o++ {
-		row := l.W[o*l.In : (o+1)*l.In]
-		for i, w := range row {
-			m := w / scale // exact: scale is a power of two
-			mi := int32(m)
-			if float64(mi) != m || mi > fixed.WeightMax || mi < fixed.WeightMin {
-				return false
-			}
-			l.wq[i*out+o] = int8(mi)
-		}
-	}
-	l.wqScale = scale
-	l.wqOK = true
-	return true
-}
-
-// Packable reports whether the int8 mantissa kernel would engage on the
-// current weights (diagnostics and tests).
-func (l *IFLayer) Packable() bool {
-	if !l.Quantized {
-		return false
-	}
-	return l.ensurePacked()
 }
 
 // Inject adds v directly to neuron o's membrane potential. EMSTDP's

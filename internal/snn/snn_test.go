@@ -20,11 +20,12 @@ func TestIFLayerFloorQuantizedRate(t *testing.T) {
 	l := NewIFLayer(rng.New(1), 1, 1, 0, 1.0)
 	for _, w := range []float64{0.0, 0.1, 0.37, 0.5, 0.73, 1.0} {
 		l.W[0] = w
+		l.MarkWeightsDirty()
 		l.Reset()
 		count := 0
 		const T = 64
 		for i := 0; i < T; i++ {
-			if l.Step(constantInput(1))[0] {
+			if l.Step(constantInput(1), nil)[0] {
 				count++
 			}
 		}
@@ -40,7 +41,7 @@ func TestIFLayerBias(t *testing.T) {
 	l.Bias[0] = 0.25
 	count := 0
 	for i := 0; i < 64; i++ {
-		if l.Step(make([]bool, 1))[0] { // no input spikes, bias only
+		if l.Step(make([]bool, 1), nil)[0] { // no input spikes, bias only
 			count++
 		}
 	}
@@ -52,17 +53,19 @@ func TestIFLayerBias(t *testing.T) {
 func TestIFLayerNegativeDriveFloored(t *testing.T) {
 	l := NewIFLayer(rng.New(1), 1, 1, 0, 1.0)
 	l.W[0] = -5
+	l.MarkWeightsDirty()
 	for i := 0; i < 10; i++ {
-		l.Step(constantInput(1))
+		l.Step(constantInput(1), nil)
 	}
 	if l.Potential(0) < l.UMin {
 		t.Errorf("membrane %v below floor %v", l.Potential(0), l.UMin)
 	}
 	// A recovery drive must bring it back within a bounded number of steps.
 	l.W[0] = 1.0
+	l.MarkWeightsDirty()
 	fired := false
 	for i := 0; i < 3; i++ {
-		if l.Step(constantInput(1))[0] {
+		if l.Step(constantInput(1), nil)[0] {
 			fired = true
 		}
 	}
@@ -77,7 +80,7 @@ func TestIFLayerInject(t *testing.T) {
 	// Injected charge drives spikes on subsequent (zero-input) steps.
 	count := 0
 	for i := 0; i < 5; i++ {
-		if l.Step(make([]bool, 1))[0] {
+		if l.Step(make([]bool, 1), nil)[0] {
 			count++
 		}
 	}
@@ -88,7 +91,7 @@ func TestIFLayerInject(t *testing.T) {
 
 func TestIFLayerReset(t *testing.T) {
 	l := NewIFLayer(rng.New(1), 2, 3, 0.5, 1.0)
-	l.Step(constantInput(2))
+	l.Step(constantInput(2), nil)
 	l.Reset()
 	for o := 0; o < 3; o++ {
 		if l.Potential(o) != 0 || l.Spikes()[o] {
@@ -103,7 +106,7 @@ func TestIFLayerInputValidation(t *testing.T) {
 			t.Error("expected panic on wrong input size")
 		}
 	}()
-	NewIFLayer(rng.New(1), 3, 1, 0, 1).Step(make([]bool, 2))
+	NewIFLayer(rng.New(1), 3, 1, 0, 1).Step(make([]bool, 2), nil)
 }
 
 func TestIFLayerInitRange(t *testing.T) {

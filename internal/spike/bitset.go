@@ -70,16 +70,8 @@ func (b *Bitset) FromBools(spikes []bool) {
 	}
 }
 
-// FromActive rebuilds the set from an ascending active-index list.
-func (b *Bitset) FromActive(active []int32) {
-	b.Zero()
-	for _, i := range active {
-		b.words[i>>6] |= 1 << (uint(i) & 63)
-	}
-}
-
 // AppendIndices appends the set bits to dst in ascending order —
-// popcount-driven iteration, the packed equivalent of ActiveList.Gather.
+// popcount-driven iteration, cost proportional to the set bits.
 func (b *Bitset) AppendIndices(dst []int32) []int32 {
 	for wi, w := range b.words {
 		base := int32(wi) << 6

@@ -48,10 +48,12 @@ func TestBitsetRoundTrip(t *testing.T) {
 				prev = i
 			}
 			b2 := NewBitset(n)
-			b2.FromActive(idx)
+			for _, i := range idx {
+				b2.Set(int(i))
+			}
 			for wi, w := range b.Words() {
 				if b2.Words()[wi] != w {
-					t.Fatalf("n=%d: FromActive word %d mismatch", n, wi)
+					t.Fatalf("n=%d: rebuilt-from-indices word %d mismatch", n, wi)
 				}
 			}
 		}
@@ -78,32 +80,6 @@ func TestBitsetSetZeroGet(t *testing.T) {
 	b.Zero()
 	if b.Count() != 0 {
 		t.Fatalf("Zero left %d bits", b.Count())
-	}
-}
-
-// TestGatherBitsMatchesGather pins the ActiveList bridge: gathering from
-// the bitset must equal gathering from the dense vector.
-func TestGatherBitsMatchesGather(t *testing.T) {
-	r := rng.New(7)
-	spikes := make([]bool, 131)
-	b := NewBitset(len(spikes))
-	fromBools := NewActiveList(len(spikes))
-	fromBits := NewActiveList(len(spikes))
-	for trial := 0; trial < 50; trial++ {
-		for i := range spikes {
-			spikes[i] = r.Float64() < 0.2
-		}
-		b.FromBools(spikes)
-		a := fromBools.Gather(spikes)
-		c := fromBits.GatherBits(b)
-		if len(a) != len(c) {
-			t.Fatalf("lengths %d vs %d", len(a), len(c))
-		}
-		for i := range a {
-			if a[i] != c[i] {
-				t.Fatalf("index %d: %d vs %d", i, a[i], c[i])
-			}
-		}
 	}
 }
 
@@ -145,7 +121,9 @@ func FuzzBitset(f *testing.F) {
 			}
 		}
 		rt := NewBitset(n)
-		rt.FromActive(got)
+		for _, i := range got {
+			rt.Set(int(i))
+		}
 		back := make([]bool, n)
 		rt.ToBools(back)
 		for i := range spikes {

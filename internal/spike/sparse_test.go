@@ -7,30 +7,40 @@ import (
 	"emstdp/internal/rng"
 )
 
+// activeOf returns the ascending indices of the set entries of spikes.
+func activeOf(spikes []bool) []int32 {
+	var idx []int32
+	for i, s := range spikes {
+		if s {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
+}
+
+// TestActiveListGatherMatchesDense pins the ActiveList bridge: gathering
+// from a bitset must list exactly the dense vector's spikes, ascending,
+// on word-aligned and unaligned lengths.
 func TestActiveListGatherMatchesDense(t *testing.T) {
 	r := rng.New(4)
-	spikes := make([]bool, 64)
-	l := NewActiveList(len(spikes))
-	for trial := 0; trial < 50; trial++ {
-		for i := range spikes {
-			spikes[i] = r.Bernoulli(0.3)
-		}
-		idx := l.Gather(spikes)
-		j := 0
-		for i, s := range spikes {
-			if !s {
-				continue
+	for _, n := range []int{64, 131} {
+		spikes := make([]bool, n)
+		b := NewBitset(n)
+		l := NewActiveList(n)
+		for trial := 0; trial < 50; trial++ {
+			for i := range spikes {
+				spikes[i] = r.Bernoulli(0.3)
 			}
-			if j >= len(idx) || idx[j] != int32(i) {
-				t.Fatalf("trial %d: active list %v does not match dense vector", trial, idx)
+			b.FromBools(spikes)
+			got, want := l.GatherBits(b), activeOf(spikes)
+			if len(got) != len(want) || l.Len() != len(want) {
+				t.Fatalf("n=%d trial %d: %d indices (Len %d), want %d", n, trial, len(got), l.Len(), len(want))
 			}
-			j++
-		}
-		if j != len(idx) {
-			t.Fatalf("trial %d: %d extra entries in active list", trial, len(idx)-j)
-		}
-		if l.Len() != len(idx) {
-			t.Fatalf("Len %d != %d", l.Len(), len(idx))
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d trial %d: active list %v does not match dense vector %v", n, trial, got, want)
+				}
+			}
 		}
 	}
 }
@@ -75,14 +85,13 @@ func TestQuantizeToPhaseIntoMatchesAllocating(t *testing.T) {
 func TestCounterObserveActiveMatchesObserve(t *testing.T) {
 	r := rng.New(12)
 	spikes := make([]bool, 32)
-	l := NewActiveList(len(spikes))
 	a, b := NewCounter(32), NewCounter(32)
 	for step := 0; step < 100; step++ {
 		for i := range spikes {
 			spikes[i] = r.Bernoulli(0.4)
 		}
 		a.Observe(spikes)
-		b.ObserveActive(l.Gather(spikes))
+		b.ObserveActive(activeOf(spikes))
 	}
 	for i := range a.Counts {
 		if a.Counts[i] != b.Counts[i] {
@@ -97,7 +106,6 @@ func TestCounterObserveActiveMatchesObserve(t *testing.T) {
 func TestTraceFastPathMatchesReference(t *testing.T) {
 	r := rng.New(21)
 	spikes := make([]bool, 24)
-	l := NewActiveList(len(spikes))
 	fast := NewTrace(24, 3)
 	activeT := NewTrace(24, 3)
 	ref := make([]int, 24)
@@ -106,7 +114,7 @@ func TestTraceFastPathMatchesReference(t *testing.T) {
 			spikes[i] = r.Bernoulli(0.5)
 		}
 		fast.Step(spikes)
-		activeT.StepActive(l.Gather(spikes))
+		activeT.StepActive(activeOf(spikes))
 		for i, s := range spikes {
 			if s {
 				ref[i] += 3

@@ -15,13 +15,11 @@ import (
 	"emstdp/internal/rng"
 )
 
-// ActiveList is the shared sparse-spike representation of the hot path:
-// the ascending indices of the neurons that fired this step, rebuilt in
-// place each step (the backing array is reused, so steady-state use
-// allocates nothing). It rides alongside the existing dense []bool API —
-// producers keep publishing the bool vector and additionally expose the
-// index list, so consumers migrate to event-driven iteration
-// incrementally.
+// ActiveList is the index view of a step's spikes: the ascending
+// indices of the neurons that fired, rebuilt in place from the
+// producer's bitset each step (GatherBits; the backing array is reused,
+// so steady-state use allocates nothing). Spike counters, multi-die
+// spike routing and aux-compartment gating consume it.
 type ActiveList struct {
 	idx []int32
 }
@@ -29,18 +27,6 @@ type ActiveList struct {
 // NewActiveList returns a list with capacity for n neurons.
 func NewActiveList(n int) *ActiveList {
 	return &ActiveList{idx: make([]int32, 0, n)}
-}
-
-// Gather rebuilds the list from a dense spike vector and returns the
-// indices (valid until the next Gather/Reset).
-func (a *ActiveList) Gather(spikes []bool) []int32 {
-	a.idx = a.idx[:0]
-	for i, s := range spikes {
-		if s {
-			a.idx = append(a.idx, int32(i))
-		}
-	}
-	return a.idx
 }
 
 // Indices returns the current active indices (ascending).
