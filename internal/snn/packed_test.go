@@ -68,6 +68,30 @@ func TestPackedKernelBitIdenticalToDense(t *testing.T) {
 	}
 }
 
+// TestStepMatchesStepSparseAuto chains two layers the way the network
+// does — the second fed the first's published output bitset — and
+// checks it against an identical chain whose second layer rebuilds the
+// bitset from the bool vector (nil preBits). Spikes and membranes must
+// agree at every step, so a producer's Bits() is a valid preBits for
+// its consumer.
+func TestStepMatchesStepSparseAuto(t *testing.T) {
+	a1 := NewIFLayer(rng.New(5), 40, 33, 0.5, 1.0)
+	a2 := NewIFLayer(rng.New(6), 33, 17, 0.5, 1.0)
+	b1, b2 := a1.Clone(), a2.Clone()
+	r := rng.New(99)
+	pre := make([]bool, 40)
+	for step := 0; step < 100; step++ {
+		randomSpikes(r, pre, 0.25)
+		sa := a2.Step(a1.Step(pre, nil), a1.Bits())
+		sb := b2.Step(b1.Step(pre, nil), nil)
+		for o := range sa {
+			if sa[o] != sb[o] || a2.Potential(o) != b2.Potential(o) {
+				t.Fatalf("step %d neuron %d: upstream bitset and rebuilt bitset diverge", step, o)
+			}
+		}
+	}
+}
+
 // TestPackedKernelSeesInPlaceWeightWrites verifies the invalidation
 // contract: an in-place W write followed by MarkWeightsDirty must be
 // visible through the transposed view on the next packed step.

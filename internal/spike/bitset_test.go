@@ -140,3 +140,31 @@ func FuzzBitset(f *testing.F) {
 		}
 	})
 }
+
+// TestGatherBitsMatchesGather reuses one ActiveList across trials of
+// varying density on an unaligned 131-neuron length and checks that
+// GatherBits lists exactly what Bitset.AppendIndices and the dense scan
+// list, so a gather shorter than the previous one leaves no stale tail.
+func TestGatherBitsMatchesGather(t *testing.T) {
+	r := rng.New(7)
+	spikes := make([]bool, 131)
+	b := NewBitset(len(spikes))
+	l := NewActiveList(len(spikes))
+	for trial := 0; trial < 50; trial++ {
+		density := []float64{0.9, 0.2, 0, 0.5}[trial%4]
+		for i := range spikes {
+			spikes[i] = r.Float64() < density
+		}
+		b.FromBools(spikes)
+		got := l.GatherBits(b)
+		fromBits, dense := b.AppendIndices(nil), activeOf(spikes)
+		if len(got) != len(fromBits) || len(got) != len(dense) {
+			t.Fatalf("trial %d: lengths %d vs %d vs %d", trial, len(got), len(fromBits), len(dense))
+		}
+		for i := range got {
+			if got[i] != fromBits[i] || got[i] != dense[i] {
+				t.Fatalf("trial %d index %d: %d vs %d vs %d", trial, i, got[i], fromBits[i], dense[i])
+			}
+		}
+	}
+}
