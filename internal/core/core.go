@@ -121,9 +121,8 @@ type Options struct {
 	// realized schedule depends on D alone, never on Workers. D = 2
 	// overlaps phase 1 of sample k+1 with phase 2 of sample k for ~2×
 	// online-training throughput. Takes precedence over Batch. Composes
-	// with Stream: each epoch's order is realised through the streaming
-	// ingestion pipeline first, then trained with the bounded-lag
-	// schedule over that order.
+	// with Stream: the pipeline pulls each epoch's samples straight from
+	// the streaming ingestion channel, in the streamed order.
 	Pipeline int
 	// Stream selects the streaming ingestion path for training: each
 	// epoch pulls the split through a stream.ShuffleWindow (a bounded
@@ -137,10 +136,11 @@ type Options struct {
 	// replays the split in storage order). Memory spent on re-ordering
 	// is bounded by W samples regardless of split size.
 	StreamWindow int
-	// AsyncEval makes TrainCurve snapshot the weights at each epoch
-	// boundary and classify the test split in the background while the
-	// next epoch trains, so accuracy curves cost near-zero wall clock.
-	// Reported accuracies are identical to the synchronous path.
+	// AsyncEval makes TrainCurve cut a weight snapshot
+	// (engine.Group.Snapshot) at each epoch boundary and classify the
+	// test split on it in the background while the next epoch trains,
+	// so accuracy curves cost near-zero wall clock. Reported accuracies
+	// are identical to the synchronous path.
 	AsyncEval bool
 	// Seed drives every random choice (default 1).
 	Seed uint64
@@ -213,7 +213,7 @@ type Model struct {
 	shuffler  *rng.Source
 
 	// grp lazily binds the backend to the engine's worker pool; built on
-	// the first parallel Train/Evaluate.
+	// the first Train/Evaluate.
 	grp *engine.Group
 
 	// win is the persistent shuffle window of the streaming ingestion
@@ -298,15 +298,6 @@ func (m *Model) Features(img *tensor.Tensor) []float64 {
 	return m.Conv.NormalizedRates(img)
 }
 
-// chipInput returns what the chip backend consumes for training sample i:
-// raw pixels when the conv stack is mapped on-chip, features otherwise.
-func (m *Model) chipInput(img *tensor.Tensor, feat []float64) []float64 {
-	if m.Opts.ConvOnChip {
-		return img.Data
-	}
-	return feat
-}
-
 // TrainSample runs one online EMSTDP update (features in, label in).
 // Implements incremental.Learner.
 func (m *Model) TrainSample(x []float64, label int) {
@@ -360,8 +351,8 @@ func (m *Model) Runner() engine.Runner {
 	return m.chip
 }
 
-// Group returns the engine replica group driving parallel Train and
-// Evaluate, building it (and its worker pool) on first use.
+// Group returns the engine replica group driving Train and Evaluate,
+// building it (and its worker pool) on first use.
 func (m *Model) Group() *engine.Group {
 	if m.grp == nil {
 		m.grp = engine.NewGroup(m.Runner(), engine.NewPool(m.Opts.Workers))
@@ -372,10 +363,8 @@ func (m *Model) Group() *engine.Group {
 	return m.grp
 }
 
-// Close releases the background resources a model may hold — it joins
-// an in-flight AsyncEvaluate pass (so no goroutine keeps reading the
-// test split or the eval replica after Close returns), drops the eval
-// and snapshot replicas, and stops the pipelined training path's
+// Close releases the background resources a model may hold — the
+// released snapshot replicas and the pipelined training path's
 // persistent stage workers. Safe (and a no-op) on a model that never
 // went parallel; sweep harnesses and the serving layer's tenant-delete
 // path must close each model when done with it.
@@ -416,52 +405,46 @@ func (m *Model) backendSamples(train bool) []metrics.Sample {
 // ingestion pipeline (shuffle window + bounded channel) instead of a
 // materialised permutation.
 func (m *Model) TrainEpoch() {
+	var src engine.SampleSource
+	var ch *stream.Channel
 	if m.Opts.Stream {
-		m.trainEpochStream()
-		return
-	}
-	order := m.shuffler.Perm(len(m.trainFeat))
-	if m.Opts.Pipeline > 1 {
+		ch = m.openStream()
+		src = ch
+	} else {
+		// The realised order copies sample headers, not sample data.
 		samples := m.backendSamples(true)
-		if err := m.Group().TrainPipelined(samples, order, m.Opts.Pipeline); err != nil {
-			// Replica construction can only fail on backend config errors
-			// that Build would already have surfaced; fall back to the
-			// online path rather than dropping the epoch.
-			for _, idx := range order {
-				m.TrainSample(samples[idx].X, samples[idx].Y)
-			}
+		ordered := make([]metrics.Sample, len(samples))
+		for i, idx := range m.shuffler.Perm(len(samples)) {
+			ordered[i] = samples[idx]
 		}
-		return
+		src = stream.NewSliceSource(ordered)
 	}
-	if m.Opts.Batch <= 1 {
-		for _, idx := range order {
-			if m.chip != nil && m.Opts.ConvOnChip {
-				s := m.DS.Train[idx]
-				m.chip.TrainSample(s.Image.Data, s.Label)
-				continue
-			}
-			s := m.trainFeat[idx]
+	var err error
+	if m.Opts.Pipeline > 1 {
+		err = m.Group().TrainPipelined(src, m.Opts.Pipeline)
+	} else {
+		_, err = m.Group().TrainStream(src, m.Opts.Batch)
+	}
+	if err != nil {
+		// Replica construction can only fail on backend config errors
+		// that Build would already have surfaced. Every sample the
+		// engine pulled is trained, so finish the epoch online from the
+		// same source rather than dropping or repeating any of it.
+		for s, ok := src.Next(); ok; s, ok = src.Next() {
 			m.TrainSample(s.X, s.Y)
 		}
-		return
 	}
-	samples := m.backendSamples(true)
-	if err := m.Group().Train(samples, order, m.Opts.Batch); err != nil {
-		// Replica construction can only fail on backend config errors
-		// that Build would already have surfaced; fall back to the
-		// online path rather than dropping the epoch.
-		for _, idx := range order {
-			m.TrainSample(samples[idx].X, samples[idx].Y)
-		}
+	if ch != nil {
+		m.closeStream(ch)
 	}
 }
 
-// trainEpochStream pulls one epoch through the ingestion pipeline:
-// split → shuffle window (per-epoch seeded order, memory bounded by
-// Opts.StreamWindow) → bounded channel with watermark backpressure →
-// engine.Group.TrainStream. The window persists across epochs so each
-// Reset advances to the next deterministic order.
-func (m *Model) trainEpochStream() {
+// openStream starts one epoch of the ingestion pipeline: split →
+// shuffle window (per-epoch seeded order, memory bounded by
+// Opts.StreamWindow) → bounded channel with watermark backpressure.
+// The window persists across epochs so each Reset advances to the next
+// deterministic order.
+func (m *Model) openStream() *stream.Channel {
 	if m.win == nil {
 		src := stream.NewSliceSource(m.backendSamples(true))
 		// The window draws epoch e from rng.New(seed+e), so its seed
@@ -480,50 +463,16 @@ func (m *Model) trainEpochStream() {
 		m.occHist = &metrics.Histogram{}
 		m.win.SetOccupancyHistogram(m.occHist)
 	}
-	ch := stream.NewChannelObserved(m.win, stream.DefaultWatermarks(), stream.Instrumentation{
+	return stream.NewChannelObserved(m.win, stream.DefaultWatermarks(), stream.Instrumentation{
 		Tracer:    m.Opts.Trace,
 		Name:      "channel",
 		StallHist: m.stallHist,
 	})
-	if m.Opts.Pipeline > 1 {
-		// Stream × Pipeline composition: realise this epoch's streamed
-		// order through the full ingestion pipeline (so the order, the
-		// window occupancy and the backpressure counters are identical
-		// to the unpipelined streamed epoch), then run the bounded-lag
-		// pipeline over the materialised order. The samples were already
-		// resident — the channel hands out references — so the buffer
-		// costs one slice of headers, not a copy of the data.
-		var samples []metrics.Sample
-		for {
-			s, ok := ch.Next()
-			if !ok {
-				break
-			}
-			samples = append(samples, s)
-		}
-		order := make([]int, len(samples))
-		for i := range order {
-			order[i] = i
-		}
-		if err := m.Group().TrainPipelined(samples, order, m.Opts.Pipeline); err != nil {
-			// Replica construction can only fail on backend config errors
-			// Build would already have surfaced; finish the epoch online.
-			for _, s := range samples {
-				m.TrainSample(s.X, s.Y)
-			}
-		}
-	} else if _, err := m.Group().TrainStream(ch, m.Opts.Batch); err != nil {
-		// Replica construction can only fail on backend config errors
-		// Build would already have surfaced; finish the epoch online
-		// rather than dropping it.
-		for {
-			s, ok := ch.Next()
-			if !ok {
-				break
-			}
-			m.TrainSample(s.X, s.Y)
-		}
-	}
+}
+
+// closeStream ends a streamed epoch: it stops the channel, folds its
+// counters into the model's totals and advances the window's epoch.
+func (m *Model) closeStream(ch *stream.Channel) {
 	ch.Stop()
 	m.streamStats.Add(ch.Stats())
 	m.win.Reset()
@@ -560,12 +509,13 @@ func (m *Model) Train(epochs int) {
 }
 
 // TrainCurve trains for the given number of epochs and returns the test
-// accuracy measured at every epoch boundary. With Opts.AsyncEval the
-// boundary measurement is a weight snapshot classified in the
-// background while the next epoch trains (engine.Group.AsyncEvaluate),
+// accuracy measured at every epoch boundary. With Opts.AsyncEval each
+// boundary cuts a weight snapshot (engine.Group.Snapshot) and
+// classifies it on a background goroutine while the next epoch trains,
 // so the curve costs near-zero wall clock on top of training; the
 // accuracies are identical to the synchronous path because each
-// snapshot is taken synchronously at its boundary.
+// snapshot is cut synchronously at its boundary. At most one background
+// pass is in flight, and TrainCurve waits for it on every return path.
 func (m *Model) TrainCurve(epochs int) ([]float64, error) {
 	accs := make([]float64, epochs)
 	if !m.Opts.AsyncEval {
@@ -576,17 +526,32 @@ func (m *Model) TrainCurve(epochs int) ([]float64, error) {
 		return accs, nil
 	}
 	samples := m.backendSamples(false)
-	pending := make([]*engine.AsyncEval, epochs)
-	for e := 0; e < epochs; e++ {
+	// pending holds one result token: the error of the pass in flight,
+	// or nil before the first boundary. Taking it waits for that pass.
+	pending := make(chan error, 1)
+	pending <- nil
+	for e := range accs {
 		m.TrainEpoch()
-		a, err := m.Group().AsyncEvaluate(samples, m.DS.NumClasses)
+		if err := <-pending; err != nil {
+			return nil, err
+		}
+		v, err := m.Group().Snapshot()
 		if err != nil {
 			return nil, err
 		}
-		pending[e] = a
+		go func() {
+			cm, err := v.Evaluate(samples, m.DS.NumClasses)
+			// Release before reporting, so the next boundary's Snapshot
+			// reuses this replica group.
+			v.Release()
+			if err == nil {
+				accs[e] = cm.Accuracy()
+			}
+			pending <- err
+		}()
 	}
-	for e, a := range pending {
-		accs[e] = a.Wait().Accuracy()
+	if err := <-pending; err != nil {
+		return nil, err
 	}
 	return accs, nil
 }
@@ -597,20 +562,12 @@ func (m *Model) TrainCurve(epochs int) ([]float64, error) {
 // is bit-identical to the sequential pass.
 func (m *Model) Evaluate() *metrics.Confusion {
 	samples := m.backendSamples(false)
-	if m.Opts.Workers > 1 && len(samples) > 1 {
-		if cm, err := m.Group().Evaluate(samples, m.DS.NumClasses); err == nil {
-			return cm
-		}
-	}
-	cm := metrics.NewConfusion(m.DS.NumClasses)
-	for _, s := range samples {
-		var pred int
-		if m.chip != nil && m.Opts.ConvOnChip {
-			pred = m.chip.Predict(s.X)
-		} else {
-			pred = m.Predict(s.X)
-		}
-		cm.Observe(s.Y, pred)
+	cm, err := m.Group().Evaluate(samples, m.DS.NumClasses)
+	if err != nil {
+		// Replica construction can only fail on backend config errors
+		// that Build would already have surfaced; a width-1 group
+		// classifies on the master alone and cannot fail.
+		cm, _ = engine.NewGroup(m.Runner(), nil).Evaluate(samples, m.DS.NumClasses)
 	}
 	return cm
 }

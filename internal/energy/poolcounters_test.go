@@ -19,7 +19,9 @@ import (
 // and a pass is a pure function of (weights, input), so spreading the
 // same passes across replicas only relocates increments between chips —
 // the reduced totals, and therefore Analyze's time/power/energy, are
-// invariant.
+// invariant. The training half of the pin — pipelined training against
+// the sequential walk of the same schedule — lives beside that
+// schedule's reference in the engine's pipeline conformance suite.
 
 // samplesFor draws the deterministic workload both runs measure.
 func samplesFor(n, in, classes int) []metrics.Sample {
@@ -84,46 +86,5 @@ func TestPoolCountersMatchSequentialTableII(t *testing.T) {
 	}
 	if seqRep.EnergyPerSampleJ <= 0 || seqRep.FPS <= 0 {
 		t.Fatalf("degenerate Table II report: %+v", seqRep)
-	}
-}
-
-// TestPipelinedTrainingCountersMatchSequentialSchedule extends the pin
-// to training: the pipelined pool run and the sequential single-replica
-// walk of the same lag-1 schedule must leave identical reduced counters
-// — so Table II's training row can also come from the pipeline.
-func TestPipelinedTrainingCountersMatchSequentialSchedule(t *testing.T) {
-	const nSamples = 16
-	samples := samplesFor(nSamples, 64, 10)
-	order := make([]int, nSamples)
-	for i := range order {
-		order[i] = i
-	}
-
-	ref := poolNet(t)
-	gRef := engine.NewGroup(ref, engine.NewPool(1))
-	gRef.ResetCounters()
-	if err := gRef.TrainLagged(samples, order, 2); err != nil {
-		t.Fatal(err)
-	}
-	refCounters, _ := gRef.Counters()
-
-	pip := poolNet(t)
-	gPip := engine.NewGroup(pip, engine.NewPool(2))
-	gPip.ResetCounters()
-	if err := gPip.TrainPipelined(samples, order, 2); err != nil {
-		t.Fatal(err)
-	}
-	gPip.ClosePipeline()
-	pipCounters, _ := gPip.Counters()
-
-	if refCounters != pipCounters {
-		t.Fatalf("pipelined training counters diverge from the sequential schedule:\nref %+v\npip %+v",
-			refCounters, pipCounters)
-	}
-	model := energy.DefaultLoihi()
-	refRep := model.Analyze(refCounters, ref.CoresUsed(), ref.MaxPlasticNeuronsPerCore(), nSamples, true)
-	pipRep := model.Analyze(pipCounters, pip.CoresUsed(), pip.MaxPlasticNeuronsPerCore(), nSamples, true)
-	if refRep != pipRep {
-		t.Fatalf("pipelined Table II training numbers diverge:\nref %+v\npip %+v", refRep, pipRep)
 	}
 }

@@ -27,13 +27,13 @@ type CounterRunner interface {
 
 // Counters returns the reduction of activity counters over every runner
 // the group owns, in a fixed order — master first, then pool/pipeline
-// replicas in slot order, then the async-eval replica. The counters are
-// integer event counts, so the reduction is exact and equals the
-// sequential single-chip totals of the same schedule regardless of how
-// the pool divided the work. ok is false when the backend accrues no
-// counters (the FP reference). Counters must not be called with an
-// AsyncEvaluate pass still in flight — Wait first; every other group
-// entry point returns only after its replicas are quiescent.
+// replicas in slot order. The counters are integer event counts, so the
+// reduction is exact and equals the sequential single-chip totals of
+// the same schedule regardless of how the pool divided the work. ok is
+// false when the backend accrues no counters (the FP reference).
+// Snapshot replicas belong to their WeightVersion, not to the group,
+// and are not counted. Every group entry point returns only after its
+// replicas are quiescent, so Counters may be called between any two.
 func (g *Group) Counters() (loihi.Counters, bool) {
 	var total loihi.Counters
 	found := false
@@ -42,10 +42,6 @@ func (g *Group) Counters() (loihi.Counters, bool) {
 			total.Add(cr.Counters())
 			found = true
 		}
-	}
-	if cr, ok := g.evalReplica.(CounterRunner); ok {
-		total.Add(cr.Counters())
-		found = true
 	}
 	return total, found
 }
@@ -60,8 +56,5 @@ func (g *Group) ResetCounters() {
 		if cr, ok := r.(CounterRunner); ok {
 			cr.ResetCounters()
 		}
-	}
-	if cr, ok := g.evalReplica.(CounterRunner); ok {
-		cr.ResetCounters()
 	}
 }

@@ -24,6 +24,11 @@
 //     a batch among workers therefore cannot affect the result — only
 //     the batch size can (Batch=1 is the paper's online protocol and
 //     runs directly on the master).
+//
+// Training has two entry points, both pulling samples from a
+// SampleSource: Group.TrainStream (online or mini-batch) and
+// Group.TrainPipelined (the bounded-lag two-phase pipeline). Background
+// evaluation classifies a Group.Snapshot on its own goroutine.
 package engine
 
 // Update is an opaque, backend-specific snapshot of the learning state a

@@ -10,8 +10,10 @@ import (
 	"emstdp/internal/chipnet"
 	"emstdp/internal/emstdp"
 	"emstdp/internal/engine"
+	"emstdp/internal/loihi"
 	"emstdp/internal/metrics"
 	"emstdp/internal/rng"
+	"emstdp/internal/stream"
 )
 
 // synthSamples draws a deterministic labelled toy set.
@@ -54,14 +56,6 @@ func chipNet(t *testing.T) *chipnet.Network {
 	return n
 }
 
-func order(n int) []int {
-	o := make([]int, n)
-	for i := range o {
-		o[i] = i
-	}
-	return o
-}
-
 // fpWeights flattens every trainable layer's weights.
 func fpWeights(n *emstdp.Network) []float64 {
 	var w []float64
@@ -83,9 +77,23 @@ func chipWeights(n *chipnet.Network) []int8 {
 func trainThrough(t *testing.T, r engine.Runner, workers, batch int, samples []metrics.Sample) {
 	t.Helper()
 	g := engine.NewGroup(r, engine.NewPool(workers))
-	if err := g.Train(samples, order(len(samples)), batch); err != nil {
+	if _, err := g.TrainStream(stream.NewSliceSource(samples), batch); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// reducedCounters sums the activity counters of the given runners in
+// argument order — the reduction Group.Counters performs over the
+// runners a group owns, applied to runners a reference walk drove
+// outside any group. ok is false when none of them accrues counters.
+func reducedCounters(rs ...engine.Runner) (total loihi.Counters, ok bool) {
+	for _, r := range rs {
+		if cr, is := r.(engine.CounterRunner); is {
+			total.Add(cr.Counters())
+			ok = true
+		}
+	}
+	return total, ok
 }
 
 func TestFPTrainBitIdenticalAcrossWorkerCounts(t *testing.T) {

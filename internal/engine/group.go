@@ -18,11 +18,6 @@ type Group struct {
 	master Runner
 	// replicas[0] is the master itself; higher slots are clones.
 	replicas []Runner
-	// evalReplica is the dedicated snapshot replica AsyncEvaluate
-	// classifies on while training continues; pendingEval is the
-	// in-flight background pass, if any.
-	evalReplica Runner
-	pendingEval *AsyncEval
 	// pipe is the persistent two-phase pipeline state (stage workers,
 	// reusable update buffers) built by the first TrainPipelined call;
 	// see pipeline.go.
@@ -63,20 +58,13 @@ func (g *Group) SetTracer(tr *trace.Tracer) {
 // Master returns the authoritative runner.
 func (g *Group) Master() Runner { return g.master }
 
-// Close joins and releases the group's background resources: it waits
-// for an in-flight AsyncEvaluate (whose goroutine otherwise keeps
-// reading the samples slice and the eval replica after the caller has
-// moved on), drops the eval replica and the released snapshot groups,
-// and stops the pipelined-training stage workers. Idempotent and safe
-// on a group that never went async. Long-lived embedders — sweep
-// harnesses, the serving layer's tenant-delete path — must Close each
-// group they retire or they leak the eval goroutine and its replica.
+// Close releases the group's background resources: it drops the
+// released snapshot groups and stops the pipelined-training stage
+// workers. Idempotent and safe on a group that never pipelined.
+// Long-lived embedders — sweep harnesses, the serving layer's
+// tenant-delete path — must Close each group they retire or they leak
+// the stage workers and their replicas.
 func (g *Group) Close() {
-	if g.pendingEval != nil {
-		g.pendingEval.Wait()
-		g.pendingEval = nil
-	}
-	g.evalReplica = nil
 	g.snapMu.Lock()
 	g.snapFree = nil
 	g.snapMu.Unlock()
@@ -144,52 +132,4 @@ func (g *Group) Evaluate(samples []metrics.Sample, classes int) (*metrics.Confus
 		cm.Observe(s.Y, preds[i])
 	}
 	return cm, nil
-}
-
-// Train streams samples[order[0]], samples[order[1]], … through the
-// EMSTDP update in mini-batches of the given size.
-//
-// batch <= 1 is the paper's online protocol and runs sequentially on the
-// master. For batch > 1, every batch member's two-phase pass runs on a
-// replica holding the batch-start weights, the captured updates are
-// applied to the master in sample order (consuming the master's
-// stochastic-rounding streams exactly as a sequential walk would), and
-// the replicas resynchronise before the next batch. Results therefore
-// depend on the batch size but not on the pool width.
-func (g *Group) Train(samples []metrics.Sample, order []int, batch int) error {
-	if batch <= 1 {
-		for _, idx := range order {
-			s := samples[idx]
-			g.master.ProgramSample(s.X, s.Y)
-			g.master.RunPhases(true)
-			g.master.ApplyUpdate(nil)
-		}
-		return nil
-	}
-	w := g.pool.effective(batch)
-	if err := g.ensureReplicas(w); err != nil {
-		return err
-	}
-	updates := make([]Update, batch)
-	for start := 0; start < len(order); start += batch {
-		end := start + batch
-		if end > len(order) {
-			end = len(order)
-		}
-		nb := end - start
-		if err := g.sync(w); err != nil {
-			return err
-		}
-		g.pool.Map(nb, func(worker, j int) {
-			r := g.replicas[worker]
-			s := samples[order[start+j]]
-			r.ProgramSample(s.X, s.Y)
-			r.RunPhases(true)
-			updates[j] = r.CaptureUpdate()
-		})
-		for j := 0; j < nb; j++ {
-			g.master.ApplyUpdate(updates[j])
-		}
-	}
-	return nil
 }

@@ -31,14 +31,14 @@ import (
 // Every update is still computed from a single sample and applied
 // per-sample, in sample order — batch-1 semantics with bounded
 // staleness, unlike mini-batching, which computes a whole batch from the
-// same weights. The schedule is a pure function of (samples, order,
+// same weights. The schedule is a pure function of (sample sequence,
 // depth): it does not depend on the pool width, on which replica runs
 // which pass (a pass is a pure function of weights and input — the
 // engine's foundational property), or on timing. TrainPipelined executes
-// it with depth passes in flight across depth replicas; TrainLagged
-// executes the identical schedule one pass at a time on a single scratch
-// replica. Bit-identity between the two — weights, predictions, chip
-// counters, pinned by the conformance suite on both backends — is what
+// it with depth passes in flight across depth replicas; the conformance
+// suite's sequential reference executes the identical schedule one pass
+// at a time on a single scratch replica. Bit-identity between the two —
+// weights, predictions, chip counters, pinned on both backends — is what
 // makes the concurrent schedule shippable.
 //
 // Steady state of the depth-2 pipeline, one phase-time per column
@@ -90,7 +90,7 @@ type pipeline struct {
 	// retire-wait/apply/sync spans plus the "inflight" occupancy
 	// counter, whose dips below depth are the pipeline's bubbles). All
 	// nil when tracing is off — recording is the only effect, the
-	// schedule is fixed by (samples, order, depth) alone.
+	// schedule is fixed by (sample sequence, depth) alone.
 	slots []*trace.Track
 	coord *trace.Track
 }
@@ -164,41 +164,43 @@ func (g *Group) ClosePipeline() {
 	g.pipe = nil
 }
 
-// TrainPipelined streams samples[order[0]], samples[order[1]], …
-// through the EMSTDP update on the lag-(depth-1) deferred-update
-// schedule documented above, with up to depth two-phase passes in
-// flight across depth replicas.
+// TrainPipelined consumes src through the EMSTDP update on the
+// lag-(depth-1) deferred-update schedule documented above, with up to
+// depth two-phase passes in flight across depth replicas.
 //
 // depth <= 1 is the paper's online protocol and delegates to
-// Train(batch=1) on the master. For depth >= 2, iteration k first
+// TrainStream(src, 1) on the master. For depth >= 2, iteration k first
 // retires the oldest in-flight pass (sample k-depth): it waits for the
 // pass, then applies its captured update to the master — in sample
 // order, from the master's own rounding streams. It then hands sample k
 // to the next slot's replica after syncing that replica's weights from
 // the master, freezing V_k = master-after-u_{k-depth} for the whole
-// pass. The realized schedule — pinned bit-identical to TrainLagged by
-// the conformance suite — is a pure function of (samples, order,
+// pass. The realized schedule is a pure function of (sample sequence,
 // depth); the pool width plays no part, because the pipeline's
 // parallelism IS its depth (depth also sets the update lag, so it must
 // never be silently clamped to the core count).
 //
-// An error can only be returned before any update has been applied
-// (replica construction); once the schedule is in motion a failure
-// would leave the master half-trained, so mid-schedule contract
-// violations panic instead — callers may safely fall back to the
-// online path on error.
-func (g *Group) TrainPipelined(samples []metrics.Sample, order []int, depth int) error {
-	if depth <= 1 || len(order) == 0 {
-		return g.Train(samples, order, 1)
+// An error can only be returned before the first Next (replica
+// construction); once the schedule is in motion a failure would leave
+// the master half-trained, so mid-schedule contract violations panic
+// instead — callers may safely finish the epoch from src on error.
+func (g *Group) TrainPipelined(src SampleSource, depth int) error {
+	if depth <= 1 {
+		_, err := g.TrainStream(src, 1)
+		return err
 	}
 	if err := g.ensurePipeline(depth); err != nil {
 		return err
 	}
 	p := g.pipe
 	launched, retired := 0, 0
-	for k, idx := range order {
-		slot := k % depth
-		if k >= depth {
+	for {
+		s, ok := src.Next()
+		if !ok {
+			break
+		}
+		slot := launched % depth
+		if launched >= depth {
 			t0 := p.coord.Begin()
 			<-p.done[slot]
 			p.coord.End(t0, "retire-wait")
@@ -225,7 +227,7 @@ func (g *Group) TrainPipelined(samples []metrics.Sample, order []int, depth int)
 			panic(fmt.Sprintf("engine: pipelined sync of slot %d: %v", slot, err))
 		}
 		p.coord.End(tSync, "sync")
-		p.work[slot] <- samples[idx]
+		p.work[slot] <- s
 		launched++
 		p.coord.Counter("inflight", int64(launched-retired))
 	}
@@ -237,48 +239,6 @@ func (g *Group) TrainPipelined(samples []metrics.Sample, order []int, depth int)
 		p.coord.End(t0, "retire-wait")
 		p.coord.Counter("inflight", int64(launched-retired-1))
 		g.master.ApplyUpdate(p.updates[slot])
-	}
-	return nil
-}
-
-// TrainLagged is the sequential reference of the pipelined schedule: it
-// executes the identical lag-(depth-1) deferred-update walk one pass at
-// a time on a single scratch replica, with no concurrency anywhere.
-// TrainPipelined's contract is bit-identity with TrainLagged at equal
-// arguments — weights, predictions and chip counters — which the
-// conformance suite pins on both backends. It is also the spec readers
-// should consult: every property of the pipelined schedule is plainly
-// visible in this loop.
-func (g *Group) TrainLagged(samples []metrics.Sample, order []int, depth int) error {
-	if depth <= 1 || len(order) == 0 {
-		return g.Train(samples, order, 1)
-	}
-	if err := g.ensureReplicas(2); err != nil {
-		return err
-	}
-	r := g.replicas[1]
-	pending := make([]Update, depth)
-	for k, idx := range order {
-		slot := k % depth
-		if k >= depth {
-			g.master.ApplyUpdate(pending[slot])
-		}
-		if err := r.SyncWeights(g.master); err != nil {
-			// Same contract as TrainPipelined: a mid-schedule sync
-			// failure is a broken Runner, not a recoverable condition.
-			panic(fmt.Sprintf("engine: lagged sync: %v", err))
-		}
-		s := samples[idx]
-		r.ProgramSample(s.X, s.Y)
-		r.RunPhases(true)
-		pending[slot] = captureInto(r, pending[slot])
-	}
-	lo := len(order) - depth
-	if lo < 0 {
-		lo = 0
-	}
-	for k := lo; k < len(order); k++ {
-		g.master.ApplyUpdate(pending[k%depth])
 	}
 	return nil
 }

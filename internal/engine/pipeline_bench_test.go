@@ -6,6 +6,7 @@ import (
 	"emstdp/internal/emstdp"
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
+	"emstdp/internal/stream"
 )
 
 // benchNet builds a Table-I-cell-sized FP network (MNIST conv features
@@ -67,13 +68,13 @@ func BenchmarkPipelineStages(b *testing.B) {
 // the depth-2 pipeline on the bench-sized network — the speedup
 // cmd/bench commits as pipeline_speedup.
 func BenchmarkTrainPipelined(b *testing.B) {
-	samples := benchSamples(64)
-	ord := order(len(samples))
+	src := stream.NewSliceSource(benchSamples(64))
 	b.Run("online", func(b *testing.B) {
 		g := engine.NewGroup(benchNet(b), engine.NewPool(1))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := g.Train(samples, ord, 1); err != nil {
+			src.Reset()
+			if _, err := g.TrainStream(src, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -81,12 +82,13 @@ func BenchmarkTrainPipelined(b *testing.B) {
 	b.Run("depth=2", func(b *testing.B) {
 		g := engine.NewGroup(benchNet(b), engine.NewPool(2))
 		defer g.ClosePipeline()
-		if err := g.TrainPipelined(samples, ord, 2); err != nil {
+		if err := g.TrainPipelined(src, 2); err != nil {
 			b.Fatal(err) // warm-up builds replicas and workers
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := g.TrainPipelined(samples, ord, 2); err != nil {
+			src.Reset()
+			if err := g.TrainPipelined(src, 2); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -2,11 +2,12 @@
 // schedule is only shippable with a tested update-lag argument, so this
 // file pins it from four sides: bit-identity of the concurrent pipeline
 // against the sequential reference of the same lag-(depth-1) schedule
-// on both backends (weights, predictions, chip counters); exact
-// degeneration to the paper's online protocol at depth 1; a property
-// test that randomizes sample order and pipeline depth and checks the
-// realized update sequence against the schedule spec; and the
-// zero-allocation steady state.
+// (trainLagged, below) on both backends (weights, predictions, chip
+// counters and the Table II numbers they feed); exact degeneration to
+// the paper's online protocol at depth 1; a property test that
+// randomizes sample order and pipeline depth and checks the realized
+// update sequence against the schedule spec; and the zero-allocation
+// steady state.
 package engine_test
 
 import (
@@ -15,10 +16,45 @@ import (
 
 	"emstdp/internal/chipnet"
 	"emstdp/internal/emstdp"
+	"emstdp/internal/energy"
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
 	"emstdp/internal/rng"
+	"emstdp/internal/stream"
 )
+
+// trainLagged is the sequential reference of the pipelined schedule: it
+// walks samples through the identical lag-(depth-1) deferred-update
+// schedule one pass at a time on a single scratch replica cloned from
+// master, with no concurrency anywhere, and returns that replica so its
+// counters can be reduced with the master's. TrainPipelined's contract
+// is bit-identity with this walk — weights, predictions and chip
+// counters — and it is the spec readers should consult: every property
+// of the pipelined schedule is plainly visible in this loop.
+func trainLagged(t *testing.T, master engine.Runner, samples []metrics.Sample, depth int) engine.Runner {
+	t.Helper()
+	r, err := master.CloneRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pending := make([]engine.Update, depth)
+	for k, s := range samples {
+		slot := k % depth
+		if k >= depth {
+			master.ApplyUpdate(pending[slot])
+		}
+		if err := r.SyncWeights(master); err != nil {
+			t.Fatal(err)
+		}
+		r.ProgramSample(s.X, s.Y)
+		r.RunPhases(true)
+		pending[slot] = r.CaptureUpdate()
+	}
+	for k := max(len(samples)-depth, 0); k < len(samples); k++ {
+		master.ApplyUpdate(pending[k%depth])
+	}
+	return r
+}
 
 // runnersUnderTest enumerates the two backends every pipeline contract
 // must hold on.
@@ -67,14 +103,11 @@ func TestTrainPipelinedBitIdentical(t *testing.T) {
 			label := fmt.Sprintf("%s depth=%d", name, depth)
 
 			ref := build(t)
-			gRef := engine.NewGroup(ref, engine.NewPool(1))
-			if err := gRef.TrainLagged(samples, order(len(samples)), depth); err != nil {
-				t.Fatal(err)
-			}
+			scratch := trainLagged(t, ref, samples, depth)
 
 			got := build(t)
 			gGot := engine.NewGroup(got, engine.NewPool(depth))
-			if err := gGot.TrainPipelined(samples, order(len(samples)), depth); err != nil {
+			if err := gGot.TrainPipelined(stream.NewSliceSource(samples), depth); err != nil {
 				t.Fatal(err)
 			}
 			gGot.ClosePipeline()
@@ -90,7 +123,7 @@ func TestTrainPipelinedBitIdentical(t *testing.T) {
 			// how the schedule's passes were spread across chips: the
 			// reference ran every pass on one scratch replica, the
 			// pipeline on `depth` of them.
-			cRef, okRef := gRef.Counters()
+			cRef, okRef := reducedCounters(ref, scratch)
 			cGot, okGot := gGot.Counters()
 			if okRef != okGot {
 				t.Fatalf("%s: counter availability diverged: %v vs %v", label, okRef, okGot)
@@ -126,7 +159,7 @@ func TestTrainPipelinedDepth1MatchesOnline(t *testing.T) {
 		}
 		pip := build(t)
 		g := engine.NewGroup(pip, engine.NewPool(2))
-		if err := g.TrainPipelined(samples, order(len(samples)), 1); err != nil {
+		if err := g.TrainPipelined(stream.NewSliceSource(samples), 1); err != nil {
 			t.Fatal(err)
 		}
 		assertSameWeights(t, name, seq, pip)
@@ -142,7 +175,7 @@ func TestTrainPipelinedIndependentOfPoolWidth(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		n := fpNet(t)
 		g := engine.NewGroup(n, engine.NewPool(workers))
-		if err := g.TrainPipelined(samples, order(len(samples)), 3); err != nil {
+		if err := g.TrainPipelined(stream.NewSliceSource(samples), 3); err != nil {
 			t.Fatal(err)
 		}
 		g.ClosePipeline()
@@ -194,7 +227,7 @@ func (m *mockRunner) SyncWeights(src engine.Runner) error {
 // count and pipeline depth, and asserts the realized update sequence
 // matches the sequential schedule spec: updates applied in sample
 // order, each computed by a pass that observed the master's weights at
-// exactly max(0, k-(depth-1)) applied updates — and that TrainLagged
+// exactly max(0, k-(depth-1)) applied updates — and that trainLagged
 // realizes the identical sequence.
 func TestTrainPipelinedScheduleProperty(t *testing.T) {
 	r := rng.New(61)
@@ -202,23 +235,22 @@ func TestTrainPipelinedScheduleProperty(t *testing.T) {
 		n := r.Intn(41)
 		depth := 1 + r.Intn(6)
 		perm := r.Perm(max(n, 1))[:n]
-		samples := make([]metrics.Sample, n)
-		for i := range samples {
-			samples[i] = metrics.Sample{X: []float64{float64(i)}, Y: i}
+		// The label names the sample, so the mock records which one
+		// each update trained on.
+		ordered := make([]metrics.Sample, n)
+		for k, idx := range perm {
+			ordered[k] = metrics.Sample{X: []float64{float64(idx)}, Y: idx}
 		}
 
 		pip := &mockRunner{}
 		gPip := engine.NewGroup(pip, engine.NewPool(2))
-		if err := gPip.TrainPipelined(samples, perm, depth); err != nil {
+		if err := gPip.TrainPipelined(stream.NewSliceSource(ordered), depth); err != nil {
 			t.Fatal(err)
 		}
 		gPip.ClosePipeline()
 
 		lag := &mockRunner{}
-		gLag := engine.NewGroup(lag, engine.NewPool(1))
-		if err := gLag.TrainLagged(samples, perm, depth); err != nil {
-			t.Fatal(err)
-		}
+		trainLagged(t, lag, ordered, depth)
 
 		if len(pip.applied) != n {
 			t.Fatalf("trial %d (n=%d depth=%d): %d updates applied, want %d", trial, n, depth, len(pip.applied), n)
@@ -239,38 +271,89 @@ func TestTrainPipelinedScheduleProperty(t *testing.T) {
 		}
 		for k := range pip.applied {
 			if pip.applied[k] != lag.applied[k] {
-				t.Fatalf("trial %d (n=%d depth=%d): realized sequence diverges from TrainLagged at %d: %+v vs %+v",
+				t.Fatalf("trial %d (n=%d depth=%d): realized sequence diverges from trainLagged at %d: %+v vs %+v",
 					trial, n, depth, k, pip.applied[k], lag.applied[k])
 			}
 		}
 	}
 }
 
-// TestTrainPipelinedSteadyStateAllocationFree extends PR 2's
+// TestTrainPipelinedSteadyStateAllocationFree extends the backends'
 // zero-allocation contract to the pipelined loop on both backends: once
 // the stage workers, replicas and update buffers exist, an epoch of
-// pipelined training allocates nothing — capture recycles snapshots
-// (CaptureUpdateInto), hand-off reuses the per-slot channels, and the
-// backends' per-sample paths were already allocation-free.
+// pipelined training over a rewound source allocates nothing — capture
+// recycles snapshots (CaptureUpdateInto), hand-off reuses the per-slot
+// channels, and the backends' per-sample paths were already
+// allocation-free.
 func TestTrainPipelinedSteadyStateAllocationFree(t *testing.T) {
-	samples := synthSamples(12, 20, 4, 67)
-	ord := order(len(samples))
+	src := stream.NewSliceSource(synthSamples(12, 20, 4, 67))
+	epoch := func(t *testing.T, g *engine.Group) {
+		src.Reset()
+		if err := g.TrainPipelined(src, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for name, build := range runnersUnderTest() {
 		g := engine.NewGroup(build(t), engine.NewPool(2))
 		// Warm-up builds replicas, workers, update buffers and grows the
 		// worker stacks.
 		for i := 0; i < 2; i++ {
-			if err := g.TrainPipelined(samples, ord, 2); err != nil {
-				t.Fatal(err)
-			}
+			epoch(t, g)
 		}
-		if avg := testing.AllocsPerRun(10, func() {
-			if err := g.TrainPipelined(samples, ord, 2); err != nil {
-				t.Fatal(err)
-			}
-		}); avg > 0 {
+		if avg := testing.AllocsPerRun(10, func() { epoch(t, g) }); avg > 0 {
 			t.Errorf("%s: pipelined steady state allocates %.2f objects per epoch, want 0", name, avg)
 		}
 		g.ClosePipeline()
+	}
+}
+
+// TestPipelinedTrainingCountersMatchSequentialSchedule extends the
+// energy harness's pool-counter pin to training: the pipelined pool run
+// and the sequential single-replica walk of the same lag-1 schedule
+// must leave identical reduced counters and identical Table II
+// numbers — so Table II's training row can also come from the
+// pipeline.
+func TestPipelinedTrainingCountersMatchSequentialSchedule(t *testing.T) {
+	const nSamples = 16
+	r := rng.New(17)
+	samples := make([]metrics.Sample, nSamples)
+	for i := range samples {
+		x := make([]float64, 64)
+		r.FillUniform(x, 0, 0.8)
+		samples[i] = metrics.Sample{X: x, Y: r.Intn(10)}
+	}
+	build := func() *chipnet.Network {
+		cfg := chipnet.DefaultConfig(64, 48, 10)
+		cfg.Seed = 5
+		net, err := chipnet.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+
+	ref := build()
+	ref.ResetCounters()
+	scratch := trainLagged(t, ref, samples, 2)
+	refCounters, _ := reducedCounters(ref, scratch)
+
+	pip := build()
+	gPip := engine.NewGroup(pip, engine.NewPool(2))
+	gPip.ResetCounters()
+	if err := gPip.TrainPipelined(stream.NewSliceSource(samples), 2); err != nil {
+		t.Fatal(err)
+	}
+	gPip.ClosePipeline()
+	pipCounters, _ := gPip.Counters()
+
+	if refCounters != pipCounters {
+		t.Fatalf("pipelined training counters diverge from the sequential schedule:\nref %+v\npip %+v",
+			refCounters, pipCounters)
+	}
+	model := energy.DefaultLoihi()
+	refRep := model.Analyze(refCounters, ref.CoresUsed(), ref.MaxPlasticNeuronsPerCore(), nSamples, true)
+	pipRep := model.Analyze(pipCounters, pip.CoresUsed(), pip.MaxPlasticNeuronsPerCore(), nSamples, true)
+	if refRep != pipRep {
+		t.Fatalf("pipelined Table II training numbers diverge:\nref %+v\npip %+v", refRep, pipRep)
 	}
 }

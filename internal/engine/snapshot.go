@@ -10,16 +10,17 @@ import (
 
 // Versioned weight snapshots.
 //
-// AsyncEvaluate established the snapshot idiom informally: clone the
-// master once, SyncWeights at the call point, and classify on the clone
-// while the master trains on — sound because a prediction is a pure
-// function of (weights, input) and the clone's weights are frozen at the
-// sync. WeightVersion formalises that contract as a first-class API with
-// monotonic version numbers, which is what a serving layer needs: many
-// concurrent readers classifying on "the weights as of update N" while
-// exactly one writer advances the master, with an auditable version
-// number on every response instead of an implicit "whenever the snapshot
-// happened to be cut".
+// A snapshot clones the master once, SyncWeights at the call point, and
+// classifies on the clone while the master trains on — sound because a
+// prediction is a pure function of (weights, input) and the clone's
+// weights are frozen at the sync. WeightVersion makes that contract a
+// first-class API with monotonic version numbers, which is what both
+// background evaluation (core.Model.TrainCurve overlapping an epoch's
+// evaluation with the next epoch's training) and a serving layer need:
+// readers classifying on "the weights as of update N" while exactly one
+// writer advances the master, with an auditable version number on every
+// response instead of an implicit "whenever the snapshot happened to be
+// cut".
 //
 // The conformance property (pinned by TestSnapshotVersionConformance and
 // the serve layer's suite) is: classifying on version N is bit-identical
@@ -99,8 +100,8 @@ func (v *WeightVersion) Release() {
 // replica group off the free list (or clones one from the master on
 // first use), copies the master's weights into its frozen master via
 // SyncWeights, and stamps it with the next monotonic version number.
-// Like AsyncEvaluate, the copy happens synchronously on the calling
-// goroutine, so Snapshot must not race training on the master — cut
+// The copy happens synchronously on the calling goroutine, so Snapshot
+// must not race training on the master — cut
 // versions from the training goroutine, between updates. Classifying on
 // issued versions is safe concurrently with both training and later
 // Snapshot calls, because a version's replicas are recycled only after

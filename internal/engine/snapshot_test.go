@@ -1,23 +1,22 @@
 package engine_test
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
+	"emstdp/internal/stream"
 )
 
 // trainOn runs n online updates on the group's master, advancing the
 // weights so consecutive snapshots differ.
 func trainOn(t *testing.T, g *engine.Group, samples []metrics.Sample, n int) {
 	t.Helper()
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i % len(samples)
+	seq := make([]metrics.Sample, n)
+	for i := range seq {
+		seq[i] = samples[i%len(samples)]
 	}
-	if err := g.Train(samples, ord, 1); err != nil {
+	if _, err := g.TrainStream(stream.NewSliceSource(seq), 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,80 +118,65 @@ func TestSnapshotVersionConformance(t *testing.T) {
 	}
 }
 
-// blockingRunner is a fake whose Predict blocks until the test releases
-// it — the probe for the Close/AsyncEvaluate join contract. Clones share
-// the channels so the eval replica's background pass blocks too.
-type blockingRunner struct {
-	started chan struct{}
-	release chan struct{}
-	once    *sync.Once
-}
+// TestSnapshotEvaluateConcurrentWithTraining pins the background
+// evaluation idiom (core.Model.TrainCurve with AsyncEval) on both
+// backends: a version cut at an epoch boundary and evaluated on its own
+// goroutine while the master keeps training equals a synchronous
+// Evaluate at the cut. TestSnapshotVersionConformance reads versions
+// sequentially; this is the check that a read runs concurrently with
+// training. The second round reuses the first round's released
+// replicas and must see the newer weights.
+func TestSnapshotEvaluateConcurrentWithTraining(t *testing.T) {
+	train := synthSamples(24, 20, 4, 41)
+	more := synthSamples(24, 20, 4, 43)
+	test := synthSamples(40, 20, 4, 47)
 
-func newBlockingRunner() *blockingRunner {
-	return &blockingRunner{
-		started: make(chan struct{}),
-		release: make(chan struct{}),
-		once:    &sync.Once{},
+	type result struct {
+		cm  *metrics.Confusion
+		err error
 	}
-}
-
-func (b *blockingRunner) ProgramSample(x []float64, label int) {}
-func (b *blockingRunner) RunPhases(train bool)                 {}
-func (b *blockingRunner) ReadCounts() []int                    { return nil }
-func (b *blockingRunner) CaptureUpdate() engine.Update         { return nil }
-func (b *blockingRunner) ApplyUpdate(u engine.Update)          {}
-func (b *blockingRunner) Predict(x []float64) int {
-	b.once.Do(func() { close(b.started) })
-	<-b.release
-	return 0
-}
-func (b *blockingRunner) CloneRunner() (engine.Runner, error) {
-	return &blockingRunner{started: b.started, release: b.release, once: b.once}, nil
-}
-func (b *blockingRunner) SyncWeights(src engine.Runner) error { return nil }
-
-// TestGroupCloseJoinsAsyncEvaluate is the regression test for the
-// pre-PR-10 leak: Close (via core.Model.Close) only stopped the
-// pipeline, so an in-flight AsyncEvaluate goroutine kept reading the
-// samples slice and the eval replica after Close returned. Close must
-// block until the background pass finishes.
-func TestGroupCloseJoinsAsyncEvaluate(t *testing.T) {
-	r := newBlockingRunner()
-	g := engine.NewGroup(r, engine.NewPool(1))
-	samples := []metrics.Sample{{X: []float64{0}, Y: 0}, {X: []float64{1}, Y: 1}}
-	a, err := g.AsyncEvaluate(samples, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-r.started // background pass is live, blocked inside Predict
-
-	closed := make(chan struct{})
-	go func() {
+	for name, build := range runnersUnderTest() {
+		g := engine.NewGroup(build(t), engine.NewPool(2))
+		trainOn(t, g, train, len(train))
+		for round := 0; round < 2; round++ {
+			// Synchronous reference at the cut…
+			want, err := g.Evaluate(test, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := g.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// …then the same version classified in the background while
+			// the master trains on in the foreground.
+			done := make(chan result, 1)
+			go func() {
+				cm, err := v.Evaluate(test, 4)
+				done <- result{cm, err}
+			}()
+			trainOn(t, g, more, len(more))
+			got := <-done
+			v.Release()
+			if got.err != nil {
+				t.Fatal(got.err)
+			}
+			for i := range want.Cells {
+				if want.Cells[i] != got.cm.Cells[i] {
+					t.Fatalf("%s round %d: confusion cell %d: sync %d vs background %d",
+						name, round, i, want.Cells[i], got.cm.Cells[i])
+				}
+			}
+		}
 		g.Close()
-		close(closed)
-	}()
-	select {
-	case <-closed:
-		t.Fatal("Close returned while the async evaluation goroutine was still running")
-	case <-time.After(50 * time.Millisecond):
 	}
-	close(r.release)
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close never returned after the background pass unblocked")
-	}
-	if !a.Ready() {
-		t.Fatal("background pass not finished after Close returned")
-	}
-	// Idempotent, and safe again on a group with nothing in flight.
-	g.Close()
 }
 
-// TestGroupCloseNoAsync pins that Close is a no-op on a group that
-// never went async — the common sweep-harness case.
+// TestGroupCloseNoAsync pins that Close is idempotent and a no-op on a
+// group that never pipelined or cut a snapshot — the common
+// sweep-harness case.
 func TestGroupCloseNoAsync(t *testing.T) {
-	g := engine.NewGroup(newBlockingRunner(), engine.NewPool(1))
+	g := engine.NewGroup(&mockRunner{}, engine.NewPool(1))
 	g.Close()
 	g.Close()
 }

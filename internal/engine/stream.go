@@ -2,28 +2,36 @@ package engine
 
 import "emstdp/internal/metrics"
 
-// SampleSource is the minimal pull contract streamed training consumes;
-// stream.Source (and therefore every ingestion stage, including the
-// bounded stream.Channel) satisfies it. The engine deliberately depends
-// only on this one method so the ingestion subsystem layers on top of
-// the execution layer, not inside it.
+// SampleSource is the minimal pull contract both training entry points
+// (TrainStream, TrainPipelined) consume; stream.Source (and therefore
+// every ingestion stage, including the bounded stream.Channel)
+// satisfies it. The engine deliberately depends only on this one
+// method so the ingestion subsystem layers on top of the execution
+// layer, not inside it.
 type SampleSource interface {
 	Next() (s metrics.Sample, ok bool)
 }
 
 // TrainStream consumes src sample by sample through the EMSTDP update,
-// returning the number of samples trained. It is the streaming face of
-// Train: for the same realised sample order the two are bit-identical,
-// because TrainStream partitions the stream into the same consecutive
-// mini-batches Train forms from its order slice and runs the identical
-// replica-compute/master-apply protocol on each.
+// returning the number of samples trained. It is one of the group's two
+// training entry points (TrainPipelined is the other); a materialised
+// split trains through it as a stream.SliceSource over the realised
+// order.
 //
 // batch <= 1 is the paper's online protocol: every sample trains the
 // master directly, and the only buffering anywhere is the source's own
 // (e.g. a Channel's watermark window), so memory stays bounded no
-// matter how long the stream runs. batch > 1 buffers one mini-batch at
-// a time and shards its two-phase passes across the pool's replicas,
-// applying the captured updates to the master in stream order.
+// matter how long the stream runs. batch > 1 partitions the stream
+// into consecutive mini-batches: every batch member's two-phase pass
+// runs on a pool replica holding the batch-start weights, and the
+// captured updates are applied to the master in stream order
+// (consuming the master's stochastic-rounding streams exactly as a
+// sequential walk would), so results depend on the batch size but not
+// on the pool width.
+//
+// An error (a replica that cannot be built or synchronised) leaves
+// every sample already pulled from src trained, so the caller can
+// finish the epoch from the same source.
 func (g *Group) TrainStream(src SampleSource, batch int) (int, error) {
 	n := 0
 	if batch <= 1 {
@@ -45,6 +53,11 @@ func (g *Group) TrainStream(src SampleSource, batch int) (int, error) {
 	buf := make([]metrics.Sample, 0, batch)
 	updates := make([]Update, batch)
 	for {
+		// Sync before pulling the batch, so an error never strands
+		// samples taken from src but not trained.
+		if err := g.sync(w); err != nil {
+			return n, err
+		}
 		buf = buf[:0]
 		for len(buf) < batch {
 			s, ok := src.Next()
@@ -55,9 +68,6 @@ func (g *Group) TrainStream(src SampleSource, batch int) (int, error) {
 		}
 		if len(buf) == 0 {
 			return n, nil
-		}
-		if err := g.sync(w); err != nil {
-			return n, err
 		}
 		g.pool.Map(len(buf), func(worker, j int) {
 			r := g.replicas[worker]
@@ -70,73 +80,4 @@ func (g *Group) TrainStream(src SampleSource, batch int) (int, error) {
 		}
 		n += len(buf)
 	}
-}
-
-// AsyncEval is a handle to a background evaluation started by
-// AsyncEvaluate; Wait blocks until the confusion matrix is ready.
-type AsyncEval struct {
-	done chan struct{}
-	cm   *metrics.Confusion
-}
-
-// Wait blocks until the background pass finishes and returns its
-// confusion matrix.
-func (a *AsyncEval) Wait() *metrics.Confusion {
-	<-a.done
-	return a.cm
-}
-
-// Ready reports whether the background pass has finished (Wait would
-// not block).
-func (a *AsyncEval) Ready() bool {
-	select {
-	case <-a.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// AsyncEvaluate snapshots the master's weights into a dedicated
-// evaluation replica and classifies samples in the background,
-// returning immediately. The snapshot (CloneRunner/SyncWeights) happens
-// synchronously on the calling goroutine, so the result is exactly what
-// a synchronous Evaluate at the call point would return: a prediction
-// is a pure function of (weights, input), the replica's weights are
-// frozen at the snapshot, and the matrix accumulates in sample order.
-// Training may continue on the master (and the training replicas)
-// while the background pass runs — the idiom is calling this at each
-// epoch boundary so evaluation overlaps the next epoch's training and
-// accuracy curves cost near-zero wall clock.
-//
-// The group keeps one evaluation replica, so a second AsyncEvaluate
-// first waits for the in-flight pass to finish. The samples slice must
-// not be mutated until Wait returns.
-func (g *Group) AsyncEvaluate(samples []metrics.Sample, classes int) (*AsyncEval, error) {
-	if g.pendingEval != nil {
-		g.pendingEval.Wait()
-		g.pendingEval = nil
-	}
-	if g.evalReplica == nil {
-		r, err := g.master.CloneRunner()
-		if err != nil {
-			return nil, err
-		}
-		g.evalReplica = r
-	}
-	if err := g.evalReplica.SyncWeights(g.master); err != nil {
-		return nil, err
-	}
-	a := &AsyncEval{done: make(chan struct{})}
-	g.pendingEval = a
-	r := g.evalReplica
-	go func() {
-		defer close(a.done)
-		cm := metrics.NewConfusion(classes)
-		for _, s := range samples {
-			cm.Observe(s.Y, r.Predict(s.X))
-		}
-		a.cm = cm
-	}()
-	return a, nil
 }

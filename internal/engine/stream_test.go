@@ -1,14 +1,13 @@
-// Streamed-training and async-evaluation contracts: TrainStream over a
-// realised stream order must be bit-identical to Train over the same
-// order materialised (weights, predictions, counters), and a background
-// AsyncEvaluate must equal a synchronous Evaluate on the same weight
-// snapshot even while the master keeps training.
+// Streamed-training contracts: TrainStream over a bounded channel must
+// be bit-identical to the sequential mini-batch walk of the same
+// realised order materialised (weights, predictions, counters), and an
+// on-demand generator must stream into training deterministically.
 package engine_test
 
 import (
+	"fmt"
 	"testing"
 
-	"emstdp/internal/chipnet"
 	"emstdp/internal/dvs"
 	"emstdp/internal/emstdp"
 	"emstdp/internal/engine"
@@ -35,29 +34,61 @@ func realise(samples []metrics.Sample, window int, seed uint64) []metrics.Sample
 	}
 }
 
+// trainBatched is the sequential reference of TrainStream's schedule
+// over a materialised sample sequence. batch <= 1 trains the master
+// online. Otherwise each consecutive mini-batch runs its passes one at
+// a time on a scratch replica synced to the batch-start weights, and
+// the captured updates are applied to the master in sample order. It
+// returns the scratch replica (nil when online) so its counters can be
+// reduced with the master's.
+func trainBatched(t *testing.T, master engine.Runner, samples []metrics.Sample, batch int) engine.Runner {
+	t.Helper()
+	if batch <= 1 {
+		for _, s := range samples {
+			master.ProgramSample(s.X, s.Y)
+			master.RunPhases(true)
+			master.ApplyUpdate(nil)
+		}
+		return nil
+	}
+	r, err := master.CloneRunner()
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := make([]engine.Update, 0, batch)
+	for start := 0; start < len(samples); start += batch {
+		if err := r.SyncWeights(master); err != nil {
+			t.Fatal(err)
+		}
+		updates = updates[:0]
+		for _, s := range samples[start:min(start+batch, len(samples))] {
+			r.ProgramSample(s.X, s.Y)
+			r.RunPhases(true)
+			updates = append(updates, r.CaptureUpdate())
+		}
+		for _, u := range updates {
+			master.ApplyUpdate(u)
+		}
+	}
+	return r
+}
+
 func TestTrainStreamBitIdentical(t *testing.T) {
 	samples := synthSamples(48, 20, 4, 31)
 	test := synthSamples(24, 20, 4, 37)
 	const window, seed = 12, 5
 
-	backends := map[string]func(*testing.T) engine.Runner{
-		"fp":   func(t *testing.T) engine.Runner { return fpNet(t) },
-		"chip": func(t *testing.T) engine.Runner { return chipNet(t) },
-	}
 	cases := []struct{ workers, batch int }{
 		{1, 1}, // the paper's online protocol
 		{1, 4}, // batched path, sequential pool
 		{4, 4}, // batched path, parallel pool
 	}
-	for name, build := range backends {
+	for name, build := range runnersUnderTest() {
 		for _, c := range cases {
-			// Materialised reference: Group.Train over the realised order.
-			realised := realise(samples, window, seed)
+			// Materialised reference: the sequential walk of the
+			// realised order.
 			ref := build(t)
-			gRef := engine.NewGroup(ref, engine.NewPool(c.workers))
-			if err := gRef.Train(realised, order(len(realised)), c.batch); err != nil {
-				t.Fatal(err)
-			}
+			scratch := trainBatched(t, ref, realise(samples, window, seed), c.batch)
 
 			// Streamed run: the same pipeline delivered over the bounded
 			// channel.
@@ -77,28 +108,12 @@ func TestTrainStreamBitIdentical(t *testing.T) {
 				t.Fatalf("%s w=%d b=%d: channel stats %+v", name, c.workers, c.batch, st)
 			}
 
-			// Weights bit-identical.
-			switch refN := ref.(type) {
-			case *emstdp.Network:
-				wr, wg := fpWeights(refN), fpWeights(got.(*emstdp.Network))
-				for i := range wr {
-					if wr[i] != wg[i] {
-						t.Fatalf("%s w=%d b=%d: weight %d diverged: %v vs %v", name, c.workers, c.batch, i, wr[i], wg[i])
-					}
-				}
-			case *chipnet.Network:
-				gotN := got.(*chipnet.Network)
-				wr, wg := chipWeights(refN), chipWeights(gotN)
-				for i := range wr {
-					if wr[i] != wg[i] {
-						t.Fatalf("%s w=%d b=%d: mantissa %d diverged: %v vs %v", name, c.workers, c.batch, i, wr[i], wg[i])
-					}
-				}
-				// Chip activity counters accrue identically: the streamed
-				// run drives the same phases on the same master/replicas.
-				if cr, cg := refN.Counters(), gotN.Counters(); cr != cg {
-					t.Fatalf("%s w=%d b=%d: counters diverged:\n%+v\n%+v", name, c.workers, c.batch, cr, cg)
-				}
+			assertSameWeights(t, fmt.Sprintf("%s w=%d b=%d", name, c.workers, c.batch), ref, got)
+			// Chip activity counters accrue identically: both runs drive
+			// the same phases, however they spread them across replicas.
+			cr, _ := reducedCounters(ref, scratch)
+			if cg, _ := gGot.Counters(); cr != cg {
+				t.Fatalf("%s w=%d b=%d: counters diverged:\n%+v\n%+v", name, c.workers, c.batch, cr, cg)
 			}
 
 			// Predictions bit-identical.
@@ -143,64 +158,6 @@ func TestTrainStreamFromSynthSource(t *testing.T) {
 	for i := range wa {
 		if wa[i] != wb[i] {
 			t.Fatalf("synthetic streamed training not deterministic at weight %d", i)
-		}
-	}
-}
-
-func TestAsyncEvaluateMatchesSynchronousSnapshot(t *testing.T) {
-	train := synthSamples(24, 20, 4, 41)
-	more := synthSamples(24, 20, 4, 43)
-	test := synthSamples(40, 20, 4, 47)
-
-	for name, build := range map[string]func(*testing.T) engine.Runner{
-		"fp":   func(t *testing.T) engine.Runner { return fpNet(t) },
-		"chip": func(t *testing.T) engine.Runner { return chipNet(t) },
-	} {
-		n := build(t)
-		g := engine.NewGroup(n, engine.NewPool(2))
-		if err := g.Train(train, order(len(train)), 1); err != nil {
-			t.Fatal(err)
-		}
-
-		// Synchronous reference on the snapshot…
-		want, err := g.Evaluate(test, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// …then the async pass on the same snapshot, with the master
-		// training on in the foreground (the epoch-overlap idiom).
-		a, err := g.AsyncEvaluate(test, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Train(more, order(len(more)), 1); err != nil {
-			t.Fatal(err)
-		}
-		got := a.Wait()
-		for i := range want.Cells {
-			if want.Cells[i] != got.Cells[i] {
-				t.Fatalf("%s: confusion cell %d: sync %d vs async %d", name, i, want.Cells[i], got.Cells[i])
-			}
-		}
-		if !a.Ready() {
-			t.Fatalf("%s: Ready must report true after Wait", name)
-		}
-
-		// A second async pass sees the new weights — the snapshot argument
-		// cuts both ways.
-		want2, err := g.Evaluate(test, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a2, err := g.AsyncEvaluate(test, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got2 := a2.Wait()
-		for i := range want2.Cells {
-			if want2.Cells[i] != got2.Cells[i] {
-				t.Fatalf("%s: post-training confusion cell %d: sync %d vs async %d", name, i, want2.Cells[i], got2.Cells[i])
-			}
 		}
 	}
 }

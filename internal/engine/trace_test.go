@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"emstdp/internal/engine"
+	"emstdp/internal/stream"
 	"emstdp/internal/trace"
 )
 
@@ -22,16 +23,13 @@ func TestTraceDoesNotPerturbPipeline(t *testing.T) {
 
 	for name, build := range runnersUnderTest() {
 		ref := build(t)
-		gRef := engine.NewGroup(ref, engine.NewPool(1))
-		if err := gRef.TrainLagged(samples, order(len(samples)), depth); err != nil {
-			t.Fatal(err)
-		}
+		trainLagged(t, ref, samples, depth)
 
 		tr := trace.New()
 		got := build(t)
 		gGot := engine.NewGroup(got, engine.NewPool(depth))
 		gGot.SetTracer(tr)
-		if err := gGot.TrainPipelined(samples, order(len(samples)), depth); err != nil {
+		if err := gGot.TrainPipelined(stream.NewSliceSource(samples), depth); err != nil {
 			t.Fatal(err)
 		}
 		gGot.ClosePipeline()

@@ -112,19 +112,28 @@ func (c *Cache) GetSourced(k Key, canon []byte) (any, CacheSource, error) {
 	return nil, CacheMiss, nil
 }
 
-// load faults a spilled entry in from disk (caller holds the lock).
+// load faults a spilled entry in from disk (caller holds the lock). A
+// spill that does not decode — truncated by a killed writer, or
+// damaged on disk — is renamed to <key>.stage.corrupt and reported as
+// a miss, so the stage is recomputed and re-spilled instead of failing
+// the whole sweep.
 func (c *Cache) load(k Key, canon []byte) (any, bool, error) {
-	f, err := os.Open(c.path(k))
+	path := c.path(k)
+	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("orchestrator: opening spilled stage %s: %w", k, err)
 	}
-	defer f.Close()
 	var de diskEntry
-	if err := gob.NewDecoder(f).Decode(&de); err != nil {
-		return nil, false, fmt.Errorf("orchestrator: decoding spilled stage %s: %w", k, err)
+	err = gob.NewDecoder(f).Decode(&de)
+	f.Close()
+	if err != nil {
+		if rerr := os.Rename(path, path+".corrupt"); rerr != nil {
+			return nil, false, fmt.Errorf("orchestrator: quarantining undecodable spilled stage %s (%v): %w", k, err, rerr)
+		}
+		return nil, false, nil
 	}
 	if string(de.Canon) != string(canon) {
 		return nil, false, fmt.Errorf("%w: spilled key %s", ErrKeyCollision, k)

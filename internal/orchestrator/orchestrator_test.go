@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -392,6 +395,87 @@ func TestCacheDiskSpillRoundTrip(t *testing.T) {
 	c3 := NewCache(dir)
 	if _, _, err := c3.Get(k, (&Canon{}).Str("ds", "mnist").Int("seed", 4).Bytes()); !errors.Is(err, ErrKeyCollision) {
 		t.Fatalf("spilled collision: err = %v, want ErrKeyCollision", err)
+	}
+}
+
+// TestCacheQuarantinesCorruptSpill pins the outcome of a damaged spill
+// file, truncated or overwritten with garbage: the entry is a miss, not
+// an error. The file is renamed to <key>.stage.corrupt, Run recomputes
+// the stage and re-spills it, and a fresh cache faults the new spill
+// back in.
+func TestCacheQuarantinesCorruptSpill(t *testing.T) {
+	for name, corrupt := range map[string]func([]byte) []byte{
+		"truncated": func(b []byte) []byte { return b[:len(b)/2] },
+		"garbage":   func(b []byte) []byte { return bytes.Repeat([]byte{0xa5}, len(b)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			var runs atomic.Int64
+			g, _ := sweepGraph(t, &runs, 1, 2)
+			cold, err := Run(g, Config{Cache: NewCache(dir), Pool: engine.NewPool(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Damage the pretrain spill, the deepest stage a warm run
+			// demands.
+			seed := (&Canon{}).Int("seed", 0).Bytes()
+			k := StageKey("pretrain", seed, StageKey("realize-dataset", seed))
+			path := filepath.Join(dir, k.String()+".stage")
+			damage := func() {
+				t.Helper()
+				b, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, corrupt(b), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			quarantined := func() {
+				t.Helper()
+				if _, err := os.Stat(path + ".corrupt"); err != nil {
+					t.Fatalf("damaged spill not quarantined: %v", err)
+				}
+			}
+
+			damage()
+			runs.Store(0)
+			g2, _ := sweepGraph(t, &runs, 1, 2)
+			c2 := NewCache(dir)
+			warm, err := Run(g2, Config{Cache: c2, Pool: engine.NewPool(1)})
+			if err != nil {
+				t.Fatalf("run over a damaged spill: %v", err)
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				t.Fatalf("recomputed results %v differ from cold %v", warm, cold)
+			}
+			// pretrain and both cells recompute; realize-dataset loads.
+			if runs.Load() != 3 {
+				t.Fatalf("run executed %d stages, want 3", runs.Load())
+			}
+			if st := c2.Stats(); st.Spills != 1 {
+				t.Fatalf("stats = %+v, want the recomputed stage re-spilled", st)
+			}
+			quarantined()
+
+			c3 := NewCache(dir)
+			if v, ok, err := c3.Get(k, seed); err != nil || !ok || v != 7 {
+				t.Fatalf("fresh cache over the re-spill: v=%v ok=%v err=%v, want 7", v, ok, err)
+			}
+
+			damage()
+			c4 := NewCache(dir)
+			if v, ok, err := c4.Get(k, seed); err != nil || ok || v != nil {
+				t.Fatalf("get on a damaged spill: v=%v ok=%v err=%v, want a clean miss", v, ok, err)
+			}
+			if st := c4.Stats(); st.Misses != 1 || st.Hits != 0 || st.Loads != 0 {
+				t.Fatalf("stats = %+v, want 1 miss", st)
+			}
+			quarantined()
+			if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("damaged spill left in place: %v", err)
+			}
+		})
 	}
 }
 

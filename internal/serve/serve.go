@@ -157,8 +157,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var topts TenantOptions
-	if err := decodeJSON(r, &topts); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &topts) {
 		return
 	}
 	s.mu.Lock()
@@ -214,8 +213,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		X      []float64   `json:"x"`
 		Inputs [][]float64 `json:"inputs"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	xs := req.Inputs
@@ -263,8 +261,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 			Y int       `json:"y"`
 		} `json:"samples"`
 	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decodeJSON(w, r, &req) {
 		return
 	}
 	var samples []metrics.Sample
@@ -388,16 +385,29 @@ func (s *Server) handleDebugCounters(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// decodeJSON decodes a request body strictly (unknown fields are
-// errors — they are almost always typos in a knob name); an empty body
-// decodes as the zero value.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every request body, so no client can make the
+// server buffer a JSON array of any size. 8 MiB holds a classify or
+// train batch of about a thousand full-precision feature vectors.
+const maxBodyBytes = 8 << 20
+
+// decodeJSON decodes a request body of at most maxBodyBytes strictly
+// (unknown fields are errors — they are almost always typos in a knob
+// name); an empty body decodes as the zero value. On failure it writes
+// the error response — 413 for an oversized body, 400 otherwise — and
+// returns false.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil && err != io.EOF {
-		return fmt.Errorf("bad JSON body: %w", err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Sprintf("bad JSON body: %v", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

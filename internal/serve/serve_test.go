@@ -524,6 +524,42 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimit pins the body cap: a create, classify or train
+// body over maxBodyBytes is refused with 413 before it is decoded, and
+// the tenant's state is untouched.
+func TestRequestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t)
+	createTenant(t, ts.URL, "a", testOpts(63))
+
+	// {"x":[0,0,…,0]} one cap's worth of digits long.
+	huge := append([]byte(`{"x":[`), bytes.Repeat([]byte("0,"), maxBodyBytes/2)...)
+	huge = append(huge, "0]}"...)
+	for _, tc := range []struct{ name, method, path string }{
+		{"create", http.MethodPut, "/v1/tenants/b"},
+		{"classify", http.MethodPost, "/v1/a/classify"},
+		{"train", http.MethodPost, "/v1/a/train"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body status %d, want 413", tc.name, resp.StatusCode)
+		}
+	}
+	if got := counterValue(t, ts.URL, "a", "train.accepted"); got != 0 {
+		t.Fatalf("train.accepted %d after an oversized train body, want 0", got)
+	}
+	if resp, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/b/counters", nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("tenant b: status %d after an oversized create body, want 404", resp.StatusCode)
+	}
+}
+
 // TestObservabilityEndpoints exercises accuracy, trace and the
 // aggregated debug dump: accuracy matches the reference Evaluate, the
 // trace endpoint serves Chrome JSON for traced tenants and 404s

@@ -15,8 +15,9 @@
 //
 // Every Source is deterministic given its construction parameters: a
 // streamed training run realises one well-defined sample order, and
-// engine.Group.TrainStream over that order is bit-identical to
-// engine.Group.Train over the same order materialised.
+// training is a function of that order alone — engine.Group.TrainStream
+// or TrainPipelined over the bounded channel is bit-identical to the
+// same call over a SliceSource of the order materialised.
 package stream
 
 import "emstdp/internal/metrics"
