@@ -19,6 +19,17 @@
 //	                        presynaptic counts — the same quantities the
 //	                        chip's traces hold at the end of phase 2.
 //
+// Phase 2 replays phase 1's input side instead of recomputing it. The
+// phase boundary resets every membrane and nothing writes the weights
+// before the update, so the encoder emits the same spikes step for step
+// in both phases, and layer 0's drive (Bias plus the weights of those
+// spikes, which never reads the membrane) is the same too. A training
+// pass therefore counts the encoder spikes in phase 1 — equal to the
+// phase-2 counts eq (7) consumes — and records layer 0's drive per step;
+// phase 2 steps neither the encoder nor layer 0's gather, finishing
+// layer 0 from the recorded drive. Error injections act on the membrane
+// only, so the replay is bit-identical to re-stepping.
+//
 // Counts are normalised by the phase length so the update is in rate
 // units: Δw = η·((ĥ−h)/T)·(h_pre/T).
 package emstdp
@@ -204,6 +215,9 @@ type Network struct {
 	// the columns of firing error neurons instead of branching per entry.
 	errIdx []int32
 	errVal []float64
+	// drive0 holds layer 0's drive per phase-1 step of a training pass,
+	// row-major T×layers[0].Out; phase 2 replays row t at step t.
+	drive0 []float64
 }
 
 // New builds an EMSTDP network. LayerSizes must name at least input and
@@ -307,6 +321,7 @@ func (n *Network) initScratch() {
 	}
 	n.errIdx = make([]int32, maxSrc)
 	n.errVal = make([]float64, maxSrc)
+	n.drive0 = make([]float64, n.cfg.T*n.layers[0].Out)
 }
 
 // layerClip returns the weight bound for a layer of the given fan-in
@@ -465,13 +480,29 @@ func (n *Network) forwardStep(encCounter *spike.Counter, layerCounters []*spike.
 	if encCounter != nil {
 		encCounter.ObserveActive(n.enc.Active())
 	}
-	for i, l := range n.layers {
+	n.stepLayers(0, s, bits, layerCounters)
+}
+
+// stepLayers advances layers from..end one timestep on the spikes of the
+// layer below (or the encoder, when from is 0).
+func (n *Network) stepLayers(from int, s []bool, bits *spike.Bitset, layerCounters []*spike.Counter) {
+	for i := from; i < len(n.layers); i++ {
+		l := n.layers[i]
 		s = l.Step(s, bits)
 		bits = l.Bits()
 		if layerCounters != nil {
 			layerCounters[i].ObserveActive(l.Active())
 		}
 	}
+}
+
+// replayStep is phase 2's forward step t: layer 0 finishes from the drive
+// phase 1 recorded at step t, and the layers above step from its spikes.
+func (n *Network) replayStep(t int) {
+	l0 := n.layers[0]
+	s := l0.StepDrive(n.drive0[t*l0.Out : (t+1)*l0.Out])
+	n.h2[0].ObserveActive(l0.Active())
+	n.stepLayers(1, s, l0.Bits(), n.h2)
 }
 
 // setInput programs the input biases from rates in [0,1].
@@ -486,12 +517,21 @@ func (n *Network) setInput(x []float64) {
 	n.enc.SetBiases(q)
 }
 
-// Phase1 runs the inference phase and returns output spike counts.
-// State is NOT reset first so callers can inspect; use Predict for plain
-// classification.
-func (n *Network) phase1() {
+// phase1 runs the inference phase into the h1 counters. State is NOT
+// reset first so callers can inspect; use Predict for plain
+// classification. A training pass (record) also counts the encoder
+// spikes and records layer 0's drive per step for phase 2 to replay.
+func (n *Network) phase1(record bool) {
+	var encCounter *spike.Counter
+	if record {
+		encCounter = n.encCount
+	}
+	out0 := n.layers[0].Out
 	for t := 0; t < n.cfg.T; t++ {
-		n.forwardStep(nil, n.h1)
+		n.forwardStep(encCounter, n.h1)
+		if record {
+			copy(n.drive0[t*out0:(t+1)*out0], n.layers[0].Drive())
+		}
 	}
 }
 
@@ -560,62 +600,72 @@ func (n *Network) ProgramSample(x []float64, label int) {
 }
 
 // RunPhases executes phase 1 and, when train is true, the phase boundary
-// plus the error-driven phase 2 of the programmed sample.
+// plus the error-driven phase 2 of the programmed sample. A training
+// pass observes the encoder counts eq (7) uses in phase 1 and records
+// layer 0's drive there; phase 2 replays both rather than re-stepping
+// the encoder and layer 0's gather (exact: see the package doc).
 func (n *Network) RunPhases(train bool) {
+	if train && n.pendingLabel < 0 {
+		panic("emstdp: RunPhases(train) without a labelled ProgramSample")
+	}
 	// Phase 1: settle at h.
-	n.phase1()
+	n.phase1(train)
 	if !train {
 		return
 	}
-	if n.pendingLabel < 0 {
-		panic("emstdp: RunPhases(train) without a labelled ProgramSample")
-	}
 
 	// Phase boundary: reset forward membranes so both phases measure the
-	// network from the same initial state. Without this, the encoder and
-	// layer membranes enter phase 2 mid-integration and almost every
-	// active neuron spikes once more in phase 2 than in phase 1 — a
-	// per-sample bias of +1 count that compounds over thousands of
-	// samples into runaway potentiation of the whole layer stack.
-	n.enc.Reset()
+	// network from the same initial state. Without this, the layer
+	// membranes enter phase 2 mid-integration and almost every active
+	// neuron spikes once more in phase 2 than in phase 1 — a per-sample
+	// bias of +1 count that compounds over thousands of samples into
+	// runaway potentiation of the whole layer stack. (The encoder needs
+	// no reset: phase 2 replays its phase-1 spikes.)
 	for _, l := range n.layers {
 		l.Reset()
 	}
 
 	// Phase 2: errors correct the forward rates toward ĥ.
-	out := n.layers[len(n.layers)-1].Out
-	outLayer := n.layers[len(n.layers)-1]
 	for t := 0; t < n.cfg.T; t++ {
-		n.forwardStep(n.encCount, n.h2)
-		labelSpikes := n.labelEnc.Step()
-
-		// Loss layer (eq 6): ε accumulates wL·(ŝ − s) with wL = 1.
-		outSpikes := outLayer.Spikes()
-		for j := 0; j < out; j++ {
-			if n.outputDisabled[j] {
-				continue
-			}
-			drive := 0.0
-			if labelSpikes[j] {
-				drive += 1
-			}
-			if outSpikes[j] {
-				drive -= 1
-			}
-			n.errOut.Accumulate(j, drive)
-		}
-		eOut := n.errOut.Step(n.outputGate())
-
-		// Correct the output layer toward the target rate.
-		for j, e := range eOut {
-			if e != 0 {
-				outLayer.Inject(j, float64(e)*n.cfg.Inject*n.cfg.Theta)
-			}
-		}
-
-		// Hidden corrections via FA chain or DFA broadcast.
-		n.propagateHiddenErrors(eOut)
+		n.replayStep(t)
+		n.correctStep()
 	}
+}
+
+// correctStep runs one phase-2 timestep of the error loop on the forward
+// spikes just produced: the label neurons fire, the loss layer (eq 6)
+// emits error spikes, and the corrections are injected into the output
+// layer and, through FA or DFA feedback, the hidden layers.
+func (n *Network) correctStep() {
+	outLayer := n.layers[len(n.layers)-1]
+	labelSpikes := n.labelEnc.Step()
+
+	// Loss layer (eq 6): ε accumulates wL·(ŝ − s) with wL = 1.
+	outSpikes := outLayer.Spikes()
+	for j := range outSpikes {
+		if n.outputDisabled[j] {
+			continue
+		}
+		drive := 0.0
+		if labelSpikes[j] {
+			drive += 1
+		}
+		if outSpikes[j] {
+			drive -= 1
+		}
+		n.errOut.Accumulate(j, drive)
+	}
+	eOut := n.errOut.Step(n.outputGate())
+
+	// Correct the output layer toward the target rate.
+	for j, e := range eOut {
+		if e != 0 {
+			outLayer.Inject(j, float64(e)*n.cfg.Inject*n.cfg.Theta)
+		}
+	}
+
+	// Hidden corrections via FA chain or DFA broadcast.
+	n.propagateHiddenErrors(eOut)
 }
 
 // outputGate suppresses error spikes of disabled output neurons

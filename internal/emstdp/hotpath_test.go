@@ -146,9 +146,10 @@ func TestCountsMatchPredictPath(t *testing.T) {
 
 // TestTrainSampleAndPredictAllocateNothing enforces the zero-allocation
 // guarantee of the per-sample hot loop: after warm-up, neither the full
-// two-phase training pass nor inference may allocate. A regression here
-// reintroduces GC pressure on the path that runs hundreds of times per
-// second.
+// two-phase training pass nor inference may allocate — on the network
+// itself, on a Clone()d replica capturing its update, or on a
+// two-hidden-layer FA network. A regression here reintroduces GC
+// pressure on the path that runs hundreds of times per second.
 func TestTrainSampleAndPredictAllocateNothing(t *testing.T) {
 	cfg := DefaultConfig(50, 30, 10)
 	net := New(cfg)
@@ -166,5 +167,32 @@ func TestTrainSampleAndPredictAllocateNothing(t *testing.T) {
 		net.Predict(xs[1])
 	}); avg != 0 {
 		t.Errorf("Predict allocates %.1f objects per call, want 0", avg)
+	}
+
+	// A replica's pass, as the engine's workers run it: the replay buffer
+	// and the update snapshot are built up front, never per sample.
+	replica := net.Clone()
+	u := replica.CaptureUpdate()
+	replica.ProgramSample(xs[2], ys[2])
+	replica.RunPhases(true)
+	if avg := testing.AllocsPerRun(50, func() {
+		replica.ProgramSample(xs[2], ys[2])
+		replica.RunPhases(true)
+		u = replica.CaptureUpdateInto(u)
+	}); avg != 0 {
+		t.Errorf("Clone()d replica ProgramSample→RunPhases→CaptureUpdateInto allocates %.1f objects per call, want 0", avg)
+	}
+
+	// Two hidden layers under FA: the relay and the chained error banks.
+	faCfg := DefaultConfig(50, 30, 20, 10)
+	faCfg.Mode = FA
+	deep := New(faCfg)
+	for i := range xs {
+		deep.TrainSample(xs[i], ys[i])
+	}
+	if avg := testing.AllocsPerRun(50, func() {
+		deep.TrainSample(xs[3], ys[3])
+	}); avg != 0 {
+		t.Errorf("two-hidden-layer FA TrainSample allocates %.1f objects per call, want 0", avg)
 	}
 }

@@ -1,6 +1,9 @@
 package serve
 
-import "time"
+import (
+	"context"
+	"time"
+)
 
 // classifyReq is one handler's submission to the micro-batcher: one or
 // more feature vectors that must all be answered from a single weight
@@ -80,14 +83,27 @@ func (b *batcher) run(t *tenant) {
 }
 
 // submit hands a request to the dispatcher and waits for its batch's
-// answer; ok=false means the tenant is shutting down and the request
-// was never accepted.
-func (b *batcher) submit(req classifyReq) (classifyResp, bool) {
+// answer. It returns errClosed when the tenant is shutting down and the
+// request was never accepted, and ctx's error once ctx is done — the
+// client has gone, so nobody waits for an answer. A request abandoned
+// after acceptance is still served; its reply lands unread in the
+// buffered resp, so the dispatcher never blocks on it.
+func (b *batcher) submit(ctx context.Context, req classifyReq) (classifyResp, error) {
+	if err := ctx.Err(); err != nil {
+		return classifyResp{}, err
+	}
 	select {
 	case b.reqs <- req:
-		return <-req.resp, true
 	case <-b.done:
-		return classifyResp{}, false
+		return classifyResp{}, errClosed
+	case <-ctx.Done():
+		return classifyResp{}, ctx.Err()
+	}
+	select {
+	case resp := <-req.resp:
+		return resp, nil
+	case <-ctx.Done():
+		return classifyResp{}, ctx.Err()
 	}
 }
 

@@ -233,12 +233,17 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	t.ctr.Add("classify.requests", 1)
-	resp, ok := t.bat.submit(classifyReq{xs: xs, resp: make(chan classifyResp, 1)})
-	if !ok || errors.Is(resp.err, errClosed) {
+	resp, err := t.bat.submit(r.Context(), classifyReq{xs: xs, resp: make(chan classifyResp, 1)})
+	switch {
+	case errors.Is(err, errClosed) || errors.Is(resp.err, errClosed):
 		writeError(w, http.StatusGone, "tenant is shutting down")
 		return
-	}
-	if resp.err != nil {
+	case err != nil:
+		// The request context is done: the client has gone and nobody
+		// reads a reply.
+		t.ctr.Add("classify.canceled", 1)
+		return
+	case resp.err != nil:
 		writeError(w, http.StatusInternalServerError, resp.err.Error())
 		return
 	}

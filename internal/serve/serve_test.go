@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -620,5 +622,75 @@ func TestObservabilityEndpoints(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/debug/counters missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// submitReturns runs submit on its own goroutine and fails the test
+// unless it returns within a few seconds.
+func submitReturns(t *testing.T, what string, b *batcher, ctx context.Context) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.submit(ctx, classifyReq{resp: make(chan classifyResp, 1)})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: submit still blocked 5s after its client went away", what)
+		return nil
+	}
+}
+
+// TestSubmitStopsWaitingWhenClientGone pins that a classify submission
+// stops waiting once its request context is done, both before the
+// dispatcher accepts it and while it waits for the batch's answer.
+func TestSubmitStopsWaitingWhenClientGone(t *testing.T) {
+	// A dispatcher that never accepts: the context is already done.
+	idle := newBatcher(time.Millisecond, 4)
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := submitReturns(t, "before acceptance", idle, gone); !errors.Is(err, context.Canceled) {
+		t.Fatalf("before acceptance: err %v, want context.Canceled", err)
+	}
+
+	// A dispatcher that accepts but never answers: the client leaves
+	// after acceptance.
+	stuck := newBatcher(time.Millisecond, 4)
+	accepted := make(chan struct{})
+	go func() {
+		<-stuck.reqs
+		close(accepted)
+	}()
+	leaving, leave := context.WithCancel(context.Background())
+	go func() {
+		<-accepted
+		leave()
+	}()
+	if err := submitReturns(t, "awaiting the answer", stuck, leaving); !errors.Is(err, context.Canceled) {
+		t.Fatalf("awaiting the answer: err %v, want context.Canceled", err)
+	}
+}
+
+// TestClassifyCanceledCounted sends a classify whose client has already
+// gone: the handler returns without a batch and counts it as
+// classify.canceled.
+func TestClassifyCanceledCounted(t *testing.T) {
+	srv, ts := newTestServer(t)
+	info := createTenant(t, ts.URL, "c", testOpts(81))
+	body, err := json.Marshal(map[string]any{"x": make([]float64, info.InputDim)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/c/classify", bytes.NewReader(body)).WithContext(ctx)
+	srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	if got := counterValue(t, ts.URL, "c", "classify.canceled"); got != 1 {
+		t.Fatalf("classify.canceled = %d, want 1", got)
+	}
+	if got := counterValue(t, ts.URL, "c", "classify.batches"); got != 0 {
+		t.Fatalf("classify.batches = %d, want 0: a gone client's request was served", got)
 	}
 }

@@ -167,3 +167,56 @@ func BenchmarkIFLayerStep_Packed(b *testing.B) {
 		})
 	}
 }
+
+// TestStepDriveMatchesStepUnderInject records one pass's drives, then
+// runs a layer through Step and an identical one through StepDrive on
+// the recorded drives, injecting the same charges into both between
+// steps (some deep enough to hit the UMin floor). Membranes, spikes,
+// bitsets and active lists must agree at every step: the drive never
+// reads the membrane, so a replay stays exact under phase-2 injections.
+func TestStepDriveMatchesStepUnderInject(t *testing.T) {
+	const in, out, steps = 70, 45, 120
+	rec := NewIFLayer(rng.New(17), in, out, 0.5, 1.0)
+	rng.New(18).FillUniform(rec.Bias, -0.1, 0.3)
+	stepped, replayed := rec.Clone(), rec.Clone()
+	r := rng.New(19)
+	pres := make([][]bool, steps)
+	drives := make([][]float64, steps)
+	for s := range pres {
+		pres[s] = make([]bool, in)
+		randomSpikes(r, pres[s], 0.2)
+		rec.Step(pres[s], nil)
+		drives[s] = append([]float64(nil), rec.Drive()...)
+	}
+	for s := 0; s < steps; s++ {
+		for k := 0; k < 6; k++ {
+			v := 3 * (r.Float64() - 0.6)
+			o := r.Intn(out)
+			stepped.Inject(o, v)
+			replayed.Inject(o, v)
+		}
+		ss := stepped.Step(pres[s], nil)
+		sr := replayed.StepDrive(drives[s])
+		for o := 0; o < out; o++ {
+			if ss[o] != sr[o] || stepped.Potential(o) != replayed.Potential(o) {
+				t.Fatalf("step %d neuron %d: Step (spike %v, u %v), StepDrive (spike %v, u %v)",
+					s, o, ss[o], stepped.Potential(o), sr[o], replayed.Potential(o))
+			}
+		}
+		ws, wr := stepped.Bits().Words(), replayed.Bits().Words()
+		for i := range ws {
+			if ws[i] != wr[i] {
+				t.Fatalf("step %d: bitset word %d %x vs %x", s, i, ws[i], wr[i])
+			}
+		}
+		as, ar := stepped.Active(), replayed.Active()
+		if len(as) != len(ar) {
+			t.Fatalf("step %d: active lengths %d vs %d", s, len(as), len(ar))
+		}
+		for i := range as {
+			if as[i] != ar[i] {
+				t.Fatalf("step %d: active[%d] %d vs %d", s, i, as[i], ar[i])
+			}
+		}
+	}
+}

@@ -160,6 +160,27 @@ func (l *IFLayer) Step(pre []bool, preBits *spike.Bitset) []bool {
 	return l.spikes
 }
 
+// Drive returns the membrane drive the last step integrated — Bias plus
+// the weights of that step's presynaptic spikes, per neuron (valid until
+// the next step). It never depends on the membrane, so a recorded drive
+// replays exactly through StepDrive while W and Bias are unchanged.
+func (l *IFLayer) Drive() []float64 { return l.acc }
+
+// StepDrive advances one timestep from a drive recorded with Drive,
+// skipping the presynaptic gather, and returns the spike vector (valid
+// until the next step). Inject and the UMin floor act on the membrane
+// only, never on the drive, so interleaved injections leave the replay
+// exact: u, spikes, bits and the active list match a Step on the spikes
+// the drive was recorded from.
+func (l *IFLayer) StepDrive(acc []float64) []bool {
+	if len(acc) != l.Out {
+		panic(fmt.Sprintf("snn: layer expects a drive of %d, got %d", l.Out, len(acc)))
+	}
+	copy(l.acc, acc)
+	l.finishAll()
+	return l.spikes
+}
+
 // Active returns the indices of the neurons that fired in the last step
 // (ascending; valid until the next step).
 func (l *IFLayer) Active() []int32 { return l.active }
