@@ -109,7 +109,7 @@ func TestChipPhase2DrivesTowardTarget(t *testing.T) {
 	r.FillUniform(x, 0.2, 0.8)
 	h1 := net.Counts(x)
 	net.TrainSample(x, 0)
-	h2 := net.OutputCountsPhase2()
+	h2 := net.ReadCounts()
 	target := int(cfg.TargetHigh * float64(cfg.T))
 	gap1 := iabs(h1[0] - target)
 	gap2 := iabs(h2[0] - target)

@@ -1,17 +1,13 @@
 package chipnet
 
-import (
-	"fmt"
-
-	"emstdp/internal/loihi"
-)
+import "fmt"
 
 // EventTrain is a sequence of input spike masks, one per timestep —
 // the native output format of an event sensor such as a DVS camera.
 type EventTrain [][]bool
 
 // validateEvents checks shape against the network's input.
-func (n *Network) validateEvents(events EventTrain) *loihi.Population {
+func (n *Network) validateEvents(events EventTrain) {
 	if !n.cfg.SpikeInput {
 		panic("chipnet: event API requires Config.SpikeInput")
 	}
@@ -21,67 +17,32 @@ func (n *Network) validateEvents(events EventTrain) *loihi.Population {
 			panic(fmt.Sprintf("chipnet: event mask at t=%d has %d entries, want %d", t, len(mask), pop.N))
 		}
 	}
-	return pop
-}
-
-// runPhaseEvents advances one phase, injecting one event mask per step.
-// Each injected spike is a host transaction — the I/O cost §III-D's bias
-// coding eliminates for frame data.
-func (n *Network) runPhaseEvents(pop *loihi.Population, events EventTrain) {
-	for t := 0; t < n.cfg.T; t++ {
-		if t < len(events) {
-			tx := pop.InjectSpikes(events[t])
-			n.fab.CountHostTransaction(tx)
-		}
-		n.fab.Step()
-	}
 }
 
 // TrainSampleEvents runs the two-phase EMSTDP schedule on an event-train
-// sample: the train is replayed in both phases (the event stream is the
-// sample, so phase 2 corrects against the same input phase 1 measured).
+// sample through RunPhases' boundary and step loop: the train is
+// injected in both phases, and phase 2 replays W1's phase-1 drive as it
+// does for bias input.
 func (n *Network) TrainSampleEvents(events EventTrain, label int) {
 	if n.cfg.InferenceOnly {
 		panic("chipnet: TrainSampleEvents on an inference-only deployment")
 	}
-	pop := n.validateEvents(events)
+	n.validateEvents(events)
 	if label < 0 || label >= n.label.N {
 		panic(fmt.Sprintf("chipnet: label %d out of range [0,%d)", label, n.label.N))
 	}
-	n.fab.ResetState()
-	n.label.SetBiases(n.zeroLabel)
-	n.phase.SetBiases(n.phaseOff)
-
-	n.runPhaseEvents(pop, events) // phase 1
-
-	n.fab.LatchGates()
-	n.fab.ResetPhaseTraces()
-	n.fab.ResetMembranes()
-	n.programLabel(label)
-	n.phase.SetBiases(n.phaseOn)
-	n.fab.CountHostTransaction(1)
-
-	n.runPhaseEvents(pop, events) // phase 2: same stream, now corrected
-
+	n.resetSample(label)
+	n.runPhases(true, events)
 	n.fab.ApplyLearning()
 }
 
 // CountsEvents classifies an event train with a phase-1-only pass and
 // returns output spike counts.
 func (n *Network) CountsEvents(events EventTrain) []int {
-	pop := n.validateEvents(events)
-	n.fab.ResetState()
-	if n.label != nil {
-		n.label.SetBiases(n.zeroLabel)
-		n.phase.SetBiases(n.phaseOff)
-	}
-	n.runPhaseEvents(pop, events)
-	out := n.fwd[len(n.fwd)-1]
-	counts := make([]int, out.N)
-	for i := range counts {
-		counts[i] = int(out.PostTrace(i))
-	}
-	return counts
+	n.validateEvents(events)
+	n.resetSample(-1)
+	n.runPhases(false, events)
+	return n.ReadCounts()
 }
 
 // PredictEvents returns the argmax class for an event train.

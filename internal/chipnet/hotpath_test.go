@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"emstdp/internal/loihi"
+	"emstdp/internal/mapping"
 	"emstdp/internal/rng"
 )
 
@@ -72,7 +73,9 @@ func TestChipTrainingBitIdenticalAcrossDelivery(t *testing.T) {
 
 // TestChipTrainSampleAndPredictAllocateNothing mirrors the FP backend's
 // zero-allocation guarantee on the cycle-level simulator: after warm-up
-// the two-phase schedule and inference must not allocate per sample.
+// the two-phase schedule and inference must not allocate per sample —
+// on one die or a 4-die mesh, on a Clone()d replica capturing its
+// update, or through the event-input schedule.
 func TestChipTrainSampleAndPredictAllocateNothing(t *testing.T) {
 	cfg := DefaultConfig(40, 30, 10)
 	net, err := New(cfg)
@@ -92,5 +95,56 @@ func TestChipTrainSampleAndPredictAllocateNothing(t *testing.T) {
 		net.Predict(xs[1])
 	}); avg != 0 {
 		t.Errorf("chip Predict allocates %.1f objects per call, want 0", avg)
+	}
+
+	// A 2×2 mesh: routing scratch and link routes are built during
+	// warm-up, never per sample.
+	meshCfg := cfg
+	meshCfg.Chips, meshCfg.Partition = 4, mapping.StrategyRange
+	meshCfg.Topology = loihi.Topology{Kind: loihi.TopoMesh}
+	mesh, err := New(meshCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range xs {
+		mesh.TrainSample(xs[i], ys[i])
+	}
+	if avg := testing.AllocsPerRun(20, func() {
+		mesh.TrainSample(xs[0], ys[0])
+	}); avg != 0 {
+		t.Errorf("4-die mesh TrainSample allocates %.1f objects per call, want 0", avg)
+	}
+
+	// A replica's pass, as the engine's workers run it: the drive tape
+	// and the update snapshot are built up front, never per sample.
+	replica, err := net.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := replica.CaptureUpdate()
+	replica.ProgramSample(xs[2], ys[2])
+	replica.RunPhases(true)
+	if avg := testing.AllocsPerRun(20, func() {
+		replica.ProgramSample(xs[2], ys[2])
+		replica.RunPhases(true)
+		u = replica.CaptureUpdateInto(u)
+	}); avg != 0 {
+		t.Errorf("Clone()d replica ProgramSample→RunPhases→CaptureUpdateInto allocates %.1f objects per call, want 0", avg)
+	}
+
+	// Event input: the same boundary and step loop with per-step spike
+	// injection.
+	evCfg := cfg
+	evCfg.SpikeInput = true
+	ev, err := New(evCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	train := rateEvents(xs[3], cfg.T)
+	ev.TrainSampleEvents(train, ys[3])
+	if avg := testing.AllocsPerRun(20, func() {
+		ev.TrainSampleEvents(train, ys[3])
+	}); avg != 0 {
+		t.Errorf("TrainSampleEvents allocates %.1f objects per call, want 0", avg)
 	}
 }

@@ -81,8 +81,15 @@ func (n *Network) ProgramSample(x []float64, label int) {
 			panic(fmt.Sprintf("chipnet: label %d out of range [0,%d)", label, n.label.N))
 		}
 	}
-	n.fab.ResetState()
+	n.resetSample(label)
 	n.programInput(x)
+}
+
+// resetSample zeroes the chip's dynamic state, silences the label and
+// the error path for phase 1, and stages label (-1: none) for
+// RunPhases(true).
+func (n *Network) resetSample(label int) {
+	n.fab.ResetState()
 	if n.label != nil {
 		n.label.SetBiases(n.zeroLabel)
 		n.phase.SetBiases(n.phaseOff)
@@ -95,14 +102,33 @@ func (n *Network) ProgramSample(x []float64, label int) {
 // phase-control writes) plus phase 2. The learning epoch is NOT fired —
 // that is ApplyUpdate, so a replica can run the phases while the master
 // applies the update.
-func (n *Network) RunPhases(train bool) {
-	n.fab.Run(n.cfg.T) // phase 1
+//
+// Phase 2 replays phase 1's input side: W1 records its drive into fwd0
+// during phase 1 and copies it back step for step in phase 2 instead of
+// scattering every presynaptic spike again, keeping the trace increments
+// and synaptic-event counts of a live delivery. This is exact because
+// the boundary resets every membrane and nothing feeds back into the
+// input side (bias or event input, conv front end), so W1's presynaptic
+// spikes repeat in phase 2; W1's weights change only at the learning
+// epoch; and W1 is the first connector into fwd0 on every die (checked
+// when the netlist is built), so it adds into a zero accumulator and the
+// recorded drive already holds any saturation. RunPhases(false) runs
+// live and records nothing.
+func (n *Network) RunPhases(train bool) { n.runPhases(train, nil) }
+
+// runPhases is RunPhases with an optional event train, injected anew in
+// each phase (the event stream is the sample, so phase 2 corrects
+// against the same input phase 1 measured).
+func (n *Network) runPhases(train bool, events EventTrain) {
 	if !train {
+		n.runPhase(loihi.TapeLive, events)
 		return
 	}
 	if n.pendingLabel < 0 {
 		panic("chipnet: RunPhases(train) without a labelled ProgramSample")
 	}
+	n.runPhase(loihi.TapeRecord, events) // phase 1
+
 	n.fab.LatchGates()
 	n.fab.ResetPhaseTraces()
 	n.fab.ResetMembranes()
@@ -110,7 +136,23 @@ func (n *Network) RunPhases(train bool) {
 	n.phase.SetBiases(n.phaseOn)
 	n.fab.CountHostTransaction(1) // the phase-control bias write
 
-	n.fab.Run(n.cfg.T) // phase 2
+	n.runPhase(loihi.TapeReplay, events) // phase 2
+}
+
+// runPhase advances one phase of T steps with W1's drive tape in the
+// given mode, injecting events[t] before step t when an event train is
+// given. Each injected spike is a host transaction — the I/O cost
+// §III-D's bias coding eliminates for frame data.
+func (n *Network) runPhase(tape loihi.TapeMode, events EventTrain) {
+	w1 := n.plastic[0]
+	for t := 0; t < n.cfg.T; t++ {
+		if t < len(events) {
+			n.fab.CountHostTransaction(n.inputPop().InjectSpikes(events[t]))
+		}
+		w1.SetTape(tape, t)
+		n.fab.Step()
+	}
+	w1.SetTape(loihi.TapeLive, 0)
 }
 
 // ReadCounts returns the output layer's spike counts from the most
@@ -149,35 +191,9 @@ func (n *Network) Predict(x []float64) int {
 	return bi
 }
 
-// OutputCountsPhase2 returns the output layer's phase-2 spike counts of
-// the most recent TrainSample — ĥ, exposed for tests and diagnostics.
-func (n *Network) OutputCountsPhase2() []int {
-	out := n.fwd[len(n.fwd)-1]
-	counts := make([]int, out.N)
-	for i := range counts {
-		counts[i] = int(out.PostTrace(i))
-	}
-	return counts
-}
-
 // Weight returns plastic layer li's effective weight (θ=1 units) for
 // post neuron o, pre neuron k — comparable to the reference network's
 // float weights.
 func (n *Network) Weight(li, o, k int) float64 {
 	return n.plastic[li].WeightFloat(o, k, float64(n.cfg.Theta))
-}
-
-// HiddenDebug returns the summed phase-1-at-last-Counts and
-// phase-2-at-last-TrainSample spike counts of the first hidden layer —
-// a development diagnostic.
-func (n *Network) HiddenDebug() [2]int {
-	if len(n.fwd) < 2 {
-		return [2]int{}
-	}
-	h := n.fwd[0]
-	sum := 0
-	for i := 0; i < h.N; i++ {
-		sum += int(h.PostTrace(i))
-	}
-	return [2]int{-1, sum}
 }

@@ -232,6 +232,19 @@ func (c *Chip) connectRange(g Connector, lo, hi int, chargeFanIn, tracePre bool)
 	return nil
 }
 
+// FirstInto returns the first connector registered on this die that
+// delivers into p, or nil when none does. A drive-taped group must be
+// first into its post rows (SynapseGroup.EnableDriveTape); the netlist
+// builder checks it here.
+func (c *Chip) FirstInto(p *Population) Connector {
+	for _, e := range c.groups {
+		if e.g.PostPopulation() == p {
+			return e.g
+		}
+	}
+	return nil
+}
+
 // findPopEntry returns this chip's registration of population p covering
 // exactly [lo,hi), or nil.
 func (c *Chip) findPopEntry(p *Population, lo, hi int) *popEntry {

@@ -324,6 +324,24 @@ func (m *Mesh) Connect(g Connector) error {
 	return nil
 }
 
+// FirstInto returns the connector registered first into p on every die
+// that stores synapses into p, or nil when there is none or the dies
+// disagree (see Chip.FirstInto).
+func (m *Mesh) FirstInto(p *Population) Connector {
+	var first Connector
+	for _, c := range m.chips {
+		g := c.FirstInto(p)
+		if g == nil {
+			continue
+		}
+		if first != nil && g != first {
+			return nil
+		}
+		first = g
+	}
+	return first
+}
+
 // Step advances the whole board one barrier-synchronised timestep: the
 // four sub-phases of Chip.Step, each completing on every die before the
 // next begins, with every shared population's spike buffers rotated

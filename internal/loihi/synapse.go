@@ -45,7 +45,29 @@ type SynapseGroup struct {
 	// by default; dense kept for the equivalence tests — see
 	// Chip.SetDelivery).
 	delivery DeliveryMode
+
+	// tape is the optional steps×Post.N drive record of phase-2 input
+	// replay (EnableDriveTape); tapeMode and tapeRow say what this
+	// step's delivery does with it (SetTape).
+	tape     []int32
+	tapeMode TapeMode
+	tapeRow  []int32
 }
+
+// TapeMode is what a drive-taped group's delivery does in the current
+// step (see EnableDriveTape).
+type TapeMode uint8
+
+const (
+	// TapeLive delivers spike by spike and records nothing.
+	TapeLive TapeMode = iota
+	// TapeRecord delivers spike by spike and copies the drive it left in
+	// the post accumulators into the step's tape row.
+	TapeRecord
+	// TapeReplay writes the step's tape row into the post accumulators
+	// instead of scattering the spikes.
+	TapeReplay
+)
 
 // NewSynapseGroup builds a group with zeroed weights.
 func NewSynapseGroup(name string, pre, post *Population, exp uint) *SynapseGroup {
@@ -85,6 +107,29 @@ func (g *SynapseGroup) ensureTransposed() {
 
 // setDelivery selects the spike-iteration kernel.
 func (g *SynapseGroup) setDelivery(m DeliveryMode) { g.delivery = m }
+
+// EnableDriveTape allocates a steps-row record of the drive this group
+// delivers into its post population — the store behind phase-2 input
+// replay, where a step whose presynaptic spikes and weights repeat a
+// recorded step copies that step's drive instead of scattering every
+// spike again. Replay overwrites the post accumulators, so it is exact
+// only while the group is the first connector into its post rows on
+// every die (Chip.FirstInto, Mesh.FirstInto): it then adds into a zero
+// accumulator, and the recorded drive already holds any saturation.
+func (g *SynapseGroup) EnableDriveTape(steps int) {
+	g.tape = make([]int32, steps*g.Post.N)
+}
+
+// SetTape selects what the next step's delivery does with tape row t:
+// run live, record into it, or replay it. A schedule sets it before every
+// step of a taped phase and returns the group to TapeLive afterwards.
+func (g *SynapseGroup) SetTape(mode TapeMode, t int) {
+	g.tapeMode = mode
+	if mode != TapeLive {
+		n := g.Post.N
+		g.tapeRow = g.tape[t*n : (t+1)*n]
+	}
+}
 
 // EnableLearning attaches a rule and allocates trace state. seed drives
 // the stochastic-rounding bit stream (deterministic per group).
@@ -162,15 +207,43 @@ func (g *SynapseGroup) deliver() int64 { return g.deliverRange(0, g.Post.N, true
 // trace update so exactly one shard per group maintains it. Per post
 // neuron the contribution order (ascending presynaptic index) is the
 // same as the full kernel, so sharded delivery is bit-identical.
+//
+// Under a drive tape (EnableDriveTape) the step's SetTape mode decides:
+// TapeRecord copies the drive left in post rows [lo,hi) into the tape
+// row after delivering, and TapeReplay writes the row back instead of
+// delivering (replayRange).
 func (g *SynapseGroup) deliverRange(lo, hi int, tracePre bool) int64 {
-	if g.delivery == DeliveryDense {
-		return g.deliverDenseRange(lo, hi, tracePre)
+	var events int64
+	switch {
+	case g.tapeMode == TapeReplay:
+		return g.replayRange(lo, hi, tracePre)
+	case g.delivery == DeliveryDense:
+		events = g.deliverDenseRange(lo, hi, tracePre)
+	case g.Pre.activePrev.Len() > 0:
+		g.ensureTransposed()
+		events = g.deliverPackedRange(lo, hi, tracePre)
 	}
-	if g.Pre.activePrev.Len() == 0 {
-		return 0
+	if g.tapeMode == TapeRecord {
+		copy(g.tapeRow[lo:hi], g.Post.acc[lo:hi])
 	}
-	g.ensureTransposed()
-	return g.deliverPackedRange(lo, hi, tracePre)
+	return events
+}
+
+// replayRange writes the recorded drive of this step into post rows
+// [lo,hi) and keeps only the per-spike bookkeeping of a live delivery:
+// the presynaptic trace increments and the synaptic events it reports
+// (every active spike reaches each row of the span), so the learning
+// engine and the energy counters see exactly what live delivery gives
+// them.
+func (g *SynapseGroup) replayRange(lo, hi int, tracePre bool) int64 {
+	copy(g.Post.acc[lo:hi], g.tapeRow[lo:hi])
+	active := g.Pre.activePrev.Indices()
+	if tracePre && g.preTrace != nil {
+		for _, k := range active {
+			g.preTrace[k] = fixed.SatTrace(int64(g.preTrace[k]) + 1)
+		}
+	}
+	return int64(len(active)) * int64(hi-lo)
 }
 
 // deliverPackedRange is the production kernel: trailing-zeros iteration
