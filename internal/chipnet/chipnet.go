@@ -384,11 +384,6 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 			shift := 2*logT - logTheta + cfg.EtaLog2 + g.Exp
 			rule := loihi.EMSTDPRule(shift)
 			g.EnableLearning(rule, cfg.Seed+uint64(i)*0x9e3779b9)
-			if i == 1 {
-				// W1's drive is recorded in phase 1 and replayed in
-				// phase 2 (RunPhases).
-				g.EnableDriveTape(cfg.T)
-			}
 			n.rules = append(n.rules, rule)
 			n.baseShifts = append(n.baseShifts, shift)
 		}
@@ -581,13 +576,15 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 		}
 	}
 
-	// Phase-2 replay overwrites fwd0's accumulator with W1's recorded
-	// drive, which equals live delivery only while W1 adds into a zero
-	// accumulator: it must be the first connector into fwd0 on every die.
+	// RunPhases replays W1's phase-1 drive in phase 2 by overwriting
+	// fwd0's accumulator, which equals live delivery only while W1 adds
+	// into a zero accumulator: it must be the first connector into fwd0
+	// on every die.
 	if n.fab.FirstInto(n.fwd[0]) != loihi.Connector(n.plastic[0]) {
 		return fmt.Errorf("chipnet: %s must be the first connector into %s on every die (phase-2 drive replay)",
 			n.plastic[0].Name, n.fwd[0].Name)
 	}
+	n.plastic[0].EnableDriveTape(cfg.T)
 	return nil
 }
 
