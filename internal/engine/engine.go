@@ -58,6 +58,11 @@ type Runner interface {
 	// RunPhases(true) so the update can be applied later, possibly on a
 	// different replica of the same network.
 	CaptureUpdate() Update
+	// CaptureUpdateInto behaves like CaptureUpdate but may reuse u's
+	// storage when u was captured from a runner of the same topology,
+	// returning the snapshot (u recycled, or a fresh one). The
+	// pipeline's steady state allocates nothing through it.
+	CaptureUpdateInto(u Update) Update
 	// ApplyUpdate applies a weight update: from the captured snapshot u,
 	// or from the runner's own post-RunPhases state when u is nil (the
 	// allocation-free sequential path). Stochastic-rounding random bits

@@ -52,26 +52,6 @@ import (
 // finishes phase 2 and the weight update of the current one, the ~2×
 // throughput the paper's two-phase split leaves on the table.
 
-// UpdateReuser is an optional Runner facet: CaptureUpdateInto recycles
-// the storage of a previously captured Update so the pipeline's steady
-// state allocates nothing. Both backends implement it; runners that do
-// not are captured through plain CaptureUpdate.
-type UpdateReuser interface {
-	// CaptureUpdateInto behaves like CaptureUpdate but may reuse u's
-	// storage when u was captured from a runner of the same topology;
-	// it returns the snapshot (u recycled, or a fresh one).
-	CaptureUpdateInto(u Update) Update
-}
-
-// captureInto snapshots r's learning state, recycling prev when the
-// backend supports it.
-func captureInto(r Runner, prev Update) Update {
-	if ur, ok := r.(UpdateReuser); ok {
-		return ur.CaptureUpdateInto(prev)
-	}
-	return r.CaptureUpdate()
-}
-
 // pipeline is a Group's persistent stage-worker state: depth goroutines,
 // each bound to one replica slot, fed one sample at a time over
 // per-slot channels. It persists across TrainPipelined calls of the
@@ -138,7 +118,7 @@ func (p *pipeline) worker(s int, r Runner) {
 			start := p.slots[s].Begin()
 			r.ProgramSample(smp.X, smp.Y)
 			r.RunPhases(true)
-			p.updates[s] = captureInto(r, p.updates[s])
+			p.updates[s] = r.CaptureUpdateInto(p.updates[s])
 			p.slots[s].End(start, "pass")
 			// Select on quit so a coordinator that dies mid-schedule
 			// (a panicking ApplyUpdate) cannot strand this worker in

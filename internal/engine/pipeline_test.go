@@ -207,6 +207,7 @@ func (m *mockRunner) ReadCounts() []int                    { return nil }
 func (m *mockRunner) CaptureUpdate() engine.Update {
 	return &mockUpdate{sample: m.sample, version: m.version}
 }
+func (m *mockRunner) CaptureUpdateInto(engine.Update) engine.Update { return m.CaptureUpdate() }
 func (m *mockRunner) ApplyUpdate(u engine.Update) {
 	if u == nil {
 		// Sequential path: apply from the runner's own last pass.

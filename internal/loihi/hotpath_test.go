@@ -74,7 +74,7 @@ func TestDeliveryKernelsBitIdentical(t *testing.T) {
 						t.Fatalf("step %d pop %s compartment %d: dense v=%d other v=%d",
 							step, dp.Name, i, dp.Potential(i), cp.Potential(i))
 					}
-					if dp.Spikes()[i] != cp.Spikes()[i] {
+					if dp.SpikeBits().Get(i) != cp.SpikeBits().Get(i) {
 						t.Fatalf("step %d pop %s compartment %d: spike mismatch", step, dp.Name, i)
 					}
 				}
@@ -128,36 +128,100 @@ func TestMeshDeliverySetThenConnect(t *testing.T) {
 	}
 }
 
-// TestActiveSpikesMatchesSpikes pins the sparse view to the dense one
-// across steps and resets.
-func TestActiveSpikesMatchesSpikes(t *testing.T) {
-	chip := buildStepBench(t)
-	check := func() {
-		for _, e := range chip.pops {
-			p := e.p
-			act := p.ActiveSpikes()
-			j := 0
-			for i, s := range p.Spikes() {
-				if !s {
-					continue
-				}
-				if j >= len(act) || act[j] != int32(i) {
-					t.Fatalf("pop %s: ActiveSpikes %v inconsistent with Spikes", p.Name, act)
-				}
-				j++
-			}
-			if j != len(act) {
-				t.Fatalf("pop %s: %d stale active entries", p.Name, len(act)-j)
-			}
+// buildRangeMeshBench wires buildStepBench's 200→100→10 shape on a 2×2
+// mesh, every population range-split across the dies the way the
+// mapping package's range strategy cuts it: in at 50/100/150, hid at
+// 25/50/75 — shard edges inside bitset words — and out on die 3. Both
+// groups learn, so the tag micro-op runs on the split ranges too.
+func buildRangeMeshBench(tb testing.TB) *Mesh {
+	tb.Helper()
+	mesh, err := NewMeshTopology(DefaultHardware(), 4, AutoTopology(TopoMesh, 4))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	in := NewPopulation("in", PopulationConfig{N: 200, Theta: 256, VMin: -256})
+	hid := NewPopulation("hid", PopulationConfig{N: 100, Theta: 256, VMin: -256})
+	out := NewPopulation("out", PopulationConfig{N: 10, Theta: 256, VMin: -256})
+	for die := 0; die < 4; die++ {
+		if err := mesh.AddPopulation(in, die, 50*die, 50*(die+1), 0, 10); err != nil {
+			tb.Fatal(err)
+		}
+		if err := mesh.AddPopulation(hid, die, 25*die, 25*(die+1), 10, 10); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	if err := mesh.AddPopulation(out, 3, 0, 10, 20, 10); err != nil {
+		tb.Fatal(err)
+	}
+	r := rng.New(5)
+	for gi, g := range []*SynapseGroup{NewSynapseGroup("ih", in, hid, 0), NewSynapseGroup("ho", hid, out, 0)} {
+		for i := range g.W {
+			g.W[i] = int8(r.Intn(21) - 10)
+		}
+		g.MarkWeightsDirty()
+		g.EnableLearning(EMSTDPRule(6), uint64(100+gi))
+		if err := mesh.Connect(g); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	biases := make([]int32, 200)
+	for i := range biases {
+		biases[i] = int32(r.Intn(90))
+	}
+	in.SetBiases(biases)
+	return mesh
+}
+
+// checkActiveMatchesBits fails unless p's active list is exactly the
+// ascending set bits of its spike bitset.
+func checkActiveMatchesBits(t *testing.T, p *Population) {
+	t.Helper()
+	act := p.ActiveSpikes()
+	bits := p.SpikeBits()
+	j := 0
+	for i := 0; i < p.N; i++ {
+		if !bits.Get(i) {
+			continue
+		}
+		if j >= len(act) || act[j] != int32(i) {
+			t.Fatalf("pop %s: ActiveSpikes %v inconsistent with SpikeBits", p.Name, act)
+		}
+		j++
+	}
+	if j != len(act) {
+		t.Fatalf("pop %s: %d stale active entries", p.Name, len(act)-j)
+	}
+}
+
+// TestActiveSpikesMatchesSpikes pins the sparse view to the bitset
+// across steps and resets, on one die and on a 2×2 range mesh whose
+// shards share bitset words.
+func TestActiveSpikesMatchesSpikes(t *testing.T) {
+	chip := buildStepBench(t)
+	mesh := buildRangeMeshBench(t)
+	check := func() {
+		for _, e := range chip.pops {
+			checkActiveMatchesBits(t, e.p)
+		}
+		for _, mp := range mesh.pops {
+			checkActiveMatchesBits(t, mp.p)
+		}
+	}
+	fired := 0
 	for step := 0; step < 64; step++ {
 		chip.Step()
+		mesh.Step()
 		check()
+		fired += len(mesh.pops[1].p.ActiveSpikes())
+	}
+	if fired == 0 {
+		t.Fatal("mesh hidden layer never fired: the check proves nothing")
 	}
 	chip.ResetMembranes()
+	mesh.ResetMembranes()
 	check()
 	chip.ResetState()
+	mesh.ResetState()
 	check()
 }
 
@@ -168,6 +232,17 @@ func BenchmarkLoihiStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chip.Step()
+	}
+}
+
+// BenchmarkLoihiMeshStep is BenchmarkLoihiStep's shape on the 2×2 range
+// mesh: four dies' sub-phases, cross-die routing and shards that share
+// bitset words.
+func BenchmarkLoihiMeshStep(b *testing.B) {
+	mesh := buildRangeMeshBench(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mesh.Step()
 	}
 }
 

@@ -1,6 +1,7 @@
 package loihi
 
 import (
+	"slices"
 	"testing"
 
 	"emstdp/internal/rng"
@@ -88,6 +89,12 @@ func TestMeshBitIdenticalToChip(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		single.Run(32)
 		sharded.Run(32)
+		for gi := range sgroups {
+			if !slices.Equal(sgroups[gi].tag, mgroups[gi].tag) {
+				t.Fatalf("round %d group %s: single tags %v, mesh %v",
+					round, sgroups[gi].Name, sgroups[gi].tag, mgroups[gi].tag)
+			}
+		}
 		single.ApplyLearning()
 		sharded.ApplyLearning()
 		for pi := range spops {
@@ -97,7 +104,7 @@ func TestMeshBitIdenticalToChip(t *testing.T) {
 					t.Fatalf("round %d pop %s compartment %d: single v=%d mesh v=%d",
 						round, sp.Name, i, sp.Potential(i), mp.Potential(i))
 				}
-				if sp.Spikes()[i] != mp.Spikes()[i] {
+				if sp.SpikeBits().Get(i) != mp.SpikeBits().Get(i) {
 					t.Fatalf("round %d pop %s compartment %d: spike mismatch", round, sp.Name, i)
 				}
 			}

@@ -70,17 +70,16 @@ type Population struct {
 	// survives sample resets).
 	adaptTheta []int32
 
-	spikesNow  []bool // produced this step
-	spikesPrev []bool // visible to synapse groups this step
-	// activePrev holds the indices set in spikesPrev (ascending) — the
-	// sparse view event-driven connectors iterate instead of scanning
-	// the dense vector. Rebuilt at rotate, cleared with the buffers.
+	// bitsNow collects this step's spikes: the compartment update sets
+	// the bit of each compartment that fires (InjectSpikes stages a
+	// source's), and rotate swaps it into bitsPrev, the word-parallel
+	// view synapse groups read this step. Packed delivery traverses
+	// bitsPrev's nonzero words with trailing-zeros iteration.
+	bitsNow, bitsPrev *spike.Bitset
+	// activePrev holds the indices set in bitsPrev (ascending) — the
+	// sparse view event-driven consumers iterate. Gathered from bitsPrev
+	// at rotate, so the two views cannot disagree.
 	activePrev *spike.ActiveList
-	// bitsPrev is the word-parallel view of spikesPrev: packed delivery
-	// traverses its nonzero words with trailing-zeros iteration. Rebuilt
-	// at rotate alongside activePrev (which is derived FROM it, so both
-	// views are consistent by construction).
-	bitsPrev *spike.Bitset
 
 	// postTrace counts this population's spikes since the last phase
 	// reset (Loihi's postsynaptic trace, no decay: EMSTDP uses it as ĥ).
@@ -122,10 +121,9 @@ func NewPopulation(name string, cfg PopulationConfig) *Population {
 		Bias:       make([]int32, cfg.N),
 		v:          make([]int32, cfg.N),
 		acc:        make([]int32, cfg.N),
-		spikesNow:  make([]bool, cfg.N),
-		spikesPrev: make([]bool, cfg.N),
-		activePrev: spike.NewActiveList(cfg.N),
+		bitsNow:    spike.NewBitset(cfg.N),
 		bitsPrev:   spike.NewBitset(cfg.N),
+		activePrev: spike.NewActiveList(cfg.N),
 		postTrace:  make([]uint8, cfg.N),
 	}
 	if cfg.CurrentDecayShift > 0 {
@@ -192,16 +190,14 @@ func (p *Population) SetBiases(b []int32) {
 	copy(p.Bias, b)
 }
 
-// Spikes returns last step's spike vector (the one visible to synapses).
-func (p *Population) Spikes() []bool { return p.spikesPrev }
+// SpikeBits returns last step's spikes, the ones visible to synapses
+// this step: bit i set means compartment i fired (valid until the next
+// step).
+func (p *Population) SpikeBits() *spike.Bitset { return p.bitsPrev }
 
-// ActiveSpikes returns the ascending indices set in Spikes() — the
+// ActiveSpikes returns the ascending indices set in SpikeBits() — the
 // sparse view of the same step (valid until the next step).
 func (p *Population) ActiveSpikes() []int32 { return p.activePrev.Indices() }
-
-// SpikeBits returns the word-parallel view of Spikes() (valid until the
-// next step).
-func (p *Population) SpikeBits() *spike.Bitset { return p.bitsPrev }
 
 // PostTrace returns the post-synaptic trace value of compartment i.
 func (p *Population) PostTrace(i int) uint8 { return p.postTrace[i] }
@@ -218,8 +214,8 @@ func (p *Population) addInput(i int, w int32) {
 }
 
 // InjectSpikes queues host spike events for the next step (Source
-// populations only). Returns the number of injected spikes, which the
-// caller accounts as host transactions.
+// populations only), replacing any staged this step. Returns the number
+// of injected spikes, which the caller accounts as host transactions.
 func (p *Population) InjectSpikes(spikes []bool) int {
 	if !p.cfg.Source {
 		panic(fmt.Sprintf("loihi: population %q is not a spike source", p.Name))
@@ -227,91 +223,105 @@ func (p *Population) InjectSpikes(spikes []bool) int {
 	if len(spikes) != p.N {
 		panic(fmt.Sprintf("loihi: population %q spike vector %d != %d", p.Name, len(spikes), p.N))
 	}
-	n := 0
-	for i, s := range spikes {
-		p.spikesNow[i] = s
-		if s {
-			n++
-		}
-	}
-	return n
+	p.bitsNow.FromBools(spikes)
+	return p.bitsNow.Count()
 }
 
-// update advances compartment dynamics one step and returns the number of
-// spikes emitted.
-func (p *Population) update() int { return p.updateRange(0, p.N) }
-
 // updateRange advances compartments [lo,hi) only — the slice of the
-// population a die hosts under a multi-chip partition. Compartment
-// dynamics are strictly per-neuron, so range-partitioned updates compose
-// to exactly the full update regardless of how [0,N) is cut.
+// population a die hosts under a multi-chip partition — setting the
+// bitsNow bit of every compartment that fires. Compartment dynamics are
+// strictly per-neuron, so range-partitioned updates compose to exactly
+// the full update regardless of how [0,N) is cut. Ranges need not be
+// word-aligned: dies update one after another, and each ORs only its
+// own bits into words rotate cleared.
 func (p *Population) updateRange(lo, hi int) int {
+	now := p.bitsNow.Words()
+	trace := p.postTrace[lo:hi]
 	if p.cfg.Source {
 		// Host-injected spikes pass straight through; they were staged
-		// by InjectSpikes into spikesNow.
+		// by InjectSpikes into bitsNow.
 		n := 0
-		for i := lo; i < hi; i++ {
-			if p.spikesNow[i] {
+		for j := range trace {
+			i := lo + j
+			if now[i>>6]>>(uint(i)&63)&1 != 0 {
 				n++
-				p.postTrace[i] = fixed.SatTrace(int64(p.postTrace[i]) + 1)
+				trace[j] = fixed.SatTrace(int64(trace[j]) + 1)
 			}
 		}
 		return n
 	}
+	// Locals for everything the loop reads but never writes, and
+	// sub-slices of one length so the compiler drops their bounds
+	// checks. The phase gate is the control neuron's previous-step
+	// spike, which nothing in this step's updates can change.
+	theta0, vmin := p.cfg.Theta, p.cfg.VMin
+	leak, decay := p.cfg.LeakShift, p.cfg.CurrentDecayShift
+	homUp, homDecay := p.cfg.HomeostasisUp, p.cfg.HomeostasisDecayShift
+	open := p.phaseGate == nil || p.phaseGate.bitsPrev.Get(0)
+	acc := p.acc[lo:hi]
+	n := len(acc)
+	v, bias := p.v[lo:hi][:n], p.Bias[lo:hi][:n]
+	trace = trace[:n]
+	var u, adapt []int32
+	var gate, disabled []bool
+	if p.u != nil {
+		u = p.u[lo:hi][:n]
+	}
+	if p.adaptTheta != nil {
+		adapt = p.adaptTheta[lo:hi][:n]
+	}
+	if p.gateMask != nil {
+		gate = p.gateMask[lo:hi][:n]
+	}
+	if p.disabled != nil {
+		disabled = p.disabled[lo:hi][:n]
+	}
 	spikes := 0
-	for i := lo; i < hi; i++ {
-		drive := p.acc[i]
-		p.acc[i] = 0
-		if p.disabled != nil && p.disabled[i] {
-			p.v[i] = 0
-			p.spikesNow[i] = false
+	for j := range acc {
+		drive := acc[j]
+		acc[j] = 0
+		if disabled != nil && disabled[j] {
+			v[j] = 0
 			continue
 		}
-		if p.u != nil {
+		if u != nil {
 			// CUBA current: decay then integrate new arrivals.
-			p.u[i] -= p.u[i] >> p.cfg.CurrentDecayShift
-			p.u[i] = fixed.SatAdd32(p.u[i], drive, fixed.StateMin, fixed.StateMax)
-			drive = p.u[i]
+			uj := u[j] - u[j]>>decay
+			drive = fixed.SatAdd32(uj, drive, fixed.StateMin, fixed.StateMax)
+			u[j] = drive
 		}
-		v := p.v[i]
-		if p.cfg.LeakShift > 0 {
-			v -= v >> p.cfg.LeakShift
+		vj := v[j]
+		if leak > 0 {
+			vj -= vj >> leak
 		}
-		v = fixed.SatAdd32(v, fixed.SatAdd32(drive, p.Bias[i], fixed.StateMin, fixed.StateMax),
+		vj = fixed.SatAdd32(vj, fixed.SatAdd32(drive, bias[j], fixed.StateMin, fixed.StateMax),
 			fixed.StateMin, fixed.StateMax)
 
-		theta := p.cfg.Theta
-		if p.adaptTheta != nil {
-			p.adaptTheta[i] -= p.adaptTheta[i] >> p.cfg.HomeostasisDecayShift
-			theta += p.adaptTheta[i]
+		theta := theta0
+		if adapt != nil {
+			adapt[j] -= adapt[j] >> homDecay
+			theta += adapt[j]
 		}
-		fired := false
-		if v >= theta {
-			v -= theta // reset by subtraction preserves eq (2)
-			fired = true
-			if p.adaptTheta != nil {
-				p.adaptTheta[i] = fixed.SatAdd32(p.adaptTheta[i], p.cfg.HomeostasisUp,
-					0, fixed.StateMax)
+		fired := vj >= theta
+		if fired {
+			vj -= theta // reset by subtraction preserves eq (2)
+			if adapt != nil {
+				adapt[j] = fixed.SatAdd32(adapt[j], homUp, 0, fixed.StateMax)
 			}
 		}
-		if v < p.cfg.VMin {
-			v = p.cfg.VMin
+		if vj < vmin {
+			vj = vmin
 		}
-		p.v[i] = v
+		v[j] = vj
 
 		// The AND gates: a latched-inactive aux compartment or a silent
 		// phase-control neuron swallows the soma spike (the threshold
 		// crossing still consumed the potential).
-		if fired && p.cfg.Gated && !p.gateMask[i] {
-			fired = false
-		}
-		if fired && p.phaseGate != nil && !p.phaseGate.spikesPrev[0] {
-			fired = false
-		}
-		p.spikesNow[i] = fired
-		if fired {
+		if fired && open && (gate == nil || gate[j]) {
+			i := lo + j
+			now[i>>6] |= 1 << (uint(i) & 63)
 			spikes++
-			p.postTrace[i] = fixed.SatTrace(int64(p.postTrace[i]) + 1)
+			trace[j] = fixed.SatTrace(int64(trace[j]) + 1)
 		}
 	}
 	// Aux compartments integrate their source's current spikes
@@ -327,19 +337,14 @@ func (p *Population) updateRange(lo, hi int) int {
 	return spikes
 }
 
-// rotate publishes this step's spikes to the synapse-visible buffer and
-// rebuilds the matching bitset and active-index views (the index list is
-// derived from the bitset, so the two can never disagree).
+// rotate publishes this step's spikes to the synapse-visible bitset,
+// clears the next step's and gathers the active-index view (derived from
+// the bitset, so the two can never disagree). Injected source spikes are
+// one-shot events, cleared with the rest.
 func (p *Population) rotate() {
-	p.spikesPrev, p.spikesNow = p.spikesNow, p.spikesPrev
-	p.bitsPrev.FromBools(p.spikesPrev)
+	p.bitsPrev, p.bitsNow = p.bitsNow, p.bitsPrev
+	p.bitsNow.Zero()
 	p.activePrev.GatherBits(p.bitsPrev)
-	if p.cfg.Source {
-		// Injected spikes are one-shot events, not persistent state.
-		for i := range p.spikesNow {
-			p.spikesNow[i] = false
-		}
-	}
 }
 
 // latchGate snapshots aux activity into the gate mask.
@@ -365,14 +370,11 @@ func (p *Population) resetDynamics() {
 	for i := 0; i < p.N; i++ {
 		p.v[i] = 0
 		p.acc[i] = 0
-		p.spikesNow[i] = false
-		p.spikesPrev[i] = false
 		if p.u != nil {
 			p.u[i] = 0
 		}
 	}
-	p.activePrev.Reset()
-	p.bitsPrev.Zero()
+	p.clearSpikes()
 }
 
 // reset zeroes all dynamic state (sample boundary). Biases persist: they
@@ -381,8 +383,6 @@ func (p *Population) reset() {
 	for i := 0; i < p.N; i++ {
 		p.v[i] = 0
 		p.acc[i] = 0
-		p.spikesNow[i] = false
-		p.spikesPrev[i] = false
 		p.postTrace[i] = 0
 		if p.u != nil {
 			p.u[i] = 0
@@ -392,6 +392,12 @@ func (p *Population) reset() {
 			p.gateMask[i] = false
 		}
 	}
-	p.activePrev.Reset()
+	p.clearSpikes()
+}
+
+// clearSpikes empties both spike bitsets and the active list.
+func (p *Population) clearSpikes() {
+	p.bitsNow.Zero()
 	p.bitsPrev.Zero()
+	p.activePrev.Reset()
 }

@@ -261,8 +261,9 @@ func (g *SparseGroup) shardFanOut(lo, hi int) [][]SparseSynapse {
 // equivalence tests.
 func (g *SparseGroup) deliverDenseRange(lo, hi int) int64 {
 	var events int64
-	for k, s := range g.Pre.Spikes() {
-		if !s {
+	pre := g.Pre.SpikeBits()
+	for k := 0; k < g.Pre.N; k++ {
+		if !pre.Get(k) {
 			continue
 		}
 		for _, syn := range g.fanOut[k] {

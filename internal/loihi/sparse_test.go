@@ -86,7 +86,7 @@ func TestPhaseGateBlocksUntilControlFires(t *testing.T) {
 	// Phase 1: control silent → no output spikes.
 	for i := 0; i < 5; i++ {
 		chip.Step()
-		if p.Spikes()[0] {
+		if p.SpikeBits().Get(0) {
 			t.Fatal("phase-gated population fired while control silent")
 		}
 	}
@@ -94,7 +94,7 @@ func TestPhaseGateBlocksUntilControlFires(t *testing.T) {
 	ctrl.SetBiases([]int32{10})
 	chip.Step() // control fires now; p's gate still saw silence
 	chip.Step() // gate sees control's spike → p passes
-	if !p.Spikes()[0] {
+	if !p.SpikeBits().Get(0) {
 		t.Error("phase-gated population should fire once control is active")
 	}
 }

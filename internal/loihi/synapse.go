@@ -303,8 +303,9 @@ func (g *SynapseGroup) deliverPackedRange(lo, hi int, tracePre bool) int64 {
 func (g *SynapseGroup) deliverDenseRange(lo, hi int, tracePre bool) int64 {
 	var events int64
 	preN := g.Pre.N
-	for k, s := range g.Pre.Spikes() {
-		if !s {
+	pre := g.Pre.SpikeBits()
+	for k := 0; k < preN; k++ {
+		if !pre.Get(k) {
 			continue
 		}
 		if tracePre && g.preTrace != nil {
@@ -330,9 +331,21 @@ func (g *SynapseGroup) stepLearningRange(lo, hi int) {
 	if g.Rule == nil || !g.Rule.TagCountsPostSpikes {
 		return
 	}
-	for o := lo; o < hi; o++ {
-		if g.Post.spikesNow[o] {
-			g.tag[o]++
+	// Walk the words of the post population's fresh spikes that overlap
+	// [lo,hi), masking off bits outside the range.
+	words := g.Post.bitsNow.Words()
+	for wi := lo >> 6; wi <= (hi-1)>>6; wi++ {
+		word := words[wi]
+		base := wi << 6
+		if base < lo {
+			word &^= 1<<uint(lo-base) - 1
+		}
+		if hi-base < 64 {
+			word &= 1<<uint(hi-base) - 1
+		}
+		for word != 0 {
+			g.tag[base+mbits.TrailingZeros64(word)]++
+			word &= word - 1
 		}
 	}
 }

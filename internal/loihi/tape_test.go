@@ -93,7 +93,7 @@ func TestDriveTapeReplayBitIdentical(t *testing.T) {
 				t.Fatalf("step %d neuron %d: replayed v %d, live %d", s, i, rHid.Potential(i), lHid.Potential(i))
 			}
 		}
-		if !slices.Equal(rHid.Spikes(), lHid.Spikes()) {
+		if !slices.Equal(rHid.SpikeBits().Words(), lHid.SpikeBits().Words()) {
 			t.Fatalf("step %d: replayed spikes differ from live", s)
 		}
 		if !slices.Equal(tg.preTrace, lg.preTrace) {

@@ -275,7 +275,7 @@ func TestTopologyMeshBitIdentical(t *testing.T) {
 				for pi := range spops {
 					sp, mp := spops[pi], mpops[pi]
 					for i := 0; i < sp.N; i++ {
-						if sp.Potential(i) != mp.Potential(i) || sp.Spikes()[i] != mp.Spikes()[i] {
+						if sp.Potential(i) != mp.Potential(i) || sp.SpikeBits().Get(i) != mp.SpikeBits().Get(i) {
 							t.Fatalf("round %d pop %s compartment %d diverged", round, sp.Name, i)
 						}
 					}

@@ -29,7 +29,7 @@ func TestTraceDoesNotPerturbMesh(t *testing.T) {
 				if pp.Potential(i) != tp.Potential(i) {
 					t.Fatalf("round %d pop %s compartment %d: potential diverged under tracing", round, pp.Name, i)
 				}
-				if pp.Spikes()[i] != tp.Spikes()[i] {
+				if pp.SpikeBits().Get(i) != tp.SpikeBits().Get(i) {
 					t.Fatalf("round %d pop %s compartment %d: spike diverged under tracing", round, pp.Name, i)
 				}
 			}

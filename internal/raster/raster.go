@@ -35,7 +35,8 @@ func (r *Recorder) Tap(name string, p *loihi.Population) {
 // each chip.Step().
 func (r *Recorder) Observe() {
 	for i, p := range r.taps {
-		mask := append([]bool(nil), p.Spikes()...)
+		mask := make([]bool, p.N)
+		p.SpikeBits().ToBools(mask)
 		r.trains[i] = append(r.trains[i], mask)
 	}
 }
