@@ -37,11 +37,53 @@ func liveTestNames(t *testing.T) []string {
 	return names
 }
 
-// TestDocsAndCINameLiveTests keeps the prose and CI from naming tests
-// that no longer exist: every Test… name ARCHITECTURE.md cites must
-// prefix a live test, and every alternative of every `-run '…'` regex in
-// the CI workflow must select one, as `go test -run` would. A renamed
-// or deleted test otherwise leaves a race step silently running nothing.
+// repoDirRef matches a cmd/, internal/ or examples/ path in prose: a
+// plain path (internal/engine/pipeline.go) or a brace list
+// (cmd/{emstdp, serve}). A path that continues another one
+// (perfbench/cmd/x) does not match.
+var repoDirRef = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:cmd|internal|examples)/(?:\{[^}]*\}|[\w-]+(?:/[\w.-]+)*))`)
+
+// benchSnapshot matches a cited BENCH_<n>.json snapshot file.
+var benchSnapshot = regexp.MustCompile(`BENCH_(?:\d|<)`)
+
+// checkRepoPaths fails for every cmd/, internal/ or examples/ path that
+// doc names and the checkout does not have.
+func checkRepoPaths(t *testing.T, doc string, text []byte) {
+	t.Helper()
+	refs := repoDirRef.FindAllSubmatch(text, -1)
+	if len(refs) == 0 {
+		t.Errorf("%s names no cmd/, internal/ or examples/ path: the check proves nothing", doc)
+	}
+	for _, m := range refs {
+		ref := string(m[1])
+		var paths []string
+		if dir, list, ok := strings.Cut(ref, "/{"); ok {
+			for _, name := range strings.Split(strings.TrimSuffix(list, "}"), ",") {
+				if name = strings.TrimSpace(name); name != "..." {
+					paths = append(paths, dir+"/"+name)
+				}
+			}
+		} else {
+			paths = append(paths, strings.TrimRight(strings.TrimSuffix(ref, "/..."), "."))
+		}
+		for _, p := range paths {
+			if _, err := os.Stat(p); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, p)
+			}
+		}
+	}
+}
+
+// TestDocsAndCINameLiveTests keeps the prose and CI from naming tests,
+// directories and files that no longer exist: every Test… name
+// ARCHITECTURE.md cites must prefix a live test, every alternative of
+// every `-run '…'` regex in the CI workflow must select one, as
+// `go test -run` would, every cmd/, internal/ and examples/ path
+// ARCHITECTURE.md and the verify skill name must exist, as must every
+// `go run` target in CI, and none of the three may cite a BENCH_<n>.json
+// snapshot (perfbench and BENCHMARK.json are the one benchmark). A
+// renamed or deleted test otherwise leaves a race step silently running
+// nothing.
 func TestDocsAndCINameLiveTests(t *testing.T) {
 	live := liveTestNames(t)
 
@@ -49,6 +91,13 @@ func TestDocsAndCINameLiveTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	skillPath := filepath.Join(".claude", "skills", "verify", "SKILL.md")
+	skill, err := os.ReadFile(skillPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRepoPaths(t, "ARCHITECTURE.md", arch)
+	checkRepoPaths(t, skillPath, skill)
 	cited := regexp.MustCompile(`\bTest[A-Z0-9]\w*`).FindAllString(string(arch), -1)
 	if len(cited) == 0 {
 		t.Fatal("ARCHITECTURE.md cites no tests: the check proves nothing")
@@ -67,6 +116,21 @@ func TestDocsAndCINameLiveTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	goRuns := regexp.MustCompile(`go run (\S+)`).FindAllStringSubmatch(string(ci), -1)
+	if len(goRuns) == 0 {
+		t.Fatal("ci.yml has no go run targets: the check proves nothing")
+	}
+	for _, run := range goRuns {
+		if _, err := os.Stat(run[1]); err != nil {
+			t.Errorf("ci.yml runs go run %s, which does not exist", run[1])
+		}
+	}
+	for doc, text := range map[string][]byte{"ARCHITECTURE.md": arch, skillPath: skill, "ci.yml": ci} {
+		for _, cite := range benchSnapshot.FindAll(text, -1) {
+			t.Errorf("%s cites %s…, a benchmark snapshot that no longer exists", doc, cite)
+		}
+	}
+
 	runs := regexp.MustCompile(`-run '([^']*)'`).FindAllStringSubmatch(string(ci), -1)
 	if len(runs) == 0 {
 		t.Fatal("ci.yml has no -run patterns: the check proves nothing")

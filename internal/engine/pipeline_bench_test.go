@@ -10,7 +10,7 @@ import (
 )
 
 // benchNet builds a Table-I-cell-sized FP network (MNIST conv features
-// into 100-10 dense), the workload cmd/bench times end to end.
+// into 100-10 dense).
 func benchNet(b *testing.B) *emstdp.Network {
 	b.Helper()
 	cfg := emstdp.DefaultConfig(392, 100, 10)
@@ -65,8 +65,8 @@ func BenchmarkPipelineStages(b *testing.B) {
 }
 
 // BenchmarkTrainPipelined compares one epoch of online training against
-// the depth-2 pipeline on the bench-sized network — the speedup
-// cmd/bench commits as pipeline_speedup.
+// the depth-2 pipeline on the bench-sized network: the pipeline's
+// speedup is the ratio of the two sub-benchmarks.
 func BenchmarkTrainPipelined(b *testing.B) {
 	src := stream.NewSliceSource(benchSamples(64))
 	b.Run("online", func(b *testing.B) {

@@ -1,24 +1,16 @@
 // Streamed-training contracts: TrainStream over a bounded channel must
 // be bit-identical to the sequential mini-batch walk of the same
-// realised order materialised (weights, predictions, counters), and an
-// on-demand generator must stream into training deterministically.
+// realised order materialised (weights, predictions, counters).
 package engine_test
 
 import (
 	"fmt"
 	"testing"
 
-	"emstdp/internal/dvs"
-	"emstdp/internal/emstdp"
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
 	"emstdp/internal/stream"
 )
-
-// synthCfg sizes the DVS generator to the 36-input, 8-class toy network.
-func synthCfg() dvs.Config {
-	return dvs.Config{H: 6, W: 6, T: 16, BlobRadius: 1.5, NoiseRate: 0.01}
-}
 
 // realise drains a fresh SliceSource+ShuffleWindow pipeline into the
 // materialised sample sequence the streamed run will see.
@@ -122,42 +114,6 @@ func TestTrainStreamBitIdentical(t *testing.T) {
 					t.Fatalf("%s w=%d b=%d: prediction %d diverged: %d vs %d", name, c.workers, c.batch, i, pr, pg)
 				}
 			}
-		}
-	}
-}
-
-// TestTrainStreamFromSynthSource pins the memory-bounded path: an
-// on-demand generator streams through the window and channel into
-// training without any materialised dataset, and the run is
-// deterministic.
-func TestTrainStreamFromSynthSource(t *testing.T) {
-	build := func() (*emstdp.Network, int, error) {
-		cfg := emstdp.DefaultConfig(36, 12, 8)
-		cfg.T = 16
-		cfg.Seed = 7
-		n := emstdp.New(cfg)
-		src := stream.NewChannel(
-			stream.NewShuffleWindow(stream.NewSynthSource(synthCfg(), 40, 3), 8, 11),
-			stream.Watermarks{Low: 2, High: 8})
-		g := engine.NewGroup(n, engine.NewPool(1))
-		trained, err := g.TrainStream(src, 1)
-		return n, trained, err
-	}
-	a, na, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, nb, err := build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if na != 40 || nb != 40 {
-		t.Fatalf("trained %d/%d samples, want 40", na, nb)
-	}
-	wa, wb := fpWeights(a), fpWeights(b)
-	for i := range wa {
-		if wa[i] != wb[i] {
-			t.Fatalf("synthetic streamed training not deterministic at weight %d", i)
 		}
 	}
 }

@@ -139,7 +139,7 @@ func TestLearningSaturatesAtInt8(t *testing.T) {
 	g.preTrace[0] = 64
 	g.Post.postTrace[0] = 64
 	g.tag[0] = 64
-	g.applyEpoch() // Δw = (2·64−64)·64 = 4096 → clips at 127
+	g.applyEpochRange(0, g.Post.N) // Δw = (2·64−64)·64 = 4096 → clips at 127
 	if g.W[0] != fixed.WeightMax {
 		t.Errorf("weight = %d, want saturation at %d", g.W[0], fixed.WeightMax)
 	}
@@ -160,7 +160,7 @@ func TestFrozenPostRowsSkipped(t *testing.T) {
 	g.Post.postTrace[1] = 5
 	g.tag[0] = 5
 	g.tag[1] = 5
-	g.applyEpoch()
+	g.applyEpochRange(0, g.Post.N)
 	if g.W[0] == 0 {
 		t.Error("unfrozen row did not learn")
 	}

@@ -164,24 +164,22 @@ func (c *Chip) AddPopulationRange(p *Population, lo, hi, firstCore, perCore int)
 		return fmt.Errorf("loihi: population %q needs cores [%d,%d), chip has %d",
 			p.Name, firstCore, firstCore+needed, c.HW.NumCores)
 	}
+	// Check every core's budget before charging any, so a failed
+	// registration leaves the die as it was.
 	entry := popEntry{p: p, lo: lo, hi: hi}
-	remaining := n
 	for i := 0; i < needed; i++ {
-		take := perCore
-		if take > remaining {
-			take = remaining
-		}
-		core := firstCore + i
+		core, take := firstCore+i, min(perCore, n-i*perCore)
 		if c.coreCompartments[core]+take > c.HW.MaxCompartmentsPerCore {
 			return fmt.Errorf("loihi: core %d compartment budget exceeded (%d+%d > %d)",
 				core, c.coreCompartments[core], take, c.HW.MaxCompartmentsPerCore)
 		}
-		if c.coreCompartments[core] == 0 {
+		entry.cores = append(entry.cores, coreSlice{Core: core, Count: take})
+	}
+	for _, cs := range entry.cores {
+		if c.coreCompartments[cs.Core] == 0 {
 			c.activeCores++
 		}
-		c.coreCompartments[core] += take
-		entry.cores = append(entry.cores, coreSlice{Core: core, Count: take})
-		remaining -= take
+		c.coreCompartments[cs.Core] += cs.Count
 	}
 	c.pops = append(c.pops, entry)
 	if !slices.Contains(c.owned, p) {
@@ -218,26 +216,28 @@ func (c *Chip) connectRange(g Connector, lo, hi int, chargeFanIn, tracePre bool)
 		return fmt.Errorf("loihi: group %q post range [%d,%d) of %q not hosted on this die",
 			g.GroupName(), lo, hi, post.Name)
 	}
+	// Check the fan-in and every core's synaptic memory before charging
+	// any, so a failed connect leaves the die as it was. Synaptic memory
+	// is charged to destination cores proportionally to the compartments
+	// they host.
 	fanIn := g.MaxFanIn()
-	if chargeFanIn {
-		if post.fanIn+fanIn > c.HW.MaxFanInPerCompartment {
-			return fmt.Errorf("loihi: group %q would give population %q fan-in %d > limit %d",
-				g.GroupName(), post.Name, post.fanIn+fanIn, c.HW.MaxFanInPerCompartment)
+	if chargeFanIn && post.fanIn+fanIn > c.HW.MaxFanInPerCompartment {
+		return fmt.Errorf("loihi: group %q would give population %q fan-in %d > limit %d",
+			g.GroupName(), post.Name, post.fanIn+fanIn, c.HW.MaxFanInPerCompartment)
+	}
+	perCompartment := (g.Synapses() + post.N - 1) / post.N
+	for _, cs := range entry.cores {
+		need := cs.Count * perCompartment
+		if c.coreSynapses[cs.Core]+need > c.HW.MaxSynapsesPerCore {
+			return fmt.Errorf("loihi: core %d synapse memory exceeded (%d+%d > %d)",
+				cs.Core, c.coreSynapses[cs.Core], need, c.HW.MaxSynapsesPerCore)
 		}
+	}
+	if chargeFanIn {
 		post.fanIn += fanIn
 	}
-	// Charge synaptic memory to destination cores proportionally to the
-	// compartments they host.
-	if post.N > 0 {
-		perCompartment := (g.Synapses() + post.N - 1) / post.N
-		for _, cs := range entry.cores {
-			need := cs.Count * perCompartment
-			if c.coreSynapses[cs.Core]+need > c.HW.MaxSynapsesPerCore {
-				return fmt.Errorf("loihi: core %d synapse memory exceeded (%d+%d > %d)",
-					cs.Core, c.coreSynapses[cs.Core], need, c.HW.MaxSynapsesPerCore)
-			}
-			c.coreSynapses[cs.Core] += need
-		}
+	for _, cs := range entry.cores {
+		c.coreSynapses[cs.Core] += cs.Count * perCompartment
 	}
 	if lo != 0 || hi != post.N {
 		g.prepareRange(lo, hi)

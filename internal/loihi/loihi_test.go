@@ -353,6 +353,73 @@ func TestSynapseMemoryValidation(t *testing.T) {
 	}
 }
 
+// TestFailedRegistrationChargesNothing pins registration as
+// all-or-nothing: a population or connector that breaks a budget on a
+// later core must leave no charge on the earlier ones, so the die looks
+// exactly as it did before the call and a registration that fits still
+// succeeds.
+func TestFailedRegistrationChargesNothing(t *testing.T) {
+	t.Run("population", func(t *testing.T) {
+		hw := DefaultHardware()
+		hw.NumCores = 2
+		hw.MaxCompartmentsPerCore = 10
+		chip := New(hw)
+		if err := chip.AddPopulation(ifPop("full", 10, 10), 1, 10); err != nil {
+			t.Fatal(err)
+		}
+		// 5 per core from core 0: core 0 fits, core 1 is full.
+		if err := chip.AddPopulationRange(ifPop("p", 10, 10), 0, 10, 0, 5); err == nil {
+			t.Fatal("core 1 is full; expected budget error")
+		}
+		if occ := chip.CoreOccupancy(); !slices.Equal(occ, []int{0, 10}) {
+			t.Errorf("occupancy after failed registration = %v, want [0 10]", occ)
+		}
+		if got := chip.ActiveCores(); got != 1 {
+			t.Errorf("ActiveCores after failed registration = %d, want 1", got)
+		}
+		if err := chip.AddPopulation(ifPop("q", 10, 10), 0, 10); err != nil {
+			t.Errorf("core 0 is empty, 10 compartments should fit: %v", err)
+		}
+	})
+	t.Run("connect", func(t *testing.T) {
+		hw := DefaultHardware()
+		hw.MaxSynapsesPerCore = 100
+		hw.MaxFanInPerCompartment = 15
+		chip := New(hw)
+		big := ifPop("big", 12, 10)
+		small := ifPop("small", 10, 10)
+		post := ifPop("post", 10, 10) // cores 1 and 2, 5 each
+		side := ifPop("side", 5, 10)  // core 2
+		for _, reg := range []struct {
+			p                  *Population
+			firstCore, perCore int
+		}{{big, 0, 12}, {small, 3, 10}, {post, 1, 5}, {side, 2, 5}} {
+			if err := chip.AddPopulation(reg.p, reg.firstCore, reg.perCore); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// 5 × 10 = 50 synapse entries on core 2.
+		if err := chip.Connect(NewSynapseGroup("small-side", small, side, 0)); err != nil {
+			t.Fatal(err)
+		}
+		// 12 per compartment, 60 per core: core 1 fits, core 2 (50+60) does not.
+		if err := chip.Connect(NewSynapseGroup("big-post", big, post, 0)); err == nil {
+			t.Fatal("core 2 synapse memory overflow should be rejected")
+		}
+		if post.fanIn != 0 {
+			t.Errorf("fan-in after failed connect = %d, want 0", post.fanIn)
+		}
+		if got := chip.coreSynapses[:3]; !slices.Equal(got, []int{0, 0, 50}) {
+			t.Errorf("synapses per core after failed connect = %v, want [0 0 50]", got)
+		}
+		// Fan-in 10 ≤ 15 and 50 entries per core fit only if the failed
+		// connect left nothing behind.
+		if err := chip.Connect(NewSynapseGroup("small-post", small, post, 0)); err != nil {
+			t.Errorf("connect that fits was rejected: %v", err)
+		}
+	})
+}
+
 func TestCountersTrackActivity(t *testing.T) {
 	chip := New(DefaultHardware())
 	a := ifPop("a", 2, 10)

@@ -26,20 +26,17 @@ const (
 // groups (SynapseGroup) and sparse fixed groups (SparseGroup) both
 // implement it.
 type Connector interface {
-	// deliver routes last step's pre spikes, returning synaptic events.
-	deliver() int64
-	// deliverRange delivers into post compartments [lo,hi) only — a
-	// multi-die shard of the group. tracePre guards the presynaptic
-	// trace so exactly one shard maintains it per step.
+	// deliverRange routes last step's pre spikes into post compartments
+	// [lo,hi) — the whole group or a multi-die shard of it — returning
+	// synaptic events. tracePre guards the presynaptic trace so exactly
+	// one shard maintains it per step.
 	deliverRange(lo, hi int, tracePre bool) int64
-	// stepLearning runs per-step learning micro-ops.
-	stepLearning()
-	// stepLearningRange runs the micro-ops for post rows [lo,hi).
+	// stepLearningRange runs the per-step learning micro-ops for post
+	// rows [lo,hi).
 	stepLearningRange(lo, hi int)
-	// applyEpoch applies the learning rule, returning ops performed.
-	applyEpoch() int64
-	// applyEpochRange applies the rule to post rows [lo,hi); shards must
-	// be visited in ascending row order to preserve the RNG stream.
+	// applyEpochRange applies the learning rule to post rows [lo,hi),
+	// returning ops performed; shards must be visited in ascending row
+	// order to preserve the RNG stream.
 	applyEpochRange(lo, hi int) int64
 	// prepareRange lets a connector pre-index the synapses of a post-row
 	// shard [lo,hi) before stepping begins (called at mesh registration;
@@ -166,12 +163,10 @@ func (g *SparseGroup) finalizeFanIn() {
 	g.maxFanIn = m
 }
 
-// deliver routes spikes through the adjacency lists, iterating the
-// presynaptic bitset instead of scanning the dense vector.
-func (g *SparseGroup) deliver() int64 { return g.deliverRange(0, g.Post.N, true) }
-
-// deliverRange delivers the synapses whose post compartment lies in
-// [lo,hi) — a multi-die shard. Per post neuron the contribution sequence
+// deliverRange routes spikes through the adjacency lists, iterating the
+// presynaptic bitset instead of scanning the dense vector, and delivers
+// the synapses whose post compartment lies in [lo,hi) — the whole group
+// or a multi-die shard. Per post neuron the contribution sequence
 // (ascending pre index, insertion order within a pre fan-out list) is
 // the same as the full kernel, so sharded delivery is bit-identical.
 // Sparse groups carry no pre trace; tracePre is accepted for the
@@ -279,14 +274,8 @@ func (g *SparseGroup) deliverDenseRange(lo, hi int) int64 {
 // setDelivery selects the spike-iteration kernel.
 func (g *SparseGroup) setDelivery(m DeliveryMode) { g.delivery = m }
 
-// stepLearning is a no-op: sparse groups are fixed.
-func (g *SparseGroup) stepLearning() {}
-
 // stepLearningRange is a no-op: sparse groups are fixed.
 func (g *SparseGroup) stepLearningRange(lo, hi int) {}
-
-// applyEpoch is a no-op: sparse groups are fixed.
-func (g *SparseGroup) applyEpoch() int64 { return 0 }
 
 // applyEpochRange is a no-op: sparse groups are fixed.
 func (g *SparseGroup) applyEpochRange(lo, hi int) int64 { return 0 }

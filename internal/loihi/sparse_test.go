@@ -100,14 +100,15 @@ func TestPhaseGateBlocksUntilControlFires(t *testing.T) {
 }
 
 func TestSparseGroupFixedUnderLearning(t *testing.T) {
-	// applyEpoch and stepLearning must be no-ops for sparse groups.
+	// applyEpochRange and stepLearningRange must be no-ops for sparse
+	// groups.
 	a := ifPop("a", 1, 10)
 	b := ifPop("b", 1, 10)
 	g := NewSparseGroup("ab", a, b, 0)
 	g.Add(0, 0, 7)
-	g.stepLearning()
-	if ops := g.applyEpoch(); ops != 0 {
-		t.Errorf("sparse applyEpoch ops = %d", ops)
+	g.stepLearningRange(0, b.N)
+	if ops := g.applyEpochRange(0, b.N); ops != 0 {
+		t.Errorf("sparse applyEpochRange ops = %d", ops)
 	}
 	if g.fanOut[0][0].W != 7 {
 		t.Error("sparse weight changed")

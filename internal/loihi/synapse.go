@@ -190,23 +190,22 @@ func (g *SynapseGroup) WeightFloat(o, k int, scale float64) float64 {
 	return float64(int32(g.W[o*g.Pre.N+k])<<g.Exp) / scale
 }
 
-// deliver routes last step's presynaptic spikes into the post
-// population, returning the number of synaptic events (per-spike fan-out
-// deliveries). The event-driven kernel walks the presynaptic spike
-// bitset and scatters each spike's contiguous transposed weight
-// column — the simulator finally does work proportional to the
-// SynapticEvents it counts, like the chip. Membrane accumulation is
+// deliverRange routes last step's presynaptic spikes into post
+// compartments [lo,hi), returning the number of synaptic events
+// (per-spike fan-out deliveries). The event-driven kernel walks the
+// presynaptic spike bitset and scatters each spike's contiguous
+// transposed weight column — the simulator does work proportional to
+// the SynapticEvents it counts, like the chip. Membrane accumulation is
 // saturating-integer in the same order as the dense reference (ascending
 // presynaptic index per post neuron), so results are bit-identical.
-func (g *SynapseGroup) deliver() int64 { return g.deliverRange(0, g.Post.N, true) }
-
-// deliverRange delivers into post compartments [lo,hi) only — the shard
-// of the group a die hosts when the post population is range-partitioned
-// (Loihi stores synapses at the destination, so a split post population
-// splits the group's rows with it). tracePre guards the presynaptic
-// trace update so exactly one shard per group maintains it. Per post
-// neuron the contribution order (ascending presynaptic index) is the
-// same as the full kernel, so sharded delivery is bit-identical.
+//
+// [lo,hi) is the whole group or the shard a die hosts when the post
+// population is range-partitioned (Loihi stores synapses at the
+// destination, so a split post population splits the group's rows with
+// it). tracePre guards the presynaptic trace update so exactly one shard
+// per group maintains it. Per post neuron the contribution order
+// (ascending presynaptic index) is the same as the full kernel, so
+// sharded delivery is bit-identical.
 //
 // Under a drive tape (EnableDriveTape) the step's SetTape mode decides:
 // TapeRecord copies the drive left in post rows [lo,hi) into the tape
@@ -322,11 +321,9 @@ func (g *SynapseGroup) deliverDenseRange(lo, hi int, tracePre bool) int64 {
 	return events
 }
 
-// stepLearning runs per-step learning micro-ops: the tag accumulation
-// rule dt = y0 (one increment per postsynaptic spike, both phases).
-func (g *SynapseGroup) stepLearning() { g.stepLearningRange(0, g.Post.N) }
-
-// stepLearningRange runs the tag micro-op for post rows [lo,hi).
+// stepLearningRange runs the per-step learning micro-op for post rows
+// [lo,hi): the tag accumulation rule dt = y0 (one increment per
+// postsynaptic spike, both phases).
 func (g *SynapseGroup) stepLearningRange(lo, hi int) {
 	if g.Rule == nil || !g.Rule.TagCountsPostSpikes {
 		return
@@ -350,11 +347,8 @@ func (g *SynapseGroup) stepLearningRange(lo, hi int) {
 	}
 }
 
-// applyEpoch applies the weight update rule over all synapses, returning
-// the number of learning operations performed.
-func (g *SynapseGroup) applyEpoch() int64 { return g.applyEpochRange(0, g.Post.N) }
-
-// applyEpochRange applies the rule to post rows [lo,hi). The
+// applyEpochRange applies the weight update rule to post rows [lo,hi),
+// returning the number of learning operations performed. The
 // stochastic-rounding bits come from the group's single lrnRNG stream in
 // row order, so a multi-die learning epoch that walks a group's shards
 // in ascending row order draws exactly the single-die bit sequence.
@@ -398,7 +392,7 @@ func (g *SynapseGroup) applyEpochRange(lo, hi int) int64 {
 // LearnState is a snapshot of the learning-engine inputs of one plastic
 // group at the end of phase 2: the presynaptic trace, the per-row tag,
 // and the postsynaptic population's trace. Together these are everything
-// applyEpoch reads besides the weights themselves, so a snapshot
+// applyEpochRange reads besides the weights themselves, so a snapshot
 // captured on a replica chip can be restored onto another chip with the
 // same netlist and applied there — the mechanism the execution engine
 // uses to run batch members on replicas while the master chip applies

@@ -1,8 +1,7 @@
 // Package stream is the ingestion subsystem between datasets and the
 // execution engine: instead of materialising a whole split as a
 // []metrics.Sample slice, training pulls samples one at a time from a
-// Source — a replayed slice, an on-demand synthetic generator, or any
-// composition of stages — through a bounded channel with low/high
+// Source — a replayed slice or any composition of stages — through a bounded channel with low/high
 // watermark backpressure.
 //
 // The pipeline shape mirrors a host streaming batches to an accelerator

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"emstdp/internal/dvs"
 	"emstdp/internal/metrics"
 	"emstdp/internal/rng"
 )
@@ -232,57 +231,6 @@ func TestChannelOverShuffleWindow(t *testing.T) {
 	}
 	if same {
 		t.Fatal("Reset through the channel did not advance the window epoch")
-	}
-}
-
-func TestSynthSourceStreamsDeterministically(t *testing.T) {
-	cfg := dvs.Config{H: 8, W: 8, T: 16, BlobRadius: 1.5, NoiseRate: 0.01}
-	a := NewSynthSource(cfg, 12, 5)
-	b := NewSynthSource(cfg, 12, 5)
-	if a.Len() != 12 {
-		t.Fatalf("Len = %d, want 12", a.Len())
-	}
-	gen := dvs.NewGenerator(cfg, 5)
-	for i := 0; i < 12; i++ {
-		sa, oka := a.Next()
-		sb, okb := b.Next()
-		if !oka || !okb {
-			t.Fatalf("stream ended at %d", i)
-		}
-		want := gen.Next()
-		if sa.Y != int(want.Label) || sb.Y != int(want.Label) {
-			t.Fatalf("sample %d label %d/%d, want %v", i, sa.Y, sb.Y, want.Label)
-		}
-		wx := want.RateMap()
-		for j := range wx {
-			if sa.X[j] != wx[j] || sb.X[j] != wx[j] {
-				t.Fatalf("sample %d rate %d diverged from the generator draw", i, j)
-			}
-		}
-	}
-	if _, ok := a.Next(); ok {
-		t.Fatal("bounded source did not end after n samples")
-	}
-	a.Reset()
-	s, ok := a.Next()
-	if !ok || s.Y != 0 {
-		t.Fatalf("Reset did not rewind to the first draw (label %d)", s.Y)
-	}
-}
-
-func TestSynthSourceUnbounded(t *testing.T) {
-	src := NewSynthSource(dvs.Config{H: 6, W: 6, T: 8, BlobRadius: 1.2}, 0, 9)
-	if src.Len() != -1 {
-		t.Fatalf("unbounded Len = %d, want -1", src.Len())
-	}
-	for i := 0; i < int(dvs.NumGestures)*2; i++ {
-		s, ok := src.Next()
-		if !ok {
-			t.Fatal("unbounded source ended")
-		}
-		if s.Y != i%int(dvs.NumGestures) {
-			t.Fatalf("sample %d label %d: generator must cycle classes", i, s.Y)
-		}
 	}
 }
 
