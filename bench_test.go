@@ -1,6 +1,6 @@
 // Package bench is the benchmark harness that regenerates every table
-// and figure of the paper's evaluation, plus ablation benches for the
-// design choices DESIGN.md calls out. Custom metrics carry the paper's
+// and figure of the paper's evaluation, plus ablation benches for its
+// design choices. Custom metrics carry the paper's
 // reported quantities (accuracy, FPS, watts, mJ/sample) alongside Go's
 // timing output:
 //
@@ -10,8 +10,8 @@
 //	go test -bench=Fig4                    # Fig 4 incremental learning
 //	go test -bench=Ablation                # design-choice ablations
 //
-// Benches run at a reduced scale; the committed full-scale numbers live
-// in EXPERIMENTS.md and regenerate with `go run ./cmd/experiments -scale full`.
+// Benches run at a reduced scale; the full-scale numbers regenerate with
+// `go run ./cmd/experiments -scale full`.
 package bench
 
 import (
@@ -215,7 +215,7 @@ func BenchmarkFig4_Incremental(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) ---
+// --- Ablation benches (the paper's design choices) ---
 
 // BenchmarkAblationFeedback compares FA and FA-without-gating: the h′
 // multi-compartment AND gate is one of the paper's four approximation

@@ -7,8 +7,8 @@
 //	experiments -exp all -scale full # everything at full scale
 //
 // Observability: -trace out.json records every layer (pool workers,
-// pipeline slots, orchestrator stages, stream channel, mesh phases) as
-// a Chrome/Perfetto trace; -pprof addr serves net/http/pprof plus the
+// pipeline slots, orchestrator stages, mesh phases) as a
+// Chrome/Perfetto trace; -pprof addr serves net/http/pprof plus the
 // live counters snapshot while the run is in flight.
 package main
 
@@ -59,9 +59,6 @@ func main() {
 	partition := flag.String("partition", "population", "multi-die sharding strategy: population, range or traffic")
 	topology := flag.String("topology", "line", "multi-die NoC topology: line, mesh or torus")
 	fig3csv := flag.String("fig3csv", "", "also write the fig3 grid as CSV to this path")
-	streamFlag := flag.Bool("stream", false, "train through the streaming ingestion pipeline (shuffle window + bounded channel)")
-	window := flag.Int("window", 0, "shuffle-window size for -stream (0 = default)")
-	asyncEval := flag.Bool("async-eval", false, "overlap per-epoch evaluation with the next epoch's training")
 	orchestrate := flag.Bool("orchestrate", false, "schedule sweep grids as dependency task graphs with content-addressed stage caching (bit-identical to the flat path)")
 	cacheDir := flag.String("cache-dir", "", "stage-cache spill directory for -orchestrate (\"\" = in-memory only; a populated directory makes reruns warm-start)")
 	issueLow := flag.Int("issue-low", 0, "orchestrator low watermark: refill the issue window once in-flight stages drain to this (0 = default)")
@@ -100,9 +97,6 @@ func main() {
 		os.Exit(2)
 	}
 	sc.Topology = *topology
-	sc.Stream = *streamFlag
-	sc.Window = *window
-	sc.AsyncEval = *asyncEval
 	sc.Orchestrate = *orchestrate
 	sc.CacheDir = *cacheDir
 	sc.IssueLow = *issueLow

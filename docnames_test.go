@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -74,18 +76,66 @@ func checkRepoPaths(t *testing.T, doc string, text []byte) {
 	}
 }
 
+// mdCite matches a Markdown file name (ROADMAP.md, perfbench/README.md).
+var mdCite = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// checkGoCommentDocs fails for every *.md file a Go comment in the
+// checkout names that exists neither beside the Go file nor at the
+// checkout root.
+func checkGoCommentDocs(t *testing.T) {
+	t.Helper()
+	fset := token.NewFileSet()
+	cites := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, group := range f.Comments {
+			for _, name := range mdCite.FindAllString(group.Text(), -1) {
+				cites++
+				_, errBeside := os.Stat(filepath.Join(filepath.Dir(path), name))
+				_, errRoot := os.Stat(name)
+				if errBeside != nil && errRoot != nil {
+					t.Errorf("%s: a comment cites %s, which does not exist", fset.Position(group.Pos()), name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cites == 0 {
+		t.Error("no Go comment names a *.md file: the check proves nothing")
+	}
+}
+
 // TestDocsAndCINameLiveTests keeps the prose and CI from naming tests,
 // directories and files that no longer exist: every Test… name
 // ARCHITECTURE.md cites must prefix a live test, every alternative of
 // every `-run '…'` regex in the CI workflow must select one, as
 // `go test -run` would, every cmd/, internal/ and examples/ path
 // ARCHITECTURE.md and the verify skill name must exist, as must every
-// `go run` target in CI, and none of the three may cite a BENCH_<n>.json
-// snapshot (perfbench and BENCHMARK.json are the one benchmark). A
-// renamed or deleted test otherwise leaves a race step silently running
-// nothing.
+// `go run` target in CI, none of the three may cite a BENCH_<n>.json
+// snapshot (perfbench and BENCHMARK.json are the one benchmark), and
+// every *.md file a Go comment names must exist. A renamed or deleted
+// test otherwise leaves a race step silently running nothing.
 func TestDocsAndCINameLiveTests(t *testing.T) {
 	live := liveTestNames(t)
+	checkGoCommentDocs(t)
 
 	arch, err := os.ReadFile("ARCHITECTURE.md")
 	if err != nil {

@@ -120,38 +120,18 @@ type Options struct {
 	// and applied in sample order — bounded-lag batch-1 — and the
 	// realized schedule depends on D alone, never on Workers. D = 2
 	// overlaps phase 1 of sample k+1 with phase 2 of sample k for ~2×
-	// online-training throughput. Takes precedence over Batch. Composes
-	// with Stream: the pipeline pulls each epoch's samples straight from
-	// the streaming ingestion channel, in the streamed order.
+	// online-training throughput. Takes precedence over Batch.
 	Pipeline int
-	// Stream selects the streaming ingestion path for training: each
-	// epoch pulls the split through a stream.ShuffleWindow (a bounded
-	// reservoir re-ordering stage) and a bounded channel with watermark
-	// backpressure instead of materialising a permutation. The realised
-	// order is deterministic (seeded per epoch) but differs from the
-	// non-streamed shuffle; for a fixed realised order the streamed
-	// update sequence is bit-identical to the materialised one.
-	Stream bool
-	// StreamWindow is the shuffle-window size W (default 256; W = 1
-	// replays the split in storage order). Memory spent on re-ordering
-	// is bounded by W samples regardless of split size.
-	StreamWindow int
-	// AsyncEval makes TrainCurve cut a weight snapshot
-	// (engine.Group.Snapshot) at each epoch boundary and classify the
-	// test split on it in the background while the next epoch trains,
-	// so accuracy curves cost near-zero wall clock. Reported accuracies
-	// are identical to the synchronous path.
-	AsyncEval bool
 	// Seed drives every random choice (default 1).
 	Seed uint64
 	// Trace, when set, records the run's timeline onto the shared
 	// tracer: engine pool-worker chunk spans, pipeline slot/coordinator
-	// spans, streaming-channel watermark spans and the chip mesh's
-	// per-step sub-phase spans all land on its tracks (export with
-	// trace.Tracer.WriteChromeTrace). Purely observational — results
-	// are bit-identical with and without a tracer attached — and
-	// excluded from stage canonicalisation, so attaching one never
-	// invalidates sweep caches. Nil (the default) records nothing.
+	// spans and the chip mesh's per-step sub-phase spans all land on its
+	// tracks (export with trace.Tracer.WriteChromeTrace). Purely
+	// observational — results are bit-identical with and without a
+	// tracer attached — and excluded from stage canonicalisation, so
+	// attaching one never invalidates sweep caches. Nil (the default)
+	// records nothing.
 	Trace *trace.Tracer
 }
 
@@ -185,9 +165,6 @@ func (o Options) withDefaults() Options {
 	if o.Batch <= 0 {
 		o.Batch = 1
 	}
-	if o.StreamWindow == 0 {
-		o.StreamWindow = 256
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -215,22 +192,6 @@ type Model struct {
 	// grp lazily binds the backend to the engine's worker pool; built on
 	// the first Train/Evaluate.
 	grp *engine.Group
-
-	// win is the persistent shuffle window of the streaming ingestion
-	// path (Opts.Stream): it survives across epochs so Reset advances
-	// the per-epoch seeded order; streamEpoch mirrors its position so a
-	// rebuild after RefreshFeatures resumes rather than replaying epoch
-	// 0. streamStats accumulates the ingestion counters of every
-	// streamed epoch.
-	win         *stream.ShuffleWindow
-	streamEpoch uint64
-	streamStats stream.Stats
-	// stallHist and occHist are the streaming path's latency
-	// histograms: per-stall producer wait (ns) and shuffle-window
-	// occupancy at each emit. Built with the window on the first
-	// streamed epoch.
-	stallHist *metrics.Histogram
-	occHist   *metrics.Histogram
 }
 
 // Build generates the dataset, pretrains and calibrates the conv stack,
@@ -393,7 +354,7 @@ func (m *Model) backendSamples(train bool) []metrics.Sample {
 	return out
 }
 
-// TrainEpoch streams the whole training split once, in a fresh random
+// TrainEpoch trains on the whole training split once, in a fresh random
 // order. With the default Batch=1 this is the paper's online protocol
 // (batch size 1, no augmentation — §IV-A), executed sequentially on the
 // backend. Batch > 1 shards each mini-batch's two-phase passes across
@@ -401,24 +362,15 @@ func (m *Model) backendSamples(train bool) []metrics.Sample {
 // Pipeline > 1 instead runs the bounded-lag two-phase pipeline: updates
 // stay per-sample and in order, but each pass reads weights lagging
 // exactly Pipeline-1 updates, so Pipeline passes overlap across
-// replicas. With Opts.Stream the epoch's order comes from the streaming
-// ingestion pipeline (shuffle window + bounded channel) instead of a
-// materialised permutation.
+// replicas.
 func (m *Model) TrainEpoch() {
-	var src engine.SampleSource
-	var ch *stream.Channel
-	if m.Opts.Stream {
-		ch = m.openStream()
-		src = ch
-	} else {
-		// The realised order copies sample headers, not sample data.
-		samples := m.backendSamples(true)
-		ordered := make([]metrics.Sample, len(samples))
-		for i, idx := range m.shuffler.Perm(len(samples)) {
-			ordered[i] = samples[idx]
-		}
-		src = stream.NewSliceSource(ordered)
+	// The realised order copies sample headers, not sample data.
+	samples := m.backendSamples(true)
+	ordered := make([]metrics.Sample, len(samples))
+	for i, idx := range m.shuffler.Perm(len(samples)) {
+		ordered[i] = samples[idx]
 	}
+	src := stream.NewSliceSource(ordered)
 	var err error
 	if m.Opts.Pipeline > 1 {
 		err = m.Group().TrainPipelined(src, m.Opts.Pipeline)
@@ -434,71 +386,6 @@ func (m *Model) TrainEpoch() {
 			m.TrainSample(s.X, s.Y)
 		}
 	}
-	if ch != nil {
-		m.closeStream(ch)
-	}
-}
-
-// openStream starts one epoch of the ingestion pipeline: split →
-// shuffle window (per-epoch seeded order, memory bounded by
-// Opts.StreamWindow) → bounded channel with watermark backpressure.
-// The window persists across epochs so each Reset advances to the next
-// deterministic order.
-func (m *Model) openStream() *stream.Channel {
-	if m.win == nil {
-		src := stream.NewSliceSource(m.backendSamples(true))
-		// The window draws epoch e from rng.New(seed+e), so its seed
-		// must sit far from the small Seed+k offsets the model's other
-		// streams use (dataset Seed, pretrain Seed+1, shuffler Seed+2,
-		// backend Seed+3, …) or some epoch's shuffle order would be
-		// drawn from a stream bit-identical to the network's own
-		// randomness. A golden-ratio offset keeps every epoch clear of
-		// them.
-		const streamSeedOffset = 0x9e3779b97f4a7c15
-		m.win = stream.NewShuffleWindow(src, m.Opts.StreamWindow, m.Opts.Seed+streamSeedOffset)
-		// A rebuild (RefreshFeatures) must not restart at epoch 0, or
-		// the next pass would replay an already-trained order.
-		m.win.SetEpoch(m.streamEpoch)
-		m.stallHist = &metrics.Histogram{}
-		m.occHist = &metrics.Histogram{}
-		m.win.SetOccupancyHistogram(m.occHist)
-	}
-	return stream.NewChannelObserved(m.win, stream.DefaultWatermarks(), stream.Instrumentation{
-		Tracer:    m.Opts.Trace,
-		Name:      "channel",
-		StallHist: m.stallHist,
-	})
-}
-
-// closeStream ends a streamed epoch: it stops the channel, folds its
-// counters into the model's totals and advances the window's epoch.
-func (m *Model) closeStream(ch *stream.Channel) {
-	ch.Stop()
-	m.streamStats.Add(ch.Stats())
-	m.win.Reset()
-	m.streamEpoch = m.win.Epoch()
-}
-
-// StreamStats returns the cumulative ingestion counters accumulated by
-// streamed training epochs (zero unless Opts.Stream is set).
-func (m *Model) StreamStats() stream.Stats { return m.streamStats }
-
-// StallHistogram returns the streaming producer's per-stall latency
-// histogram (ns per watermark gate), nil until a streamed epoch ran.
-func (m *Model) StallHistogram() *metrics.Histogram { return m.stallHist }
-
-// OccupancyHistogram returns the shuffle window's occupancy-at-emit
-// histogram, nil until a streamed epoch ran.
-func (m *Model) OccupancyHistogram() *metrics.Histogram { return m.occHist }
-
-// PublishStreamMetrics writes the streaming path's counters and
-// histogram summaries into reg under prefix ("<prefix>.stalls",
-// "<prefix>.stall_ns.p99", "<prefix>.occupancy.p50", …). No-op before
-// the first streamed epoch or on a nil registry.
-func (m *Model) PublishStreamMetrics(reg *metrics.Counters, prefix string) {
-	m.streamStats.Publish(reg, prefix)
-	m.stallHist.Publish(reg, prefix+".stall_ns")
-	m.occHist.Publish(reg, prefix+".occupancy")
 }
 
 // Train runs the given number of epochs.
@@ -506,54 +393,6 @@ func (m *Model) Train(epochs int) {
 	for e := 0; e < epochs; e++ {
 		m.TrainEpoch()
 	}
-}
-
-// TrainCurve trains for the given number of epochs and returns the test
-// accuracy measured at every epoch boundary. With Opts.AsyncEval each
-// boundary cuts a weight snapshot (engine.Group.Snapshot) and
-// classifies it on a background goroutine while the next epoch trains,
-// so the curve costs near-zero wall clock on top of training; the
-// accuracies are identical to the synchronous path because each
-// snapshot is cut synchronously at its boundary. At most one background
-// pass is in flight, and TrainCurve waits for it on every return path.
-func (m *Model) TrainCurve(epochs int) ([]float64, error) {
-	accs := make([]float64, epochs)
-	if !m.Opts.AsyncEval {
-		for e := range accs {
-			m.TrainEpoch()
-			accs[e] = m.Evaluate().Accuracy()
-		}
-		return accs, nil
-	}
-	samples := m.backendSamples(false)
-	// pending holds one result token: the error of the pass in flight,
-	// or nil before the first boundary. Taking it waits for that pass.
-	pending := make(chan error, 1)
-	pending <- nil
-	for e := range accs {
-		m.TrainEpoch()
-		if err := <-pending; err != nil {
-			return nil, err
-		}
-		v, err := m.Group().Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		go func() {
-			cm, err := v.Evaluate(samples, m.DS.NumClasses)
-			// Release before reporting, so the next boundary's Snapshot
-			// reuses this replica group.
-			v.Release()
-			if err == nil {
-				accs[e] = cm.Accuracy()
-			}
-			pending <- err
-		}()
-	}
-	if err := <-pending; err != nil {
-		return nil, err
-	}
-	return accs, nil
 }
 
 // Evaluate classifies the test split and returns the confusion matrix.
@@ -577,9 +416,6 @@ func (m *Model) Evaluate() *metrics.Confusion {
 func (m *Model) RefreshFeatures() {
 	m.trainFeat = m.featurize(m.DS.Train)
 	m.testFeat = m.featurize(m.DS.Test)
-	// The streaming window replays a snapshot of the old features;
-	// rebuild it lazily from the fresh ones.
-	m.win = nil
 }
 
 // TrainFeatures and TestFeatures expose the featurised splits for

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"emstdp/internal/metrics"
 	"emstdp/internal/trace"
 )
 
@@ -23,16 +22,13 @@ func assertSamePredictions(t *testing.T, label string, a, b *Model) {
 }
 
 // TestTraceDoesNotPerturbTraining pins the whole-stack observational
-// contract: a model trained with a live tracer (streamed, pipelined FP
-// path — pool, pipeline slots, channel and histograms all active) is
-// bit-identical to an untraced one.
+// contract: a model trained with a live tracer (pipelined FP path —
+// pool and pipeline slots active) is bit-identical to an untraced one.
 func TestTraceDoesNotPerturbTraining(t *testing.T) {
 	build := func(tr *trace.Tracer) *Model {
 		opts := smallOpts(FP)
 		opts.TrainSamples = 120
 		opts.TestSamples = 60
-		opts.Stream = true
-		opts.StreamWindow = 32
 		opts.Pipeline = 2
 		opts.Trace = tr
 		m, err := Build(opts)
@@ -48,7 +44,7 @@ func TestTraceDoesNotPerturbTraining(t *testing.T) {
 	defer plain.Close()
 	defer traced.Close()
 
-	assertSamePredictions(t, "fp stream+pipeline", plain, traced)
+	assertSamePredictions(t, "fp pipeline", plain, traced)
 
 	events := 0
 	for _, tk := range tr.Tracks() {
@@ -56,17 +52,6 @@ func TestTraceDoesNotPerturbTraining(t *testing.T) {
 	}
 	if events == 0 {
 		t.Fatal("live tracer recorded nothing across a full training run")
-	}
-
-	// The stream histograms rode along: occupancy sees one observation
-	// per delivered sample, and the publishing surface exports them.
-	if hist := traced.OccupancyHistogram(); hist == nil || hist.Count() == 0 {
-		t.Fatal("streamed traced run produced no occupancy observations")
-	}
-	reg := metrics.NewCounters()
-	traced.PublishStreamMetrics(reg, "stream.train")
-	if reg.Get("stream.train.occupancy.count") == 0 {
-		t.Fatal("PublishStreamMetrics exported no occupancy count")
 	}
 }
 

@@ -2,7 +2,7 @@
 // MNIST, Fashion-MNIST, CIFAR-10 and MSTAR — as procedural generators with
 // matched tensor shapes and a calibrated difficulty ordering.
 //
-// Substitution note (see DESIGN.md): the build environment has no data
+// Substitution note: the build environment has no data
 // files, so each dataset is replaced by a generator that preserves the
 // properties the paper's evaluation depends on: input shape (28×28×1,
 // 28×28×1, 32×32×3, 32×32×1), ten classes, and relative task difficulty

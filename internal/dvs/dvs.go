@@ -7,7 +7,7 @@
 // over a H×W sensor for T timesteps. Each timestep yields the set of
 // pixels whose brightness changed (the moving edge), i.e. a spike mask.
 // The generator is procedural and deterministic given a seed, standing
-// in for recordings like DVS128-Gesture (see DESIGN.md substitutions).
+// in for recordings like DVS128-Gesture.
 package dvs
 
 import (
@@ -201,41 +201,20 @@ func Generate(cfg Config, g Gesture, r *rng.Source) *Sample {
 	return s
 }
 
-// Generator yields a class-balanced gesture stream one sample at a
-// time — sample i is gesture i mod NumGestures with fresh jitter — so a
-// consumer can train on an arbitrarily long stream without ever holding
-// a corpus in memory. NewDataset is a materialise-and-shuffle wrapper
-// over the same draw sequence.
-type Generator struct {
-	cfg  Config
-	r    *rng.Source
-	seed uint64
-	n    int
-}
-
-// NewGenerator returns a deterministic generator: two generators with
-// the same (cfg, seed) produce identical streams.
-func NewGenerator(cfg Config, seed uint64) *Generator {
-	return &Generator{cfg: cfg, r: rng.New(seed), seed: seed}
+// generator yields a class-balanced gesture draw sequence one sample
+// at a time — sample i is gesture i mod NumGestures with fresh jitter.
+// NewDataset materialises and shuffles it.
+type generator struct {
+	cfg Config
+	r   *rng.Source
+	n   int
 }
 
 // Next synthesises the next sample of the stream.
-func (g *Generator) Next() *Sample {
+func (g *generator) Next() *Sample {
 	s := Generate(g.cfg, Gesture(g.n%int(NumGestures)), g.r)
 	g.n++
 	return s
-}
-
-// Emitted returns the number of samples generated so far.
-func (g *Generator) Emitted() int { return g.n }
-
-// Config returns the sensor configuration the stream is drawn with.
-func (g *Generator) Config() Config { return g.cfg }
-
-// Reset rewinds a seed-constructed generator to the start of its stream.
-func (g *Generator) Reset() {
-	g.r = rng.New(g.seed)
-	g.n = 0
 }
 
 // Dataset is a labelled gesture corpus.
@@ -245,11 +224,11 @@ type Dataset struct {
 }
 
 // NewDataset generates a balanced gesture corpus by materialising a
-// Generator stream and shuffling it.
+// generator stream and shuffling it.
 func NewDataset(cfg Config, nTrain, nTest int, seed uint64) *Dataset {
 	r := rng.New(seed)
 	gen := func(n int, src *rng.Source) []*Sample {
-		g := &Generator{cfg: cfg, r: src}
+		g := &generator{cfg: cfg, r: src}
 		out := make([]*Sample, n)
 		for i := range out {
 			out[i] = g.Next()

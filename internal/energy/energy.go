@@ -2,7 +2,7 @@
 // platforms in Table II — Loihi, a desktop CPU (i7-8700) and a
 // workstation GPU (RTX 5000) — and the mapping trade-off of Fig 3.
 //
-// Substitution note (see DESIGN.md): the paper measures real hardware; we
+// Substitution note: the paper measures real hardware; we
 // compute the same quantities from first-principles models driven by the
 // actual workload of the simulated run:
 //

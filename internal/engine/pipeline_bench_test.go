@@ -6,7 +6,6 @@ import (
 	"emstdp/internal/emstdp"
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
-	"emstdp/internal/stream"
 )
 
 // benchNet builds a Table-I-cell-sized FP network (MNIST conv features
@@ -68,12 +67,12 @@ func BenchmarkPipelineStages(b *testing.B) {
 // the depth-2 pipeline on the bench-sized network: the pipeline's
 // speedup is the ratio of the two sub-benchmarks.
 func BenchmarkTrainPipelined(b *testing.B) {
-	src := stream.NewSliceSource(benchSamples(64))
+	src := &replaySource{samples: benchSamples(64)}
 	b.Run("online", func(b *testing.B) {
 		g := engine.NewGroup(benchNet(b), engine.NewPool(1))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			src.Reset()
+			src.i = 0
 			if _, err := g.TrainStream(src, 1); err != nil {
 				b.Fatal(err)
 			}
@@ -87,7 +86,7 @@ func BenchmarkTrainPipelined(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			src.Reset()
+			src.i = 0
 			if err := g.TrainPipelined(src, 2); err != nil {
 				b.Fatal(err)
 			}

@@ -282,14 +282,14 @@ func TestTrainPipelinedScheduleProperty(t *testing.T) {
 // TestTrainPipelinedSteadyStateAllocationFree extends the backends'
 // zero-allocation contract to the pipelined loop on both backends: once
 // the stage workers, replicas and update buffers exist, an epoch of
-// pipelined training over a rewound source allocates nothing — capture
+// pipelined training over a replayed source allocates nothing — capture
 // recycles snapshots (CaptureUpdateInto), hand-off reuses the per-slot
 // channels, and the backends' per-sample paths were already
 // allocation-free.
 func TestTrainPipelinedSteadyStateAllocationFree(t *testing.T) {
-	src := stream.NewSliceSource(synthSamples(12, 20, 4, 67))
+	src := &replaySource{samples: synthSamples(12, 20, 4, 67)}
 	epoch := func(t *testing.T, g *engine.Group) {
-		src.Reset()
+		src.i = 0
 		if err := g.TrainPipelined(src, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -357,4 +357,19 @@ func TestPipelinedTrainingCountersMatchSequentialSchedule(t *testing.T) {
 	if refRep != pipRep {
 		t.Fatalf("pipelined Table II training numbers diverge:\nref %+v\npip %+v", refRep, pipRep)
 	}
+}
+
+// replaySource replays samples in order; setting i back to 0 starts
+// another pass without allocating a new source.
+type replaySource struct {
+	samples []metrics.Sample
+	i       int
+}
+
+func (r *replaySource) Next() (metrics.Sample, bool) {
+	if r.i >= len(r.samples) {
+		return metrics.Sample{}, false
+	}
+	r.i++
+	return r.samples[r.i-1], true
 }

@@ -14,13 +14,11 @@ import (
 // classifies on the clone while the master trains on — sound because a
 // prediction is a pure function of (weights, input) and the clone's
 // weights are frozen at the sync. WeightVersion makes that contract a
-// first-class API with monotonic version numbers, which is what both
-// background evaluation (core.Model.TrainCurve overlapping an epoch's
-// evaluation with the next epoch's training) and a serving layer need:
-// readers classifying on "the weights as of update N" while exactly one
-// writer advances the master, with an auditable version number on every
-// response instead of an implicit "whenever the snapshot happened to be
-// cut".
+// first-class API with monotonic version numbers, which is what the
+// serving layer needs: readers classifying on "the weights as of update
+// N" while exactly one writer advances the master, with an auditable
+// version number on every response instead of an implicit "whenever the
+// snapshot happened to be cut".
 //
 // The conformance property (pinned by TestSnapshotVersionConformance and
 // the serve layer's suite) is: classifying on version N is bit-identical

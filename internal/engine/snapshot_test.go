@@ -118,11 +118,11 @@ func TestSnapshotVersionConformance(t *testing.T) {
 	}
 }
 
-// TestSnapshotEvaluateConcurrentWithTraining pins the background
-// evaluation idiom (core.Model.TrainCurve with AsyncEval) on both
-// backends: a version cut at an epoch boundary and evaluated on its own
-// goroutine while the master keeps training equals a synchronous
-// Evaluate at the cut. TestSnapshotVersionConformance reads versions
+// TestSnapshotEvaluateConcurrentWithTraining pins background evaluation
+// on a snapshot on both backends (the serving layer classifies this way
+// while its master trains): a version cut at an epoch boundary and
+// evaluated on its own goroutine while the master keeps training equals
+// a synchronous Evaluate at the cut. TestSnapshotVersionConformance reads versions
 // sequentially; this is the check that a read runs concurrently with
 // training. The second round reuses the first round's released
 // replicas and must see the newer weights.

@@ -3,11 +3,10 @@ package engine
 import "emstdp/internal/metrics"
 
 // SampleSource is the minimal pull contract both training entry points
-// (TrainStream, TrainPipelined) consume; stream.Source (and therefore
-// every ingestion stage, including the bounded stream.Channel)
-// satisfies it. The engine deliberately depends only on this one
-// method so the ingestion subsystem layers on top of the execution
-// layer, not inside it.
+// (TrainStream, TrainPipelined) consume; stream.SliceSource and the
+// bounded stream.Channel both satisfy it. The engine deliberately
+// depends only on this one method so the stream package layers on top
+// of the execution layer, not inside it.
 type SampleSource interface {
 	Next() (s metrics.Sample, ok bool)
 }

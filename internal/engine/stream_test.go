@@ -9,21 +9,18 @@ import (
 
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
+	"emstdp/internal/rng"
 	"emstdp/internal/stream"
 )
 
-// realise drains a fresh SliceSource+ShuffleWindow pipeline into the
-// materialised sample sequence the streamed run will see.
-func realise(samples []metrics.Sample, window int, seed uint64) []metrics.Sample {
-	win := stream.NewShuffleWindow(stream.NewSliceSource(samples), window, seed)
-	var out []metrics.Sample
-	for {
-		s, ok := win.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, s)
+// realise materialises a seeded random order of samples — the sample
+// sequence both the reference walk and the streamed run see.
+func realise(samples []metrics.Sample, seed uint64) []metrics.Sample {
+	out := make([]metrics.Sample, len(samples))
+	for i, idx := range rng.New(seed).Perm(len(samples)) {
+		out[i] = samples[idx]
 	}
+	return out
 }
 
 // trainBatched is the sequential reference of TrainStream's schedule
@@ -68,7 +65,7 @@ func trainBatched(t *testing.T, master engine.Runner, samples []metrics.Sample, 
 func TestTrainStreamBitIdentical(t *testing.T) {
 	samples := synthSamples(48, 20, 4, 31)
 	test := synthSamples(24, 20, 4, 37)
-	const window, seed = 12, 5
+	order := realise(samples, 5)
 
 	cases := []struct{ workers, batch int }{
 		{1, 1}, // the paper's online protocol
@@ -80,13 +77,11 @@ func TestTrainStreamBitIdentical(t *testing.T) {
 			// Materialised reference: the sequential walk of the
 			// realised order.
 			ref := build(t)
-			scratch := trainBatched(t, ref, realise(samples, window, seed), c.batch)
+			scratch := trainBatched(t, ref, order, c.batch)
 
-			// Streamed run: the same pipeline delivered over the bounded
+			// Streamed run: the same order delivered over the bounded
 			// channel.
-			ch := stream.NewChannel(
-				stream.NewShuffleWindow(stream.NewSliceSource(samples), window, seed),
-				stream.Watermarks{Low: 2, High: 8})
+			ch := stream.NewChannel(stream.NewSliceSource(order), stream.Watermarks{Low: 2, High: 8})
 			got := build(t)
 			gGot := engine.NewGroup(got, engine.NewPool(c.workers))
 			n, err := gGot.TrainStream(ch, c.batch)

@@ -106,10 +106,10 @@ func ablationBaseConfig(featDim, classes int, seed uint64) emstdp.Config {
 	return cfg
 }
 
-// Ablations sweeps the design choices DESIGN.md calls out on the MNIST
-// task: the h′ gate, the phase length T (§IV-A2's quality/throughput
-// trade), and the synaptic weight precision (the source of the paper's
-// Loihi-vs-FP accuracy gap). Variants train fresh networks against the
+// Ablations sweeps the paper's design choices on the MNIST task: the h′
+// gate, the phase length T (§IV-A2's quality/throughput trade), and the
+// synaptic weight precision (the source of the paper's Loihi-vs-FP
+// accuracy gap). Variants train fresh networks against the
 // shared (read-only) feature split, so the sweep shards variant-per-
 // worker through the engine pool.
 func Ablations(sc Scale, seed uint64, progress io.Writer) ([]AblationResult, error) {

@@ -41,8 +41,6 @@ func Adaptation(sc Scale, driftSD float64, seed uint64, progress io.Writer) (*Ad
 			TrainSamples:   sc.TrainSamples,
 			TestSamples:    sc.TestSamples,
 			PretrainEpochs: sc.PretrainEpochs,
-			Stream:         sc.Stream,
-			StreamWindow:   sc.Window,
 			Seed:           seed,
 			Trace:          sc.Trace,
 		})
@@ -80,14 +78,10 @@ func Adaptation(sc Scale, driftSD float64, seed uint64, progress io.Writer) (*Ad
 	res.AfterDrift = adapted.Evaluate().Accuracy()
 	logf("adaptation: after drift (sd=%.0f mantissa units) %.1f%%\n", driftSD, res.AfterDrift*100)
 
-	// Recovery stream: the same online data, one epoch, delivered as an
-	// actual stream — the ingestion channel feeds the engine's streamed
-	// trainer the way a deployment would consume arriving sensor data.
+	// Recovery stream: the same online data, one epoch in storage order.
 	// The frozen model only observes (inference); the adapted model
 	// trains.
-	ch := stream.NewChannel(stream.NewSliceSource(adapted.TrainFeatures()), stream.DefaultWatermarks())
-	defer ch.Stop()
-	if _, err := adapted.Group().TrainStream(ch, 1); err != nil {
+	if _, err := adapted.Group().TrainStream(stream.NewSliceSource(adapted.TrainFeatures()), 1); err != nil {
 		return nil, fmt.Errorf("adaptation recovery stream: %w", err)
 	}
 	res.FrozenAfterStream = frozen.Evaluate().Accuracy()

@@ -66,15 +66,6 @@ type Scale struct {
 	// PerCore lists the neurons-per-core packings Fig 3 sweeps (nil =
 	// the paper's 5,10,…,30).
 	PerCore []int
-	// Stream trains every per-cell model through the streaming ingestion
-	// pipeline (shuffle window + bounded channel) instead of a
-	// materialised permutation; Window is the shuffle-window size (0 =
-	// the core default).
-	Stream bool
-	Window int
-	// AsyncEval overlaps each cell's per-epoch evaluation with the next
-	// epoch's training on a snapshot replica.
-	AsyncEval bool
 	// Orchestrate routes the sweep grids (Table I, Fig 3, ablations)
 	// through the dependency-scheduled orchestrator instead of flat
 	// cell-per-worker sharding: each grid becomes a task graph whose
@@ -177,8 +168,7 @@ func QuickScale() Scale {
 	return Scale{TrainSamples: 600, TestSamples: 200, Epochs: 1, PretrainEpochs: 2, EnergySamples: 20}
 }
 
-// FullScale returns the configuration used for the committed
-// EXPERIMENTS.md numbers.
+// FullScale returns the paper-scale configuration (-scale full).
 func FullScale() Scale {
 	return Scale{TrainSamples: 2000, TestSamples: 500, Epochs: 2, PretrainEpochs: 3, EnergySamples: 50}
 }
@@ -213,21 +203,8 @@ func Table1(sc Scale, seed uint64, progress io.Writer) ([]Table1Row, error) {
 		// networks; release them when the cell retires or a 16-cell sweep
 		// would keep every cell's replicas live to the end.
 		defer m.Close()
-		var acc float64
-		if sc.AsyncEval && sc.Epochs > 0 {
-			// Per-epoch accuracies ride along at near-zero wall-clock
-			// cost: each epoch's evaluation overlaps the next epoch's
-			// training. The final point equals Evaluate on the trained
-			// weights.
-			curve, err := m.TrainCurve(sc.Epochs)
-			if err != nil {
-				return fmt.Errorf("table1 %v/%v/%v: %w", c.ds, c.mode, c.backend, err)
-			}
-			acc = curve[len(curve)-1]
-		} else {
-			m.Train(sc.Epochs)
-			acc = m.Evaluate().Accuracy()
-		}
+		m.Train(sc.Epochs)
+		acc := m.Evaluate().Accuracy()
 		rows[i] = Table1Row{Dataset: c.ds, Mode: c.mode, Backend: c.backend, Accuracy: acc}
 		if progress != nil {
 			mu.Lock()
@@ -533,8 +510,6 @@ func Fig4(sc Scale, seed uint64) (*Fig4Result, error) {
 			TrainSamples:   sc.TrainSamples,
 			TestSamples:    sc.TestSamples,
 			PretrainEpochs: sc.PretrainEpochs,
-			Stream:         sc.Stream,
-			StreamWindow:   sc.Window,
 			Seed:           seed,
 			Trace:          sc.Trace,
 		})

@@ -148,9 +148,9 @@ func TestFig4DropAndRecover(t *testing.T) {
 }
 
 // Table1 on a tiny scale: structure and the FP-vs-chip sanity relation on
-// the easiest dataset. The accuracy ordering across datasets is covered
-// by the full-scale run recorded in EXPERIMENTS.md (tiny runs are too
-// noisy to assert it).
+// the easiest dataset. The accuracy ordering across datasets is left to
+// the full-scale run (-scale full); tiny runs are too noisy to assert
+// it.
 func TestTable1TinyStructure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

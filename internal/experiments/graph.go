@@ -94,9 +94,6 @@ func table1Options(sc Scale, seed uint64, c table1Cell) core.Options {
 		PretrainEpochs: sc.PretrainEpochs,
 		Batch:          sc.Batch,
 		Pipeline:       sc.Pipeline,
-		Stream:         sc.Stream,
-		StreamWindow:   sc.Window,
-		AsyncEval:      sc.AsyncEval,
 		Seed:           seed,
 		Trace:          sc.Trace,
 	}
@@ -113,19 +110,7 @@ func cellCanon(opts core.Options, epochs int) *orchestrator.Canon {
 		Int("T", int64(opts.T)).
 		Int("batch", int64(opts.Batch)).
 		Int("pipeline", int64(opts.Pipeline)).
-		Bool("stream", opts.Stream).
-		Int("window", int64(opts.StreamWindow)).
-		Bool("async_eval", opts.AsyncEval).
 		Int("epochs", int64(epochs))
-}
-
-// trainedCell is the ephemeral train-checkpoint hand-off: the trained
-// model, plus the accuracy when the training path already measured it
-// (AsyncEval's overlapped curve).
-type trainedCell struct {
-	m      *core.Model
-	acc    float64
-	hasAcc bool
 }
 
 // table1Graph is the orchestrated Table I: per dataset one shared
@@ -150,30 +135,18 @@ func table1Graph(sc Scale, seed uint64, progress io.Writer) ([]Table1Row, error)
 				if err != nil {
 					return nil, fmt.Errorf("table1 %v/%v/%v: %w", c.ds, c.mode, c.backend, err)
 				}
-				if opts.AsyncEval && epochs > 0 {
-					curve, err := m.TrainCurve(epochs)
-					if err != nil {
-						m.Close()
-						return nil, fmt.Errorf("table1 %v/%v/%v: %w", c.ds, c.mode, c.backend, err)
-					}
-					return &trainedCell{m: m, acc: curve[len(curve)-1], hasAcc: true}, nil
-				}
 				m.Train(epochs)
-				return &trainedCell{m: m}, nil
+				return m, nil
 			},
 			Ephemeral: true,
-			Release:   func(v any) { v.(*trainedCell).m.Close() },
+			Release:   func(v any) { v.(*core.Model).Close() },
 		})
 		keys[i] = g.MustAdd(orchestrator.Task{
 			Stage: "evaluate",
 			Canon: cellCanon(opts, epochs),
 			Deps:  []orchestrator.Key{trainKey},
 			Run: func(deps []any) (any, error) {
-				tc := deps[0].(*trainedCell)
-				acc := tc.acc
-				if !tc.hasAcc {
-					acc = tc.m.Evaluate().Accuracy()
-				}
+				acc := deps[0].(*core.Model).Evaluate().Accuracy()
 				if progress != nil {
 					mu.Lock()
 					fmt.Fprintf(progress, "table1: %-18s %-3s %-11s %.1f%%\n", c.ds, c.mode, c.backend, acc*100)

@@ -20,7 +20,6 @@ import (
 
 	"emstdp/internal/metrics"
 	"emstdp/internal/rng"
-	"emstdp/internal/stream"
 )
 
 // Learner is the trainable model under test. Both the full-precision
@@ -36,19 +35,9 @@ type Learner interface {
 	SetLRReduced(reduced bool)
 }
 
-// trainFrom streams already-ordered samples into the learner through
-// the ingestion pipeline's bounded channel: the protocol's training
-// steps are fed with watermark backpressure instead of iterating a
-// slice, which is how a deployment consumes an arriving class stream.
-// The channel preserves upstream order, so results are bit-identical
-// to the direct loop over the same samples.
+// trainFrom trains the learner on already-ordered samples, in order.
 func trainFrom(l Learner, samples []metrics.Sample) {
-	ch := stream.NewChannel(stream.NewSliceSource(samples), stream.DefaultWatermarks())
-	for {
-		s, ok := ch.Next()
-		if !ok {
-			return
-		}
+	for _, s := range samples {
 		l.TrainSample(s.X, s.Y)
 	}
 }

@@ -22,14 +22,11 @@ var (
 
 // pushSource adapts the handler-push world onto the stream.Source pull
 // contract: Next blocks on the submission channel until a handler
-// pushes a sample or the tenant closes the channel. The serving stream
-// is endless (Len -1) and never rewinds (Reset no-op) — the watermark
+// pushes a sample or the tenant closes the channel — the watermark
 // hysteresis is the part of the Channel contract serving leans on.
 type pushSource struct{ ch chan metrics.Sample }
 
 func (p pushSource) Next() (metrics.Sample, bool) { s, ok := <-p.ch; return s, ok }
-func (p pushSource) Reset()                       {}
-func (p pushSource) Len() int                     { return -1 }
 
 // versionRef refcounts one published WeightVersion: the tenant's
 // current pointer holds one reference, every in-flight classify or

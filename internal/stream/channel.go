@@ -54,9 +54,9 @@ type Stats struct {
 	Produced int64
 	// Consumed counts samples delivered to the consumer.
 	Consumed int64
-	// Dropped counts buffered samples abandoned by Stop or Reset before
-	// the consumer took them; Produced == Consumed + Dropped once the
-	// pump is stopped or the pass is drained.
+	// Dropped counts buffered samples abandoned by Stop before the
+	// consumer took them; Produced == Consumed + Dropped once the pump
+	// is stopped or the stream is drained.
 	Dropped int64
 	// Stalls counts producer gate events (in-flight reached High).
 	Stalls int64
@@ -78,21 +78,11 @@ func (s Stats) Publish(reg *metrics.Counters, prefix string) {
 	reg.Set(prefix+".stalled_ns", s.StalledNs)
 }
 
-// Add accumulates other's counters into s (aggregating across epochs or
-// pipeline stages).
-func (s *Stats) Add(other Stats) {
-	s.Produced += other.Produced
-	s.Consumed += other.Consumed
-	s.Dropped += other.Dropped
-	s.Stalls += other.Stalls
-	s.StalledNs += other.StalledNs
-}
-
 // Channel pumps an upstream Source through a bounded Go channel on a
 // producer goroutine, applying watermark backpressure. The consumer
-// side is itself a Source (Next/Reset/Len), so channels compose with
-// the other stages; unlike plain Sources, the producer generates ahead
-// concurrently with the consumer's work.
+// side is itself a Source, so a Channel feeds the engine's training
+// entry points directly; unlike plain Sources, the producer generates
+// ahead concurrently with the consumer's work.
 //
 // A Channel owns its upstream source: after NewChannel, the source must
 // not be touched except through the Channel. Next is single-consumer.
@@ -107,20 +97,13 @@ type Channel struct {
 	gated    bool
 	stopped  bool
 	stats    Stats
-	// total/consumedCycle implement Len without racing the producer's
-	// use of src: the upstream length is captured while the producer is
-	// quiescent.
-	total         int
-	consumedCycle int
 
 	// track records the watermark lifecycle when tracing is on: one
 	// "stall" span per producer gate (the hysteresis wait itself), a
 	// "refill" instant when the consumer reopens the gate, and an
-	// "inflight" counter sampled at every producer commit. stallHist
-	// feeds per-stall nanoseconds into a histogram. Both nil by default
-	// (NewChannel) and no-ops when nil.
-	track     *trace.Track
-	stallHist *metrics.Histogram
+	// "inflight" counter sampled at every producer commit. Nil by
+	// default (NewChannel) and a no-op when nil.
+	track *trace.Track
 
 	// afterRecv is a test-only hook called between a successful receive
 	// and the consumer-side accounting in Next — the window the
@@ -138,10 +121,6 @@ type Instrumentation struct {
 	Tracer *trace.Tracer
 	// Name is the trace track name; "" selects "channel".
 	Name string
-	// StallHist, if set, observes each producer stall's duration in
-	// nanoseconds — the latency distribution behind the Stats.StalledNs
-	// aggregate.
-	StallHist *metrics.Histogram
 }
 
 // NewChannel starts pumping src through a buffer bounded by wm
@@ -155,7 +134,7 @@ func NewChannel(src Source, wm Watermarks) *Channel {
 // Observation never changes what the consumer sees: the sample
 // sequence is fixed by the upstream source alone.
 func NewChannelObserved(src Source, wm Watermarks, ins Instrumentation) *Channel {
-	c := &Channel{src: src, wm: wm.normalised(), stallHist: ins.StallHist}
+	c := &Channel{src: src, wm: wm.normalised()}
 	if ins.Tracer != nil {
 		name := ins.Name
 		if name == "" {
@@ -164,21 +143,10 @@ func NewChannelObserved(src Source, wm Watermarks, ins Instrumentation) *Channel
 		c.track = ins.Tracer.Track(name, 0)
 	}
 	c.cond = sync.NewCond(&c.mu)
-	c.start()
-	return c
-}
-
-// start captures the upstream length and launches the producer; callers
-// hold no locks and the producer is not running.
-func (c *Channel) start() {
-	c.total = c.src.Len()
-	c.consumedCycle = 0
-	c.inflight = 0
-	c.gated = false
-	c.stopped = false
 	c.ch = make(chan metrics.Sample, c.wm.High)
 	c.done = make(chan struct{})
 	go c.produce()
+	return c
 }
 
 // produce is the pump loop: pull upstream, gate at the high watermark,
@@ -201,10 +169,8 @@ func (c *Channel) produce() {
 			for c.gated && !c.stopped {
 				c.cond.Wait()
 			}
-			stalled := time.Since(t0).Nanoseconds()
-			c.stats.StalledNs += stalled
+			c.stats.StalledNs += time.Since(t0).Nanoseconds()
 			c.track.End(ts, "stall")
-			c.stallHist.Observe(stalled)
 		}
 		if c.stopped {
 			// s was pulled from upstream but never committed to the
@@ -236,18 +202,16 @@ func (c *Channel) Next() (metrics.Sample, bool) {
 	c.mu.Lock()
 	if c.stopped {
 		// Stop raced in between the receive above and this accounting:
-		// it has reset (or is about to reset) the in-flight count and the
-		// gate for the dead pass, so decrementing here would drive
-		// inflight below zero and corrupt Len and the refill gate on the
-		// next Reset cycle. The sample did reach the consumer, so
-		// conservation still counts it as consumed; everything else
-		// belongs to the pass Stop tore down.
+		// it has reset (or is about to reset) the in-flight count, so
+		// decrementing here would drive inflight below zero. The sample
+		// did reach the consumer, so conservation still counts it as
+		// consumed; everything else belongs to the stream Stop tore
+		// down.
 		c.stats.Consumed++
 		c.mu.Unlock()
 		return s, true
 	}
 	c.inflight--
-	c.consumedCycle++
 	c.stats.Consumed++
 	if c.gated && c.inflight <= c.wm.Low {
 		c.gated = false
@@ -281,14 +245,6 @@ func (c *Channel) Stop() {
 	c.mu.Unlock()
 }
 
-// Reset stops the pump, rewinds the upstream source and restarts the
-// producer for another pass. Counters accumulate across passes.
-func (c *Channel) Reset() {
-	c.Stop()
-	c.src.Reset()
-	c.start()
-}
-
 // Gated reports whether the producer is currently stalled at the high
 // watermark — the hysteresis signal admission control keys off: once
 // true it stays true until the consumer drains the buffer back to the
@@ -307,17 +263,6 @@ func (c *Channel) Inflight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.inflight
-}
-
-// Len returns the samples remaining in this pass (buffered plus not yet
-// produced), or -1 when the upstream length is unknown.
-func (c *Channel) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.total < 0 {
-		return -1
-	}
-	return c.total - c.consumedCycle
 }
 
 // Stats returns a snapshot of the cumulative counters.

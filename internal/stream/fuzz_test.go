@@ -11,38 +11,36 @@ import (
 // FuzzChannel drives a Channel with fuzzer-chosen watermarks and a
 // fuzzer-chosen interleaving of consumer actions — consume bursts,
 // consumer stalls (which push the producer into its watermark gate),
-// mid-pass Stop, a Stop racing Next from another goroutine, Reset for
-// another pass — and checks the accounting invariants the rest of the
-// system leans on:
+// mid-stream Stop, a Stop racing Next from another goroutine — and
+// checks the accounting invariants the rest of the system leans on:
 //
 //   - conservation: once the pump is stopped, every sample the producer
 //     committed was either delivered or deliberately dropped
 //     (Produced == Consumed + Dropped), never lost or duplicated;
-//   - order: within one pass, delivered samples are exactly a prefix of
-//     the upstream order — the channel may cut a pass short (Stop) but
+//   - order: delivered samples are exactly a prefix of the upstream
+//     order — the channel may cut the stream short (Stop) but
 //     never reorders or skips. While a concurrent Stop is in flight its
 //     drain legitimately competes with the consumer for buffered
 //     samples, so the check relaxes to "strictly increasing";
 //   - bounds: the in-flight count never exceeds the high watermark AND
 //     never goes negative — the consumer-side accounting racing Stop
 //     used to decrement it below zero after Stop reset it (the PR-10
-//     bugfix), corrupting Len and the refill gate on the next Reset;
+//     bugfix), corrupting the refill gate;
 //   - memory stays bounded no matter how the producer and consumer race.
 //
 // The script bytes make the schedule deterministic on the consumer side
 // while the producer goroutine (and any spawned Stop) races freely, so
 // any interleaving bug surfaces as a reproducible counterexample.
 func FuzzChannel(f *testing.F) {
-	f.Add(uint8(12), uint8(2), uint8(6), []byte{0, 0, 1, 0, 3, 0, 0, 2})
+	f.Add(uint8(12), uint8(2), uint8(6), []byte{0, 0, 1, 0, 0, 0, 2})
 	f.Add(uint8(40), uint8(0), uint8(1), []byte{0, 1, 0, 1, 0, 1, 0, 1, 0})
-	f.Add(uint8(7), uint8(4), uint8(4), []byte{3, 3, 2, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(7), uint8(4), uint8(4), []byte{1, 2, 0, 0, 0})
 	f.Add(uint8(0), uint8(1), uint8(8), []byte{0, 2})
-	f.Add(uint8(33), uint8(200), uint8(3), []byte{1, 0, 0, 0, 3, 1, 0, 0, 2, 3, 0})
-	// The concurrent-Stop arm: fill, race a Stop against consumes, then
-	// reset and run a clean pass — the schedule that used to drive
-	// inflight negative.
-	f.Add(uint8(20), uint8(1), uint8(4), []byte{0, 0, 4, 0, 0, 0, 3, 0, 0, 0})
-	f.Add(uint8(9), uint8(0), uint8(2), []byte{4, 4, 0, 0, 3, 0, 4, 0})
+	f.Add(uint8(33), uint8(200), uint8(3), []byte{1, 0, 0, 0, 1, 0, 0, 2, 0})
+	// The concurrent-Stop arm: fill, then race a Stop against consumes —
+	// the schedule that used to drive inflight negative.
+	f.Add(uint8(20), uint8(1), uint8(4), []byte{0, 0, 3, 0, 0, 0})
+	f.Add(uint8(9), uint8(0), uint8(2), []byte{3, 3, 0, 0, 0, 3, 0})
 
 	f.Fuzz(func(t *testing.T, nSamples, low, high uint8, script []byte) {
 		n := int(nSamples)
@@ -54,9 +52,9 @@ func FuzzChannel(f *testing.F) {
 
 		var stops sync.WaitGroup
 		stopRacing := false // a spawned Stop may still be in flight
-		next := 0           // expected upstream index of the next delivery this pass
+		next := 0           // expected upstream index of the next delivery
 		for _, op := range script {
-			switch op % 5 {
+			switch op % 4 {
 			case 0: // consume one sample, verifying order
 				s, ok := ch.Next()
 				if !ok {
@@ -80,20 +78,12 @@ func FuzzChannel(f *testing.F) {
 				next++
 			case 1: // consumer stall: let the producer run into its gate
 				runtime.Gosched()
-			case 2: // abandon the pass mid-flight
+			case 2: // abandon the stream mid-flight
 				stops.Wait()
 				ch.Stop()
 				stopRacing = false
 				next = n // nothing more may be delivered
-			case 3: // rewind for another pass
-				// Stop is safe to race Next, but Reset is a consumer-side
-				// call: join any in-flight Stop first, as a real consumer
-				// must.
-				stops.Wait()
-				stopRacing = false
-				ch.Reset()
-				next = 0
-			case 4: // Stop racing the consumer from another goroutine
+			case 3: // Stop racing the consumer from another goroutine
 				stops.Add(1)
 				stopRacing = true
 				go func() {
@@ -131,16 +121,9 @@ func FuzzChannel(f *testing.F) {
 		if st.Consumed < 0 || st.Dropped < 0 || st.Stalls < 0 || st.StalledNs < 0 {
 			t.Fatalf("negative counter: %+v", st)
 		}
-		// A finite upstream bounds production per pass; passes = 1 initial
-		// + one per Reset.
-		passes := int64(1)
-		for _, op := range script {
-			if op%5 == 3 {
-				passes++
-			}
-		}
-		if st.Produced > passes*int64(n) {
-			t.Fatalf("produced %d exceeds %d passes over %d samples", st.Produced, passes, n)
+		// A finite upstream bounds production.
+		if st.Produced > int64(n) {
+			t.Fatalf("produced %d exceeds the %d upstream samples", st.Produced, n)
 		}
 	})
 }

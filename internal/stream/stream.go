@@ -1,22 +1,22 @@
-// Package stream is the ingestion subsystem between datasets and the
-// execution engine: instead of materialising a whole split as a
-// []metrics.Sample slice, training pulls samples one at a time from a
-// Source — a replayed slice or any composition of stages — through a bounded channel with low/high
-// watermark backpressure.
+// Package stream is the pull contract between sample producers and the
+// execution engine: training pulls samples one at a time from a Source
+// — a SliceSource replaying a materialised slice, or a Channel pumping
+// any Source through a bounded buffer with low/high watermark
+// backpressure.
 //
-// The pipeline shape mirrors a host streaming batches to an accelerator
-// with double buffering: a producer goroutine fills the channel until it
+// The Channel mirrors a host streaming batches to an accelerator with
+// double buffering: a producer goroutine fills the buffer until it
 // reaches the high watermark, then stalls until the consumer drains it
 // back to the low watermark, so the buffer is bounded above by High and
 // the consumer (the training hot path) is never starved while the
 // producer generates ahead. Per-stage counters (produced, consumed,
-// dropped, stalled-ns) make the pipeline's behaviour observable.
+// dropped, stalled-ns) make the pipeline's behaviour observable. The
+// serving layer's training admission keys off the watermark gate, and
+// the orchestrator bounds its issue window with the same Watermarks.
 //
-// Every Source is deterministic given its construction parameters: a
-// streamed training run realises one well-defined sample order, and
-// training is a function of that order alone — engine.Group.TrainStream
-// or TrainPipelined over the bounded channel is bit-identical to the
-// same call over a SliceSource of the order materialised.
+// A Channel preserves its upstream order, so engine.Group.TrainStream
+// or TrainPipelined over a Channel is bit-identical to the same call
+// over a SliceSource of that order.
 package stream
 
 import "emstdp/internal/metrics"
@@ -29,13 +29,6 @@ type Source interface {
 	// exhausted (a finite source) — an unbounded source never returns
 	// false.
 	Next() (s metrics.Sample, ok bool)
-	// Reset rewinds the source for another pass. Stages that re-order
-	// (ShuffleWindow) advance to their next per-epoch order on Reset
-	// rather than replaying the previous one.
-	Reset()
-	// Len returns the number of samples remaining before exhaustion, or
-	// -1 when unknown (unbounded generators).
-	Len() int
 }
 
 // SliceSource replays a materialised dataset in slice order — the bridge
@@ -60,9 +53,3 @@ func (s *SliceSource) Next() (metrics.Sample, bool) {
 	s.i++
 	return out, true
 }
-
-// Reset rewinds to the start of the slice.
-func (s *SliceSource) Reset() { s.i = 0 }
-
-// Len returns the number of samples not yet emitted.
-func (s *SliceSource) Len() int { return len(s.samples) - s.i }

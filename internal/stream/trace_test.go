@@ -4,21 +4,17 @@ import (
 	"testing"
 	"time"
 
-	"emstdp/internal/metrics"
 	"emstdp/internal/trace"
 )
 
-// TestChannelStallHistogramMatchesStats pins the histogram against the
-// aggregate counters it decomposes: every producer stall contributes
-// exactly one observation, so the histogram's count equals Stats.Stalls
-// and its sum equals Stats.StalledNs, and the trace track carries one
-// stall span per gate event.
-func TestChannelStallHistogramMatchesStats(t *testing.T) {
+// TestChannelStallSpansMatchStats pins the trace track against the
+// aggregate counters: it carries one stall span per producer gate
+// event, so the span count equals Stats.Stalls.
+func TestChannelStallSpansMatchStats(t *testing.T) {
 	const n = 100
 	tr := trace.New()
-	hist := &metrics.Histogram{}
 	ch := NewChannelObserved(NewSliceSource(tagged(n)), Watermarks{Low: 2, High: 4},
-		Instrumentation{Tracer: tr, Name: "train", StallHist: hist})
+		Instrumentation{Tracer: tr, Name: "train"})
 	delivered := 0
 	for {
 		_, ok := ch.Next()
@@ -38,12 +34,6 @@ func TestChannelStallHistogramMatchesStats(t *testing.T) {
 	st := ch.Stats()
 	if st.Stalls == 0 {
 		t.Fatal("producer never stalled with a 4-deep buffer")
-	}
-	if hist.Count() != st.Stalls {
-		t.Fatalf("histogram count %d != Stalls %d", hist.Count(), st.Stalls)
-	}
-	if hist.Sum() != st.StalledNs {
-		t.Fatalf("histogram sum %d != StalledNs %d", hist.Sum(), st.StalledNs)
 	}
 
 	var track *trace.Track
@@ -67,13 +57,12 @@ func TestChannelStallHistogramMatchesStats(t *testing.T) {
 }
 
 // TestTraceDoesNotPerturbChannel pins the observational contract on the
-// ingestion pipeline: an instrumented window+channel delivers the exact
-// sample sequence of an uninstrumented one built from the same seed.
+// channel: an instrumented channel delivers the exact sample sequence of
+// an uninstrumented one over the same source.
 func TestTraceDoesNotPerturbChannel(t *testing.T) {
-	const n, window, seed = 64, 16, 3
+	const n = 64
 	mk := func(ins Instrumentation) []int {
-		win := NewShuffleWindow(NewSliceSource(tagged(n)), window, seed)
-		ch := NewChannelObserved(win, Watermarks{Low: 2, High: 4}, ins)
+		ch := NewChannelObserved(NewSliceSource(tagged(n)), Watermarks{Low: 2, High: 4}, ins)
 		var got []int
 		for {
 			s, ok := ch.Next()
@@ -84,46 +73,13 @@ func TestTraceDoesNotPerturbChannel(t *testing.T) {
 		}
 	}
 	plain := mk(Instrumentation{})
-	traced := mk(Instrumentation{Tracer: trace.New(), StallHist: &metrics.Histogram{}})
+	traced := mk(Instrumentation{Tracer: trace.New()})
 	if len(plain) != len(traced) {
 		t.Fatalf("lengths diverged under tracing: %d vs %d", len(plain), len(traced))
 	}
 	for i := range plain {
 		if plain[i] != traced[i] {
 			t.Fatalf("sample %d diverged under tracing: %d vs %d", i, plain[i], traced[i])
-		}
-	}
-}
-
-// TestShuffleWindowOccupancyHistogram pins the per-sample occupancy
-// export: one observation per delivered sample, every value bounded by
-// the window size.
-func TestShuffleWindowOccupancyHistogram(t *testing.T) {
-	const n, window = 64, 16
-	hist := &metrics.Histogram{}
-	win := NewShuffleWindow(NewSliceSource(tagged(n)), window, 1)
-	win.SetOccupancyHistogram(hist)
-	delivered := 0
-	for {
-		if _, ok := win.Next(); !ok {
-			break
-		}
-		delivered++
-	}
-	if delivered != n {
-		t.Fatalf("delivered %d, want %d", delivered, n)
-	}
-	if hist.Count() != int64(n) {
-		t.Fatalf("histogram count %d, want one observation per sample (%d)", hist.Count(), n)
-	}
-	// Occupancy is the buffered count at delivery time: positive, never
-	// above the window.
-	for i := metrics.NumBuckets - 1; i >= 0; i-- {
-		if hist.Bucket(i) > 0 {
-			if ub := metrics.UpperBound(i - 1); ub >= window {
-				t.Fatalf("observed occupancy above the window size (bucket %d, lower bound %d)", i, ub+1)
-			}
-			break
 		}
 	}
 }
