@@ -11,12 +11,13 @@ import (
 	"testing"
 )
 
-// liveTestNames returns every Test/Fuzz/Benchmark function declared in a
-// _test.go file under internal/.
-func liveTestNames(t *testing.T) []string {
+// liveTests returns every Test/Fuzz/Benchmark function declared in a
+// _test.go file under internal/, keyed by the file's directory
+// (internal/loihi).
+func liveTests(t *testing.T) map[string][]string {
 	t.Helper()
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
-	var names []string
+	tests := map[string][]string{}
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return err
@@ -25,16 +26,57 @@ func liveTestNames(t *testing.T) []string {
 		if err != nil {
 			return err
 		}
+		dir := filepath.ToSlash(filepath.Dir(path))
 		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-			names = append(names, m[1])
+			tests[dir] = append(tests[dir], m[1])
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) == 0 {
+	if len(tests) == 0 {
 		t.Fatal("found no tests under internal/")
+	}
+	return tests
+}
+
+// ciTestCommands returns every `go test` command in the workflow text.
+// A line that begins with a flag, a ./ package path or && continues
+// the command above it (a YAML folded block), and &&, || and ; end one.
+func ciTestCommands(ci string) []string {
+	cont := regexp.MustCompile(`^\s*(-\w|\./|&&)`)
+	var logical []string
+	for _, line := range strings.Split(ci, "\n") {
+		if n := len(logical); n > 0 && cont.MatchString(line) {
+			logical[n-1] += " " + strings.TrimSpace(line)
+		} else {
+			logical = append(logical, line)
+		}
+	}
+	sep := regexp.MustCompile(`&&|\|\||;`)
+	var cmds []string
+	for _, line := range logical {
+		for _, cmd := range sep.Split(line, -1) {
+			if i := strings.Index(cmd, "go test "); i >= 0 {
+				cmds = append(cmds, cmd[i:])
+			}
+		}
+	}
+	return cmds
+}
+
+// packageTests returns the live tests in the packages a go test
+// pattern names: ./... for all of them, ./internal/x/... for x and
+// the packages below it, ./internal/x/ for x alone.
+func packageTests(live map[string][]string, pattern string) []string {
+	dir, tree := strings.CutSuffix(pattern, "/...")
+	dir = strings.TrimSuffix(strings.TrimPrefix(dir, "./"), "/")
+	var names []string
+	for d, tests := range live {
+		if d == dir || tree && (dir == "." || strings.HasPrefix(d, dir+"/")) {
+			names = append(names, tests...)
+		}
 	}
 	return names
 }
@@ -127,14 +169,15 @@ func checkGoCommentDocs(t *testing.T) {
 // directories and files that no longer exist: every Test… name
 // ARCHITECTURE.md cites must prefix a live test, every alternative of
 // every `-run '…'` regex in the CI workflow must select one, as
-// `go test -run` would, every cmd/, internal/ and examples/ path
-// ARCHITECTURE.md and the verify skill name must exist, as must every
-// `go run` target in CI, none of the three may cite a BENCH_<n>.json
-// snapshot (perfbench and BENCHMARK.json are the one benchmark), and
-// every *.md file a Go comment names must exist. A renamed or deleted
-// test otherwise leaves a race step silently running nothing.
+// `go test -run` would, in the packages its own `go test` command
+// lists, every cmd/, internal/ and examples/ path ARCHITECTURE.md and
+// the verify skill name must exist, as must every `go run` target in
+// CI, none of the three may cite a BENCH_<n>.json snapshot (perfbench
+// and BENCHMARK.json are the one benchmark), and every *.md file a Go
+// comment names must exist. A renamed or deleted test otherwise leaves
+// a race step silently running nothing.
 func TestDocsAndCINameLiveTests(t *testing.T) {
-	live := liveTestNames(t)
+	live := liveTests(t)
 	checkGoCommentDocs(t)
 
 	arch, err := os.ReadFile("ARCHITECTURE.md")
@@ -154,7 +197,7 @@ func TestDocsAndCINameLiveTests(t *testing.T) {
 	}
 	for _, name := range cited {
 		found := false
-		for _, l := range live {
+		for _, l := range packageTests(live, "./...") {
 			found = found || strings.HasPrefix(l, name)
 		}
 		if !found {
@@ -181,11 +224,20 @@ func TestDocsAndCINameLiveTests(t *testing.T) {
 		}
 	}
 
-	runs := regexp.MustCompile(`-run '([^']*)'`).FindAllStringSubmatch(string(ci), -1)
-	if len(runs) == 0 {
-		t.Fatal("ci.yml has no -run patterns: the check proves nothing")
-	}
-	for _, run := range runs {
+	runFlag := regexp.MustCompile(`-run '([^']*)'`)
+	runs := 0
+	for _, cmd := range ciTestCommands(string(ci)) {
+		run := runFlag.FindStringSubmatch(cmd)
+		if run == nil {
+			continue
+		}
+		runs++
+		var selectable []string
+		for _, field := range strings.Fields(cmd) {
+			if field = strings.Trim(field, `"'`); strings.HasPrefix(field, "./") {
+				selectable = append(selectable, packageTests(live, field)...)
+			}
+		}
 		for _, alt := range strings.Split(run[1], "|") {
 			if alt == "^$" {
 				continue // the "run no tests" idiom of a bench-only step
@@ -196,12 +248,15 @@ func TestDocsAndCINameLiveTests(t *testing.T) {
 				continue
 			}
 			found := false
-			for _, l := range live {
+			for _, l := range selectable {
 				found = found || re.MatchString(l)
 			}
 			if !found {
-				t.Errorf("ci.yml -run '%s': alternative %q matches no test under internal/", run[1], alt)
+				t.Errorf("ci.yml -run '%s': alternative %q matches no test in the packages its command lists", run[1], alt)
 			}
 		}
+	}
+	if runs == 0 {
+		t.Fatal("ci.yml has no -run patterns: the check proves nothing")
 	}
 }

@@ -26,7 +26,7 @@
 //     runs directly on the master).
 //
 // Training has two entry points, both pulling samples from a
-// SampleSource: Group.TrainStream (online or mini-batch) and
+// stream.Source: Group.TrainStream (online or mini-batch) and
 // Group.TrainPipelined (the bounded-lag two-phase pipeline). Background
 // evaluation classifies a Group.Snapshot on its own goroutine.
 package engine

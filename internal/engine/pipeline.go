@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"emstdp/internal/metrics"
+	"emstdp/internal/stream"
 	"emstdp/internal/trace"
 )
 
@@ -164,7 +165,7 @@ func (g *Group) ClosePipeline() {
 // construction); once the schedule is in motion a failure would leave
 // the master half-trained, so mid-schedule contract violations panic
 // instead — callers may safely finish the epoch from src on error.
-func (g *Group) TrainPipelined(src SampleSource, depth int) error {
+func (g *Group) TrainPipelined(src stream.Source, depth int) error {
 	if depth <= 1 {
 		_, err := g.TrainStream(src, 1)
 		return err

@@ -1,15 +1,9 @@
 package engine
 
-import "emstdp/internal/metrics"
-
-// SampleSource is the minimal pull contract both training entry points
-// (TrainStream, TrainPipelined) consume; stream.SliceSource and the
-// bounded stream.Channel both satisfy it. The engine deliberately
-// depends only on this one method so the stream package layers on top
-// of the execution layer, not inside it.
-type SampleSource interface {
-	Next() (s metrics.Sample, ok bool)
-}
+import (
+	"emstdp/internal/metrics"
+	"emstdp/internal/stream"
+)
 
 // TrainStream consumes src sample by sample through the EMSTDP update,
 // returning the number of samples trained. It is one of the group's two
@@ -31,7 +25,7 @@ type SampleSource interface {
 // An error (a replica that cannot be built or synchronised) leaves
 // every sample already pulled from src trained, so the caller can
 // finish the epoch from the same source.
-func (g *Group) TrainStream(src SampleSource, batch int) (int, error) {
+func (g *Group) TrainStream(src stream.Source, batch int) (int, error) {
 	n := 0
 	if batch <= 1 {
 		for {

@@ -1,7 +1,6 @@
 // Package fixed provides the saturating integer and fixed-point arithmetic
-// used by the Loihi-class chip simulator: bounded-width accumulators,
-// 8-bit synaptic weight quantization with a shared weight exponent, and
-// rounding helpers.
+// used by the Loihi-class chip simulator: bounded-width accumulators and
+// 8-bit synaptic weight quantization with a shared weight exponent.
 //
 // Loihi stores synaptic weights as signed 8-bit integers scaled by a
 // per-synapse-group exponent, and membrane state in wider (23/24-bit)
@@ -68,21 +67,6 @@ func SatTrace(v int64) uint8 {
 		return 0
 	}
 	return uint8(v)
-}
-
-// RoundShift arithmetic-right-shifts v by s bits with round-to-nearest
-// (ties away from zero). Loihi's learning engine applies the learning-rate
-// scaling factors S_i as shifts; naive truncation of negative deltas biases
-// weights downward, so rounding is load-bearing for learning quality.
-func RoundShift(v int64, s uint) int64 {
-	if s == 0 {
-		return v
-	}
-	half := int64(1) << (s - 1)
-	if v >= 0 {
-		return (v + half) >> s
-	}
-	return -((-v + half) >> s)
 }
 
 // Quantizer maps real-valued weights to int8 mantissas with a shared

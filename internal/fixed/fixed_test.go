@@ -60,55 +60,6 @@ func TestSatTrace(t *testing.T) {
 	}
 }
 
-func TestRoundShift(t *testing.T) {
-	tests := []struct {
-		v    int64
-		s    uint
-		want int64
-	}{
-		{8, 3, 1},
-		{7, 3, 1}, // 7/8 = 0.875 rounds to 1
-		{3, 3, 0}, // 3/8 = 0.375 rounds to 0
-		{4, 3, 1}, // tie rounds away from zero
-		{-8, 3, -1},
-		{-7, 3, -1},
-		{-3, 3, 0},
-		{-4, 3, -1}, // negative tie away from zero
-		{100, 0, 100},
-		{0, 5, 0},
-	}
-	for _, tt := range tests {
-		if got := RoundShift(tt.v, tt.s); got != tt.want {
-			t.Errorf("RoundShift(%d,%d) = %d, want %d", tt.v, tt.s, got, tt.want)
-		}
-	}
-}
-
-// RoundShift must be symmetric: shifting -v gives -(shift of v). Plain
-// arithmetic shift violates this and biases EMSTDP updates downward.
-func TestRoundShiftSymmetry(t *testing.T) {
-	f := func(v int32, s uint8) bool {
-		sh := uint(s % 16)
-		return RoundShift(int64(v), sh) == -RoundShift(int64(-v), sh)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// RoundShift error is at most half a quantum.
-func TestRoundShiftBoundedError(t *testing.T) {
-	f := func(v int32, s uint8) bool {
-		sh := uint(s%12 + 1)
-		got := float64(RoundShift(int64(v), sh))
-		exact := float64(v) / float64(int64(1)<<sh)
-		return math.Abs(got-exact) <= 0.5
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNewQuantizerFitsMax(t *testing.T) {
 	for _, maxAbs := range []float64{0.001, 0.5, 1, 3.7, 100, 12000} {
 		q := NewQuantizer(maxAbs)

@@ -1,7 +1,5 @@
 package loihi
 
-import "emstdp/internal/fixed"
-
 // Var names a learning-engine input variable — the locally available
 // quantities of eq (9): synaptic traces and variables visible at one
 // synapse.
@@ -26,54 +24,41 @@ type Factor struct {
 	C int64
 }
 
-// Product is S · Π(Vi + Ci) >> Shift, rounded. Scale S is a signed
-// microcode constant; Shift implements power-of-two learning rates.
+// Product is S · Π(Vi + Ci): a signed microcode scale S times a product
+// of factors.
 type Product struct {
 	Scale   int64
-	Shift   uint
 	Factors []Factor
 }
 
 // Rule is a sum-of-products weight adaptation rule (eq 9):
 //
-//	Δw = Σ_i RoundShift(S_i · Π_j (V_{i,j} + C_{i,j}), shift_i)
+//	Δw = StochasticShiftRound(Σ_i S_i · Π_j (V_{i,j} + C_{i,j}), StochasticShift)
 //
-// applied at learning epochs. TagCountsPostSpikes additionally enables
-// the per-step tag micro-op dt = y0, which EMSTDP uses to accumulate
-// Z = ĥ + h across both phases (§III-B, eq 12). The tag is stored per
-// postsynaptic row: with dt = y0 every synapse in a row holds the same
-// value, so the simulator collapses the storage without changing rule
-// semantics.
+// applied at learning epochs. Alongside it the engine runs the per-step
+// tag micro-op dt = y0, which EMSTDP uses to accumulate Z = ĥ + h across
+// both phases (§III-B, eq 12). The tag is stored per postsynaptic row:
+// with dt = y0 every synapse in a row holds the same value, so the
+// simulator collapses the storage without changing rule semantics.
 //
 // FrozenPost, when set, excludes postsynaptic rows from updates — the
 // incremental-learning protocol freezes old-class classifier rows this
 // way (§IV-B).
 type Rule struct {
-	Products            []Product
-	TagCountsPostSpikes bool
-	FrozenPost          []bool
-	// StochasticShift, when nonzero, replaces the per-product shifts:
-	// the raw sum of products is right-shifted by this amount with
-	// probabilistic rounding — Loihi's stochastic rounding mode. With
-	// 8-bit mantissas and power-of-two learning rates, deterministic
+	Products   []Product
+	FrozenPost []bool
+	// StochasticShift right-shifts the sum of products with probabilistic
+	// rounding — Loihi's stochastic rounding mode, which implements the
+	// power-of-two learning rate. With 8-bit mantissas, deterministic
 	// rounding kills every update smaller than half a weight quantum;
 	// stochastic rounding preserves them in expectation, which is what
-	// makes small-learning-rate on-chip training converge.
+	// makes small-learning-rate on-chip training converge. Zero applies
+	// the sum unshifted.
 	StochasticShift uint
 }
 
-// Eval computes Δw for one synapse with deterministic per-product
-// rounding.
-func (r *Rule) Eval(x1, y1, tag, w int64) int64 {
-	var dw int64
-	for _, p := range r.Products {
-		dw += fixed.RoundShift(r.product(p, x1, y1, tag, w), p.Shift)
-	}
-	return dw
-}
-
-// EvalRaw computes the unshifted sum of products (used with stochastic
-// rounding, which applies one shift to the sum).
+// EvalRaw computes the sum of products for one synapse, before the
+// stochastic shift.
 func (r *Rule) EvalRaw(x1, y1, tag, w int64) int64 {
 	var dw int64
 	for _, p := range r.Products {
@@ -136,25 +121,10 @@ func StochasticShiftRound(v int64, s uint, u uint64) int64 {
 // count h for later use.
 func EMSTDPRule(shift uint) *Rule {
 	return &Rule{
-		TagCountsPostSpikes: true,
-		StochasticShift:     shift,
+		StochasticShift: shift,
 		Products: []Product{
 			{Scale: 2, Factors: []Factor{{V: VarY1}, {V: VarX1}}},
 			{Scale: -1, Factors: []Factor{{V: VarTag}, {V: VarX1}}},
-		},
-	}
-}
-
-// PairwiseSTDPRule builds a classic rate-based pairwise STDP potentiation
-// rule Δw = RoundShift(A⁺·x1·y1, shift) − RoundShift(A⁻·x1, shift),
-// demonstrating that the engine expresses the regular STDP family the
-// Loihi documentation describes (§II-B). Used by tests and examples, not
-// by EMSTDP itself.
-func PairwiseSTDPRule(aPlus, aMinus int64, shift uint) *Rule {
-	return &Rule{
-		Products: []Product{
-			{Scale: aPlus, Shift: shift, Factors: []Factor{{V: VarX1}, {V: VarY1}}},
-			{Scale: -aMinus, Shift: shift, Factors: []Factor{{V: VarX1}}},
 		},
 	}
 }

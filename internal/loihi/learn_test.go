@@ -51,24 +51,24 @@ func TestStochasticShiftRoundZeroShift(t *testing.T) {
 func TestEMSTDPRuleSigns(t *testing.T) {
 	rule := EMSTDPRule(0) // no scaling: exact products
 	// ĥ > h: potentiation proportional to (ĥ−h)·x.
-	if got := rule.Eval(10, 20, 25, 0); got != (20-5)*10 {
+	if got := rule.EvalRaw(10, 20, 25, 0); got != (20-5)*10 {
 		t.Errorf("potentiation = %d, want %d", got, 150)
 	}
 	// ĥ < h: depression.
-	if got := rule.Eval(10, 5, 25, 0); got != (5-20)*10 {
+	if got := rule.EvalRaw(10, 5, 25, 0); got != (5-20)*10 {
 		t.Errorf("depression = %d, want %d", got, -150)
 	}
 	// ĥ == h: no change.
-	if got := rule.Eval(10, 12, 24, 0); got != 0 {
+	if got := rule.EvalRaw(10, 12, 24, 0); got != 0 {
 		t.Errorf("no-error update = %d, want 0", got)
 	}
 }
 
 func TestRuleEvalVarW(t *testing.T) {
-	// A weight-decay-style rule: Δw = -w >> 2.
-	rule := &Rule{Products: []Product{{Scale: -1, Shift: 2, Factors: []Factor{{V: VarW}}}}}
-	if got := rule.Eval(0, 0, 0, 100); got != -25 {
-		t.Errorf("decay = %d, want -25", got)
+	// A weight-decay-style rule: Δw = -w.
+	rule := &Rule{Products: []Product{{Scale: -1, Factors: []Factor{{V: VarW}}}}}
+	if got := rule.EvalRaw(0, 0, 0, 100); got != -100 {
+		t.Errorf("decay = %d, want -100", got)
 	}
 }
 
@@ -77,16 +77,8 @@ func TestRuleEvalConstants(t *testing.T) {
 	rule := &Rule{Products: []Product{{Scale: 1, Factors: []Factor{
 		{V: VarX1, C: 2}, {V: VarY1, C: -1},
 	}}}}
-	if got := rule.Eval(3, 4, 0, 0); got != 5*3 {
+	if got := rule.EvalRaw(3, 4, 0, 0); got != 5*3 {
 		t.Errorf("eval = %d, want 15", got)
-	}
-}
-
-func TestPairwiseSTDPRule(t *testing.T) {
-	rule := PairwiseSTDPRule(4, 1, 2)
-	// Δw = (4·x·y)>>2 − (1·x)>>2 = x·y − x/4.
-	if got := rule.Eval(8, 3, 0, 0); got != 8*3-2 {
-		t.Errorf("stdp = %d, want %d", got, 22)
 	}
 }
 

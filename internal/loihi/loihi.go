@@ -4,9 +4,9 @@
 //
 //   - many-core layout with bounded compartments, synapses and fan-in per
 //     core, and power gating of unused cores (§II-B, §III-C);
-//   - CUBA leaky-integrate-and-fire compartments with integer state,
-//     configurable here as IF neurons by disabling the membrane leak and
-//     letting synaptic current decay immediately (§III-A);
+//   - integer-state compartments in the integrate-and-fire
+//     configuration of the chip's CUBA neuron: no membrane leak, and
+//     synaptic current that decays immediately (§III-A);
 //   - signed 8-bit synaptic weights with a per-group weight exponent;
 //   - directional synapses: there is no backward path unless one is built
 //     explicitly (§III-A);

@@ -118,51 +118,6 @@ func TestSetWeightsFloatHeadroom(t *testing.T) {
 	}
 }
 
-func TestLeakConfiguration(t *testing.T) {
-	// CUBA leak (eq 8): with LeakShift=1 the membrane halves per step.
-	p := NewPopulation("leaky", PopulationConfig{N: 1, Theta: 1000, VMin: -1000, LeakShift: 1})
-	chip := New(DefaultHardware())
-	if err := chip.AddPopulation(p, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	p.SetBiases([]int32{100})
-	chip.Step() // v = 100
-	p.SetBiases([]int32{0})
-	chip.Step() // v = 50
-	chip.Step() // v = 25
-	if got := p.Potential(0); got != 25 {
-		t.Errorf("leaky membrane = %d, want 25", got)
-	}
-}
-
-func TestCurrentDecayConfiguration(t *testing.T) {
-	// With CurrentDecayShift=1 a single spike's current persists,
-	// halving each step: contributions 100, 50, 25...
-	a := ifPop("a", 1, 10)
-	b := NewPopulation("cuba", PopulationConfig{N: 1, Theta: 10000, VMin: 0, CurrentDecayShift: 1})
-	chip := New(DefaultHardware())
-	if err := chip.AddPopulation(a, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := chip.AddPopulation(b, 1, 10); err != nil {
-		t.Fatal(err)
-	}
-	g := NewSynapseGroup("ab", a, b, 0)
-	g.W[0] = 100
-	if err := chip.Connect(g); err != nil {
-		t.Fatal(err)
-	}
-	a.SetBiases([]int32{10})
-	chip.Step() // a fires
-	a.SetBiases([]int32{0})
-	chip.Step() // current 100 arrives: v = 100
-	chip.Step() // current decays to 50: v = 150
-	chip.Step() // 25: v = 175
-	if got := b.Potential(0); got != 175 {
-		t.Errorf("CUBA membrane = %d, want 175", got)
-	}
-}
-
 func TestVMinFloors(t *testing.T) {
 	chip := New(DefaultHardware())
 	p := ifPop("p", 1, 100)
@@ -482,56 +437,5 @@ func TestResetStatePreservesWeights(t *testing.T) {
 	}
 	if g.W[0] != 55 {
 		t.Error("weights must survive state reset")
-	}
-}
-
-func TestHomeostaticThresholdAdaptation(t *testing.T) {
-	chip := New(DefaultHardware())
-	p := NewPopulation("homeo", PopulationConfig{
-		N: 1, Theta: 100, VMin: -100,
-		HomeostasisUp: 50, HomeostasisDecayShift: 4,
-	})
-	if err := chip.AddPopulation(p, 0, 10); err != nil {
-		t.Fatal(err)
-	}
-	p.SetBiases([]int32{100}) // drives a spike every step at base threshold
-	count := 0
-	for i := 0; i < 20; i++ {
-		chip.Step()
-		if p.SpikeBits().Get(0) {
-			count++
-		}
-	}
-	// With the threshold rising 50 per spike, the rate must fall well
-	// below one spike per step.
-	if count >= 18 {
-		t.Errorf("homeostasis did not throttle: %d spikes in 20 steps", count)
-	}
-	if count == 0 {
-		t.Error("homeostasis killed the neuron entirely")
-	}
-
-	// Adaptation is slow state: it survives the per-sample reset.
-	before := count
-	chip.ResetState()
-	count = 0
-	for i := 0; i < 20; i++ {
-		chip.Step()
-		if p.SpikeBits().Get(0) {
-			count++
-		}
-	}
-	if count > before {
-		t.Errorf("adaptation lost across ResetState: %d then %d spikes", before, count)
-	}
-
-	// And it decays: after a long silent period the neuron recovers.
-	p.SetBiases([]int32{0})
-	chip.Run(400)
-	p.SetBiases([]int32{100})
-	chip.Step()
-	chip.Step()
-	if !p.SpikeBits().Get(0) {
-		t.Error("adaptation did not decay during silence")
 	}
 }

@@ -13,8 +13,11 @@ type coreSlice struct {
 	Count int
 }
 
-// PopulationConfig describes the compartment dynamics of a population.
-// All state is integer, mirroring the chip's registers.
+// PopulationConfig describes the compartment dynamics of a population:
+// the integrate-and-fire configuration of §III-A. Each step a compartment
+// adds its synaptic input and bias to its membrane (saturating), fires
+// when the membrane reaches Theta, resets by subtracting Theta and is
+// floored at VMin. All state is integer, mirroring the chip's registers.
 type PopulationConfig struct {
 	// N is the number of compartments.
 	N int
@@ -23,29 +26,12 @@ type PopulationConfig struct {
 	// VMin floors the membrane potential (the register saturates rather
 	// than wraps). Set to a small negative multiple of Theta.
 	VMin int32
-	// LeakShift, when nonzero, applies a per-step membrane leak
-	// v -= v>>LeakShift — the CUBA leak of eq (8). Zero gives the IF
-	// configuration of §III-A (τv at maximum, no leak).
-	LeakShift uint
-	// CurrentDecayShift, when nonzero, retains synaptic current between
-	// steps with decay u -= u>>shift. Zero makes current decay
-	// immediately (the paper's IF configuration).
-	CurrentDecayShift uint
 	// Source marks a host-driven spike source: the population has no
 	// compartment dynamics and emits exactly the spikes the host injects
 	// each step via InjectSpikes — the mesh-level spike-insertion input
 	// path that §III-D's bias coding replaces. Each injected spike costs
 	// one host transaction.
 	Source bool
-	// HomeostasisUp, when nonzero, enables Loihi's adaptive-threshold
-	// homeostasis: each spike raises the compartment's effective
-	// threshold by this amount, and the adaptation decays by
-	// 1/2^HomeostasisDecayShift per step. Frequent winners become harder
-	// to fire, letting competitors specialise — the mechanism
-	// unsupervised STDP networks rely on. Adaptation state is slow
-	// plasticity: it survives the per-sample state reset, like weights.
-	HomeostasisUp         int32
-	HomeostasisDecayShift uint
 	// Gated marks a two-compartment neuron: the soma's spike output is
 	// ANDed with the auxiliary compartment's latched activity (§III-A).
 	Gated bool
@@ -64,11 +50,7 @@ type Population struct {
 	Bias []int32 // per-compartment bias, host-programmable
 
 	v   []int32 // membrane potential
-	u   []int32 // synaptic current (used only with CurrentDecayShift > 0)
 	acc []int32 // this step's synaptic input accumulator
-	// adaptTheta is the homeostatic threshold adaptation (slow state,
-	// survives sample resets).
-	adaptTheta []int32
 
 	// bitsNow collects this step's spikes: the compartment update sets
 	// the bit of each compartment that fires (InjectSpikes stages a
@@ -126,21 +108,12 @@ func NewPopulation(name string, cfg PopulationConfig) *Population {
 		activePrev: spike.NewActiveList(cfg.N),
 		postTrace:  make([]uint8, cfg.N),
 	}
-	if cfg.CurrentDecayShift > 0 {
-		p.u = make([]int32, cfg.N)
-	}
-	if cfg.HomeostasisUp > 0 {
-		p.adaptTheta = make([]int32, cfg.N)
-	}
 	if cfg.Gated {
 		p.auxActivity = make([]int32, cfg.N)
 		p.gateMask = make([]bool, cfg.N)
 	}
 	return p
 }
-
-// Config returns the population's compartment configuration.
-func (p *Population) Config() PopulationConfig { return p.cfg }
 
 // AuxSource links the auxiliary compartments to another population of the
 // same size: each aux compartment integrates the activity of the
@@ -254,22 +227,13 @@ func (p *Population) updateRange(lo, hi int) int {
 	// sub-slices of one length so the compiler drops their bounds
 	// checks. The phase gate is the control neuron's previous-step
 	// spike, which nothing in this step's updates can change.
-	theta0, vmin := p.cfg.Theta, p.cfg.VMin
-	leak, decay := p.cfg.LeakShift, p.cfg.CurrentDecayShift
-	homUp, homDecay := p.cfg.HomeostasisUp, p.cfg.HomeostasisDecayShift
+	theta, vmin := p.cfg.Theta, p.cfg.VMin
 	open := p.phaseGate == nil || p.phaseGate.bitsPrev.Get(0)
 	acc := p.acc[lo:hi]
 	n := len(acc)
 	v, bias := p.v[lo:hi][:n], p.Bias[lo:hi][:n]
 	trace = trace[:n]
-	var u, adapt []int32
 	var gate, disabled []bool
-	if p.u != nil {
-		u = p.u[lo:hi][:n]
-	}
-	if p.adaptTheta != nil {
-		adapt = p.adaptTheta[lo:hi][:n]
-	}
 	if p.gateMask != nil {
 		gate = p.gateMask[lo:hi][:n]
 	}
@@ -284,30 +248,11 @@ func (p *Population) updateRange(lo, hi int) int {
 			v[j] = 0
 			continue
 		}
-		if u != nil {
-			// CUBA current: decay then integrate new arrivals.
-			uj := u[j] - u[j]>>decay
-			drive = fixed.SatAdd32(uj, drive, fixed.StateMin, fixed.StateMax)
-			u[j] = drive
-		}
-		vj := v[j]
-		if leak > 0 {
-			vj -= vj >> leak
-		}
-		vj = fixed.SatAdd32(vj, fixed.SatAdd32(drive, bias[j], fixed.StateMin, fixed.StateMax),
+		vj := fixed.SatAdd32(v[j], fixed.SatAdd32(drive, bias[j], fixed.StateMin, fixed.StateMax),
 			fixed.StateMin, fixed.StateMax)
-
-		theta := theta0
-		if adapt != nil {
-			adapt[j] -= adapt[j] >> homDecay
-			theta += adapt[j]
-		}
 		fired := vj >= theta
 		if fired {
 			vj -= theta // reset by subtraction preserves eq (2)
-			if adapt != nil {
-				adapt[j] = fixed.SatAdd32(adapt[j], homUp, 0, fixed.StateMax)
-			}
 		}
 		if vj < vmin {
 			vj = vmin
@@ -364,15 +309,12 @@ func (p *Population) resetPostTrace() {
 	}
 }
 
-// resetDynamics zeroes membranes, currents, accumulators and spike
-// buffers, keeping traces, aux activity and gate masks (phase boundary).
+// resetDynamics zeroes membranes, accumulators and spike buffers,
+// keeping traces, aux activity and gate masks (phase boundary).
 func (p *Population) resetDynamics() {
 	for i := 0; i < p.N; i++ {
 		p.v[i] = 0
 		p.acc[i] = 0
-		if p.u != nil {
-			p.u[i] = 0
-		}
 	}
 	p.clearSpikes()
 }
@@ -384,9 +326,6 @@ func (p *Population) reset() {
 		p.v[i] = 0
 		p.acc[i] = 0
 		p.postTrace[i] = 0
-		if p.u != nil {
-			p.u[i] = 0
-		}
 		if p.auxActivity != nil {
 			p.auxActivity[i] = 0
 			p.gateMask[i] = false

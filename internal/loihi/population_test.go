@@ -17,8 +17,7 @@ import (
 // and read through their public views.
 type refPopulation struct {
 	cfg                   PopulationConfig
-	bias, v, u, acc       []int32
-	adaptTheta            []int32
+	bias, v, acc          []int32
 	postTrace             []uint8
 	auxActivity           []int32
 	gateMask, disabled    []bool
@@ -38,12 +37,6 @@ func newRefPopulation(cfg PopulationConfig) *refPopulation {
 		disabled:   make([]bool, cfg.N),
 		spikesNow:  make([]bool, cfg.N),
 		spikesPrev: make([]bool, cfg.N),
-	}
-	if cfg.CurrentDecayShift > 0 {
-		r.u = make([]int32, cfg.N)
-	}
-	if cfg.HomeostasisUp > 0 {
-		r.adaptTheta = make([]int32, cfg.N)
 	}
 	if cfg.Gated {
 		r.auxActivity = make([]int32, cfg.N)
@@ -76,15 +69,7 @@ func (r *refPopulation) updateRange(lo, hi int) int {
 			r.spikesNow[i] = false
 			continue
 		}
-		if r.u != nil {
-			r.u[i] -= r.u[i] >> r.cfg.CurrentDecayShift
-			r.u[i] = fixed.SatAdd32(r.u[i], drive, fixed.StateMin, fixed.StateMax)
-			drive = r.u[i]
-		}
 		v := r.v[i]
-		if r.cfg.LeakShift > 0 {
-			v -= v >> r.cfg.LeakShift
-		}
 		in := fixed.SatAdd32(drive, r.bias[i], fixed.StateMin, fixed.StateMax)
 		switch sum := int64(v) + int64(in); {
 		case sum > fixed.StateMax:
@@ -94,19 +79,10 @@ func (r *refPopulation) updateRange(lo, hi int) int {
 		}
 		v = fixed.SatAdd32(v, in, fixed.StateMin, fixed.StateMax)
 
-		theta := r.cfg.Theta
-		if r.adaptTheta != nil {
-			r.adaptTheta[i] -= r.adaptTheta[i] >> r.cfg.HomeostasisDecayShift
-			theta += r.adaptTheta[i]
-		}
 		fired := false
-		if v >= theta {
-			v -= theta
+		if v >= r.cfg.Theta {
+			v -= r.cfg.Theta
 			fired = true
-			if r.adaptTheta != nil {
-				r.adaptTheta[i] = fixed.SatAdd32(r.adaptTheta[i], r.cfg.HomeostasisUp,
-					0, fixed.StateMax)
-			}
 		}
 		if v < r.cfg.VMin {
 			v = r.cfg.VMin
@@ -150,7 +126,6 @@ func (r *refPopulation) latchGate() {
 func (r *refPopulation) resetDynamics() {
 	clear(r.v)
 	clear(r.acc)
-	clear(r.u)
 	clear(r.spikesNow)
 	clear(r.spikesPrev)
 }
@@ -162,12 +137,11 @@ func (r *refPopulation) reset() {
 	clear(r.gateMask)
 }
 
-// Population features the reference test toggles, one bit each.
+// Population features the reference test toggles, one bit each. The
+// three low bits are left unset so every case keeps the seed
+// 1000*feat+si+1, and with it the inputs, it has always drawn.
 const (
-	featLeak = 1 << iota
-	featCUBA
-	featHomeostasis
-	featGated
+	featGated = 1 << (iota + 3)
 	featPhaseGate
 	featDisabled
 	featVMinNeg
@@ -184,7 +158,7 @@ const (
 func TestPopulationUpdateMatchesReference(t *testing.T) {
 	sizes := []int{1, 63, 64, 65, 130, 200}
 	var satHi, satLo, fired, gateClosed int
-	for feat := 0; feat < featAll; feat++ {
+	for feat := 0; feat < featAll; feat += featGated {
 		if feat&featSource != 0 && feat != featSource {
 			continue // a source has no dynamics to combine with
 		}
@@ -194,16 +168,6 @@ func TestPopulationUpdateMatchesReference(t *testing.T) {
 			cfg := PopulationConfig{N: n, Theta: theta, Source: feat&featSource != 0}
 			if feat&featVMinNeg != 0 {
 				cfg.VMin = -4 * theta
-			}
-			if feat&featLeak != 0 {
-				cfg.LeakShift = uint(1 + r.Intn(4))
-			}
-			if feat&featCUBA != 0 {
-				cfg.CurrentDecayShift = uint(1 + r.Intn(4))
-			}
-			if feat&featHomeostasis != 0 {
-				cfg.HomeostasisUp = int32(1 + r.Intn(int(theta)))
-				cfg.HomeostasisDecayShift = uint(1 + r.Intn(5))
 			}
 			if feat&featGated != 0 {
 				cfg.Gated = true
@@ -344,13 +308,12 @@ func splitRanges(n int, r *rng.Source) [][2]int {
 }
 
 // comparePopulation fails on any difference between p and its reference:
-// membrane, current, adaptation, traces, aux activity, the published
+// membrane, traces, aux activity, the published
 // spike bitset (trailing bits included) and the active list.
 func comparePopulation(t *testing.T, p *Population, ref *refPopulation, feat, step int) {
 	t.Helper()
 	for name, pair := range map[string][2][]int32{
-		"v": {p.v, ref.v}, "u": {p.u, ref.u}, "adaptTheta": {p.adaptTheta, ref.adaptTheta},
-		"auxActivity": {p.auxActivity, ref.auxActivity},
+		"v": {p.v, ref.v}, "auxActivity": {p.auxActivity, ref.auxActivity},
 	} {
 		if !slices.Equal(pair[0], pair[1]) {
 			t.Fatalf("feat %#x N=%d step %d: %s %v, reference %v", feat, p.N, step, name, pair[0], pair[1])

@@ -325,7 +325,7 @@ func (g *SynapseGroup) deliverDenseRange(lo, hi int, tracePre bool) int64 {
 // [lo,hi): the tag accumulation rule dt = y0 (one increment per
 // postsynaptic spike, both phases).
 func (g *SynapseGroup) stepLearningRange(lo, hi int) {
-	if g.Rule == nil || !g.Rule.TagCountsPostSpikes {
+	if g.Rule == nil {
 		return
 	}
 	// Walk the words of the post population's fresh spikes that overlap
@@ -369,14 +369,9 @@ func (g *SynapseGroup) applyEpochRange(lo, hi int) int64 {
 			if x1 == 0 {
 				continue // every product term carries x1; zero pre-trace means no update
 			}
-			var dw int64
-			if s := g.Rule.StochasticShift; s > 0 {
-				raw := g.Rule.EvalRaw(x1, y1, tg, int64(row[k]))
-				if raw != 0 {
-					dw = StochasticShiftRound(raw, s, g.lrnRNG.Uint64())
-				}
-			} else {
-				dw = g.Rule.Eval(x1, y1, tg, int64(row[k]))
+			dw := g.Rule.EvalRaw(x1, y1, tg, int64(row[k]))
+			if s := g.Rule.StochasticShift; s > 0 && dw != 0 {
+				dw = StochasticShiftRound(dw, s, g.lrnRNG.Uint64())
 			}
 			if dw != 0 {
 				row[k] = fixed.SatWeight(int64(row[k]) + dw)
