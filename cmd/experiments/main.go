@@ -6,6 +6,12 @@
 //	experiments -exp fig4            # Fig 4: incremental online learning
 //	experiments -exp all -scale full # everything at full scale
 //
+// Table I, Fig 3 and the ablations run as orchestrator task graphs on
+// -workers pool workers, sharing one stage cache per invocation, so a
+// realized dataset or pretrained network computes once however many
+// cells use it. -cache-dir spills that cache to disk, and a rerun over
+// a populated directory computes only what changed.
+//
 // Observability: -trace out.json records every layer (pool workers,
 // pipeline slots, orchestrator stages, mesh phases) as a
 // Chrome/Perfetto trace; -pprof addr serves net/http/pprof plus the
@@ -59,11 +65,7 @@ func main() {
 	partition := flag.String("partition", "population", "multi-die sharding strategy: population, range or traffic")
 	topology := flag.String("topology", "line", "multi-die NoC topology: line, mesh or torus")
 	fig3csv := flag.String("fig3csv", "", "also write the fig3 grid as CSV to this path")
-	orchestrate := flag.Bool("orchestrate", false, "schedule sweep grids as dependency task graphs with content-addressed stage caching (bit-identical to the flat path)")
-	cacheDir := flag.String("cache-dir", "", "stage-cache spill directory for -orchestrate (\"\" = in-memory only; a populated directory makes reruns warm-start)")
-	issueLow := flag.Int("issue-low", 0, "orchestrator low watermark: refill the issue window once in-flight stages drain to this (0 = default)")
-	issueHigh := flag.Int("issue-high", 0, "orchestrator high watermark: maximum stages in flight (0 = default)")
-	governor := flag.Bool("governor", false, "adaptively retune the orchestrator issue width from realized stage throughput")
+	cacheDir := flag.String("cache-dir", "", "spill directory for the sweep grids' stage cache (\"\" = in-memory only; a populated directory makes reruns warm-start)")
 	traceOut := flag.String("trace", "", "write a Chrome/Perfetto trace of the run to this JSON file (open at ui.perfetto.dev or chrome://tracing)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and the live counters snapshot on this address (e.g. localhost:6060)")
 	flag.Parse()
@@ -97,27 +99,17 @@ func main() {
 		os.Exit(2)
 	}
 	sc.Topology = *topology
-	sc.Orchestrate = *orchestrate
-	sc.CacheDir = *cacheDir
-	sc.IssueLow = *issueLow
-	sc.IssueHigh = *issueHigh
-	sc.Governor = *governor
-	if sc.Orchestrate {
-		// One cache across every grid this invocation runs, so e.g.
-		// -exp all shares realized prefixes between table1 and fig3 cells
-		// with the same realization options.
-		sc.Cache = orchestrator.NewCache(sc.CacheDir)
-		sc.Counters = metrics.NewCounters()
-	}
+	// One cache across every grid this invocation runs, so e.g. -exp all
+	// shares realized prefixes between table1 and fig3 cells with the
+	// same realization options.
+	sc.Cache = orchestrator.NewCache(*cacheDir)
+	sc.Counters = metrics.NewCounters()
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		tracer = trace.New()
 		sc.Trace = tracer
 	}
 	if *pprofAddr != "" {
-		if sc.Counters == nil {
-			sc.Counters = metrics.NewCounters()
-		}
 		ctr := sc.Counters
 		expvar.Publish("emstdp.counters", expvar.Func(func() any { return ctr.Snapshot() }))
 		http.HandleFunc("/debug/counters", func(w http.ResponseWriter, _ *http.Request) {
@@ -194,8 +186,11 @@ func main() {
 				if err != nil {
 					return err
 				}
-				defer f.Close()
 				if err := experiments.WriteFig3CSV(f, points); err != nil {
+					f.Close()
+					return err
+				}
+				if err := f.Close(); err != nil {
 					return err
 				}
 				fmt.Printf("fig3 CSV written to %s\n", *fig3csv)
@@ -233,7 +228,7 @@ func main() {
 			return nil
 		})
 	}
-	if sc.Counters != nil && len(sc.Counters.Names()) > 0 {
+	if len(sc.Counters.Names()) > 0 {
 		fmt.Println("orchestrator counters:")
 		if _, err := sc.Counters.WriteTo(os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "writing counters: %v\n", err)

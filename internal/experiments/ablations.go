@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
-	"emstdp/internal/core"
-	"emstdp/internal/dataset"
 	"emstdp/internal/emstdp"
 	"emstdp/internal/metrics"
 )
@@ -16,19 +13,6 @@ type AblationResult struct {
 	Study    string // which knob
 	Value    string // the knob's setting
 	Accuracy float64
-}
-
-// buildFeatures builds a shared feature extraction front end for the
-// ablations so every variant sees identical inputs.
-func buildFeatures(sc Scale, seed uint64) (*core.Model, error) {
-	return core.Build(core.Options{
-		Dataset:        dataset.MNIST,
-		Backend:        core.FP,
-		TrainSamples:   sc.TrainSamples,
-		TestSamples:    sc.TestSamples,
-		PretrainEpochs: sc.PretrainEpochs,
-		Seed:           seed,
-	})
 }
 
 // runVariant trains a fresh reference network with cfg on the shared
@@ -51,8 +35,8 @@ func runVariant(trainFeat, testFeat []metrics.Sample, cfg emstdp.Config, epochs 
 
 // variantSpec is one ablation variant: a study/value label plus the
 // config delta it applies to the shared baseline. Specs are static —
-// independent of the realized model — so both the flat and the
-// orchestrated sweep build identical configs from them.
+// independent of the realized model — so a variant's config depends on
+// nothing but its label and the feature geometry.
 type variantSpec struct {
 	study, value string
 	apply        func(cfg *emstdp.Config)
@@ -104,39 +88,6 @@ func ablationBaseConfig(featDim, classes int, seed uint64) emstdp.Config {
 	cfg := emstdp.DefaultConfig(featDim, 100, classes)
 	cfg.Seed = seed + 3
 	return cfg
-}
-
-// Ablations sweeps the paper's design choices on the MNIST task: the h′
-// gate, the phase length T (§IV-A2's quality/throughput trade), and the
-// synaptic weight precision (the source of the paper's Loihi-vs-FP
-// accuracy gap). Variants train fresh networks against the
-// shared (read-only) feature split, so the sweep shards variant-per-
-// worker through the engine pool.
-func Ablations(sc Scale, seed uint64, progress io.Writer) ([]AblationResult, error) {
-	if sc.Orchestrate {
-		return ablationsGraph(sc, seed, progress)
-	}
-	m, err := buildFeatures(sc, seed)
-	if err != nil {
-		return nil, err
-	}
-	variants := ablationVariants()
-	results := make([]AblationResult, len(variants))
-	var mu sync.Mutex
-	_ = mapGrid(sc.pool(), len(variants), func(i int) error {
-		v := variants[i]
-		cfg := ablationBaseConfig(m.Conv.OutSize(), m.DS.NumClasses, seed)
-		v.apply(&cfg)
-		acc := runVariant(m.TrainFeatures(), m.TestFeatures(), cfg, sc.Epochs)
-		results[i] = AblationResult{Study: v.study, Value: v.value, Accuracy: acc}
-		if progress != nil {
-			mu.Lock()
-			fmt.Fprintf(progress, "ablation %-12s %-6s %.1f%%\n", v.study, v.value, acc*100)
-			mu.Unlock()
-		}
-		return nil
-	})
-	return results, nil
 }
 
 // PrintAblations renders the sweep grouped by study.

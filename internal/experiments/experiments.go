@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"emstdp/internal/chipnet"
 	"emstdp/internal/core"
@@ -22,7 +21,6 @@ import (
 	"emstdp/internal/mapping"
 	"emstdp/internal/metrics"
 	"emstdp/internal/orchestrator"
-	"emstdp/internal/stream"
 	"emstdp/internal/trace"
 )
 
@@ -36,12 +34,12 @@ type Scale struct {
 	// EnergySamples is the number of training/testing samples simulated
 	// to collect activity counters for Table II / Fig 3.
 	EnergySamples int
-	// Workers is the engine pool width for sweep grids: Table I cells,
-	// Fig 3 mapping points and ablation variants are independent, so the
-	// grid is sharded cell-per-worker through engine.Pool (each cell's
-	// model stays sequential — two nested levels of parallelism would
-	// just oversubscribe the cores). 0 or 1 runs sequentially; negative
-	// selects GOMAXPROCS. Cell results are independent of the width.
+	// Workers is the engine pool width the sweep grids (Table I, Fig 3,
+	// ablations) run their orchestrator stages on, one stage per worker
+	// at a time (each stage's model stays sequential — two nested levels
+	// of parallelism would just oversubscribe the cores). 0 or 1 runs
+	// sequentially; negative selects GOMAXPROCS. Results are
+	// independent of the width.
 	Workers int
 	// Batch is the training mini-batch size forwarded to core.Options:
 	// 1 (default) is the paper's online protocol, larger values trade
@@ -66,26 +64,11 @@ type Scale struct {
 	// PerCore lists the neurons-per-core packings Fig 3 sweeps (nil =
 	// the paper's 5,10,…,30).
 	PerCore []int
-	// Orchestrate routes the sweep grids (Table I, Fig 3, ablations)
-	// through the dependency-scheduled orchestrator instead of flat
-	// cell-per-worker sharding: each grid becomes a task graph whose
-	// shared prefixes (dataset realization, conv pretraining) compute
-	// exactly once, with stage outputs memoized in a content-addressed
-	// cache. Results are bit-identical to the flat path.
-	Orchestrate bool
-	// Cache is the stage cache orchestrated runs share; nil builds a
-	// transient per-call cache over CacheDir. Reusing one cache across
-	// calls is what makes a warm rerun compute nothing.
+	// Cache is the stage cache the sweep grids share; nil runs each
+	// grid without one (stages shared within the grid still compute
+	// once). Reusing one cache across calls is what makes a warm rerun
+	// compute nothing.
 	Cache *orchestrator.Cache
-	// CacheDir is the disk-spill directory for the transient cache built
-	// when Cache is nil ("" = memory only).
-	CacheDir string
-	// IssueLow and IssueHigh are the orchestrator's issue watermarks
-	// (0 = the grid default, low 2 / high 8).
-	IssueLow, IssueHigh int
-	// Governor enables adaptive issue-width retuning within
-	// [1, IssueHigh] from realized stage throughput.
-	Governor bool
 	// Counters, if set, receives the orchestrator's observability
 	// counters.
 	Counters *metrics.Counters
@@ -100,25 +83,13 @@ type Scale struct {
 
 // orchRun assembles the orchestrator configuration for a grid run.
 func (sc Scale) orchRun() orchestrator.Config {
-	cache := sc.Cache
-	if cache == nil {
-		cache = orchestrator.NewCache(sc.CacheDir)
-	}
-	wm := stream.Watermarks{Low: sc.IssueLow, High: sc.IssueHigh}
-	if wm.High < 1 {
-		// Grid stages are coarse (whole training runs), so a shallow
-		// issue window keeps memory bounded without starving the pool.
-		wm = stream.Watermarks{Low: 2, High: 8}
-	}
-	var gov *orchestrator.Governor
-	if sc.Governor {
-		gov = orchestrator.NewGovernor(1, wm.High)
+	workers := sc.Workers
+	if workers == 0 {
+		workers = 1 // engine.NewPool(0) would select GOMAXPROCS
 	}
 	return orchestrator.Config{
-		Pool:     sc.pool(),
-		Cache:    cache,
-		WM:       wm,
-		Governor: gov,
+		Pool:     engine.NewPool(workers),
+		Cache:    sc.Cache,
 		Counters: sc.Counters,
 		Tracer:   sc.Trace,
 	}
@@ -140,29 +111,6 @@ func (sc Scale) fig3PerCore() []int {
 	return sc.PerCore
 }
 
-// pool returns the engine pool the sweep grids shard through.
-func (sc Scale) pool() *engine.Pool {
-	if sc.Workers == 0 {
-		return engine.NewPool(1)
-	}
-	return engine.NewPool(sc.Workers)
-}
-
-// mapGrid shards cells [0,n) across the pool and returns the first
-// (lowest-index) error any cell produced — the shared scaffolding of
-// every sweep in this package. Cells write their results into
-// index-addressed slices, so grid output never depends on the width.
-func mapGrid(p *engine.Pool, n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	p.Map(n, func(_, i int) { errs[i] = fn(i) })
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // QuickScale returns a minutes-scale configuration.
 func QuickScale() Scale {
 	return Scale{TrainSamples: 600, TestSamples: 200, Epochs: 1, PretrainEpochs: 2, EnergySamples: 20}
@@ -179,44 +127,6 @@ type Table1Row struct {
 	Mode     emstdp.FeedbackMode
 	Backend  core.Backend
 	Accuracy float64
-}
-
-// Table1 trains every (dataset, mode, backend) combination and returns
-// the accuracy grid in the paper's row order. Cells are independent
-// models, so the grid runs through the engine pool (sc.Workers wide);
-// each cell's result is a pure function of its options and seed, so the
-// grid is deterministic for any pool width.
-func Table1(sc Scale, seed uint64, progress io.Writer) ([]Table1Row, error) {
-	if sc.Orchestrate {
-		return table1Graph(sc, seed, progress)
-	}
-	cells := table1Cells()
-	rows := make([]Table1Row, len(cells))
-	var mu sync.Mutex
-	err := mapGrid(sc.pool(), len(cells), func(i int) error {
-		c := cells[i]
-		m, err := core.Build(table1Options(sc, seed, c))
-		if err != nil {
-			return fmt.Errorf("table1 %v/%v/%v: %w", c.ds, c.mode, c.backend, err)
-		}
-		// Pipelined cells hold persistent stage workers and their replica
-		// networks; release them when the cell retires or a 16-cell sweep
-		// would keep every cell's replicas live to the end.
-		defer m.Close()
-		m.Train(sc.Epochs)
-		acc := m.Evaluate().Accuracy()
-		rows[i] = Table1Row{Dataset: c.ds, Mode: c.mode, Backend: c.backend, Accuracy: acc}
-		if progress != nil {
-			mu.Lock()
-			fmt.Fprintf(progress, "table1: %-18s %-3s %-11s %.1f%%\n", c.ds, c.mode, c.backend, acc*100)
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // PrintTable1 renders rows in the paper's Table I layout.
@@ -353,37 +263,6 @@ type Fig3Point struct {
 	MeshEnergyPerSample float64
 }
 
-// Fig3 sweeps the neurons-per-core packing — and, beyond the paper, the
-// die count — for both feedback modes, measuring activity over
-// sc.EnergySamples training samples and scaling to the paper's
-// 10000-sample training run. Mapping points are independent chip (or
-// mesh) deployments, so the sweep runs through the engine pool (each
-// point's simulated fabric stays sequential — the activity counters
-// must come from one deployment driving its own samples). Multi-die
-// cells are bit-identical to their single-die column by construction;
-// what the sweep exposes is the added mesh traffic and fabric energy of
-// each partition strategy.
-func Fig3(sc Scale, seed uint64) ([]Fig3Point, error) {
-	if sc.Orchestrate {
-		return fig3Graph(sc, seed)
-	}
-	grid := fig3Grid(sc)
-	points := make([]Fig3Point, len(grid))
-	err := mapGrid(sc.pool(), len(grid), func(i int) error {
-		p := grid[i]
-		m, err := core.Build(fig3Options(sc, seed, p))
-		if err != nil {
-			return err
-		}
-		points[i] = fig3Measure(m, sc, p)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
-}
-
 // fig3PointSpec is one grid coordinate of the Fig-3 sweep.
 type fig3PointSpec struct {
 	mode  emstdp.FeedbackMode
@@ -404,8 +283,7 @@ func fig3Grid(sc Scale) []fig3PointSpec {
 	return grid
 }
 
-// fig3Options is the cell's full model configuration — the single
-// source both the flat and the orchestrated sweep build from.
+// fig3Options is the cell's full model configuration.
 func fig3Options(sc Scale, seed uint64, p fig3PointSpec) core.Options {
 	return core.Options{
 		Dataset:           dataset.MNIST,

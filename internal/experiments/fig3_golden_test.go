@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"emstdp/internal/orchestrator"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current output")
@@ -32,10 +30,8 @@ func goldenScale() Scale {
 //
 //	go test ./internal/experiments -run Fig3CSVGolden -update
 //
-// The golden file is produced by the flat cell-per-worker sweep; the
-// orchestrated sweep must reproduce it byte-for-byte (see
-// TestFig3CSVGoldenOrchestrated), so -update regenerates both paths'
-// expectation at once.
+// TestFig3OrchestratedMatchesFlat holds the same file against cold,
+// warm and disk-warm runs at several pool widths.
 func TestFig3CSVGolden(t *testing.T) {
 	points, err := Fig3(goldenScale(), 1)
 	if err != nil {
@@ -78,36 +74,6 @@ func TestFig3CSVGolden(t *testing.T) {
 	for i, line := range lines[1:] {
 		if cols := len(strings.Split(line, ",")); cols != wantCols {
 			t.Fatalf("row %d has %d columns, schema has %d", i, cols, wantCols)
-		}
-	}
-}
-
-// TestFig3CSVGoldenOrchestrated drives the same golden grid through the
-// task-graph orchestrator — cold cache, then warm — and requires the
-// byte-exact CSV the flat sweep committed. This is the golden-file leg
-// of the orchestrated-vs-sequential conformance spec.
-func TestFig3CSVGoldenOrchestrated(t *testing.T) {
-	path := filepath.Join("testdata", "fig3_quick_golden.csv")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden file (run TestFig3CSVGolden with -update to create it): %v", err)
-	}
-	sc := goldenScale()
-	sc.Orchestrate = true
-	sc.Cache = orchestrator.NewCache("")
-	sc.Workers = 2
-	for _, pass := range []string{"cold", "warm"} {
-		points, err := Fig3(sc, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := WriteFig3CSV(&buf, points); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("%s-cache orchestrated Fig-3 CSV diverged from golden file %s.\n--- got ---\n%s\n--- want ---\n%s",
-				pass, path, buf.Bytes(), want)
 		}
 	}
 }

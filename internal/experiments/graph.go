@@ -11,7 +11,7 @@ import (
 	"emstdp/internal/orchestrator"
 )
 
-// This file emits the sweep grids as orchestrator task graphs:
+// This file runs the sweep grids as orchestrator task graphs:
 //
 //	realize-dataset → pretrain → train-checkpoint → evaluate   (Table I)
 //	realize-dataset → pretrain → evaluate                      (Fig 3, ablations)
@@ -21,10 +21,10 @@ import (
 // downstream — Table-I backends over one dataset, Fig-3 mapping points
 // over one pretrained network, ablation variants over one feature split
 // — share their prefix stages through content addressing and compute
-// them exactly once. Every cell body calls the same helpers as the flat
-// cell-per-worker path (core.BuildFrom == core.Build by construction),
-// which is what makes orchestrated results bit-identical, cache hit or
-// miss, at any pool width.
+// them exactly once. Cell bodies build through core.BuildFrom, which
+// equals core.Build by construction, so every cell's result is the one
+// a standalone core.Build of its options gives, cache hit or miss, at
+// any pool width.
 
 func init() {
 	// Stage outputs that can spill to a cache directory.
@@ -82,8 +82,7 @@ func table1Cells() []table1Cell {
 	return cells
 }
 
-// table1Options is the cell's full model configuration — the single
-// source both the flat and the orchestrated sweep build from.
+// table1Options is the cell's full model configuration.
 func table1Options(sc Scale, seed uint64, c table1Cell) core.Options {
 	return core.Options{
 		Dataset:        c.ds,
@@ -113,10 +112,13 @@ func cellCanon(opts core.Options, epochs int) *orchestrator.Canon {
 		Int("epochs", int64(epochs))
 }
 
-// table1Graph is the orchestrated Table I: per dataset one shared
-// realize/pretrain prefix, then per cell an ephemeral train-checkpoint
-// (released once evaluated) and a cached evaluate stage.
-func table1Graph(sc Scale, seed uint64, progress io.Writer) ([]Table1Row, error) {
+// Table1 trains every (dataset, mode, backend) combination and returns
+// the accuracy grid in the paper's row order. Per dataset one shared
+// realize/pretrain prefix feeds its four cells; per cell an ephemeral
+// train-checkpoint (released once evaluated) feeds a cached evaluate
+// stage. Each cell is a pure function of its options and seed, so the
+// grid is deterministic for any pool width and cache state.
+func Table1(sc Scale, seed uint64, progress io.Writer) ([]Table1Row, error) {
 	cells := table1Cells()
 	g := orchestrator.NewGraph()
 	var mu sync.Mutex
@@ -168,11 +170,18 @@ func table1Graph(sc Scale, seed uint64, progress io.Writer) ([]Table1Row, error)
 	return rows, nil
 }
 
-// fig3Graph is the orchestrated Fig 3: every mapping point shares one
-// realize/pretrain prefix (the grid varies only the deployment), so a
-// cold run realizes MNIST and pretrains once, and a warm run serves
-// every point from the cache.
-func fig3Graph(sc Scale, seed uint64) ([]Fig3Point, error) {
+// Fig3 sweeps the neurons-per-core packing — and, beyond the paper, the
+// die count — for both feedback modes, measuring activity over
+// sc.EnergySamples training samples and scaling to the paper's
+// 10000-sample training run. Each point's simulated fabric stays
+// sequential: its activity counters must come from one deployment
+// driving its own samples. Every point shares one realize/pretrain
+// prefix (the grid varies only the deployment), so a cold run realizes
+// MNIST and pretrains once, and a warm run serves every point from the
+// cache. Multi-die cells are bit-identical to their single-die column
+// by construction; what the sweep exposes is the added mesh traffic and
+// fabric energy of each partition strategy.
+func Fig3(sc Scale, seed uint64) ([]Fig3Point, error) {
 	grid := fig3Grid(sc)
 	g := orchestrator.NewGraph()
 	keys := make([]orchestrator.Key, len(grid))
@@ -211,11 +220,13 @@ func fig3Graph(sc Scale, seed uint64) ([]Fig3Point, error) {
 	return points, nil
 }
 
-// ablationsGraph is the orchestrated design-choice sweep: variants
-// consume the realized feature splits directly (no per-variant model
-// build at all — the flat path's shared front-end model exists only to
-// carry the features).
-func ablationsGraph(sc Scale, seed uint64, progress io.Writer) ([]AblationResult, error) {
+// Ablations sweeps the paper's design choices on the MNIST task: the h′
+// gate, the phase length T (§IV-A2's quality/throughput trade), the
+// synaptic weight precision (the source of the paper's Loihi-vs-FP
+// accuracy gap) and the feedback mode. Every variant trains a fresh
+// reference network on the one realized (read-only) feature split, so
+// all variants see identical inputs and no variant builds a model.
+func Ablations(sc Scale, seed uint64, progress io.Writer) ([]AblationResult, error) {
 	variants := ablationVariants()
 	g := orchestrator.NewGraph()
 	var mu sync.Mutex

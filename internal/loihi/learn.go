@@ -41,6 +41,12 @@ type Product struct {
 // with dt = y0 every synapse in a row holds the same value, so the
 // simulator collapses the storage without changing rule semantics.
 //
+// Every product must carry a bare presynaptic-trace factor
+// {V: VarX1, C: 0}. The engine skips each synapse whose pre-trace is
+// zero, which is exact only when every term vanishes at x1 = 0; a
+// factor x1 + C with C ≠ 0 does not. EnableLearning panics on a rule
+// that breaks the condition.
+//
 // FrozenPost, when set, excludes postsynaptic rows from updates — the
 // incremental-learning protocol freezes old-class classifier rows this
 // way (§IV-B).
@@ -65,6 +71,24 @@ func (r *Rule) EvalRaw(x1, y1, tag, w int64) int64 {
 		dw += r.product(p, x1, y1, tag, w)
 	}
 	return dw
+}
+
+// gatedByPreTrace reports whether every product carries a bare x1
+// factor, so the rule yields Δw = 0 wherever x1 = 0.
+func (r *Rule) gatedByPreTrace() bool {
+	for _, p := range r.Products {
+		gated := false
+		for _, f := range p.Factors {
+			if f == (Factor{V: VarX1}) {
+				gated = true
+				break
+			}
+		}
+		if !gated {
+			return false
+		}
+	}
+	return true
 }
 
 func (r *Rule) product(p Product, x1, y1, tag, w int64) int64 {

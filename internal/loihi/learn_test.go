@@ -82,6 +82,27 @@ func TestRuleEvalConstants(t *testing.T) {
 	}
 }
 
+// applyEpochRange skips synapses with a zero pre-trace, so a rule with a
+// product that is nonzero at x1 = 0 must be refused at EnableLearning.
+func TestEnableLearningRejectsRuleWithoutBareX1(t *testing.T) {
+	for name, rule := range map[string]*Rule{
+		"decay": {Products: []Product{{Scale: -1, Factors: []Factor{{V: VarW}}}}},
+		"offset_x1": {Products: []Product{{Scale: 1, Factors: []Factor{
+			{V: VarX1, C: 1}, {V: VarY1},
+		}}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			g := NewSynapseGroup("g", ifPop("pre", 1, 10), ifPop("post", 1, 10), 0)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("EnableLearning accepted a rule that is nonzero at x1 = 0")
+				}
+			}()
+			g.EnableLearning(rule, 1)
+		})
+	}
+}
+
 // Full on-chip learning loop: a plastic synapse under the EMSTDP rule
 // moves toward the target and saturates rather than overflowing.
 func TestOnChipLearningEpoch(t *testing.T) {

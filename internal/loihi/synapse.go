@@ -132,8 +132,12 @@ func (g *SynapseGroup) SetTape(mode TapeMode, t int) {
 }
 
 // EnableLearning attaches a rule and allocates trace state. seed drives
-// the stochastic-rounding bit stream (deterministic per group).
+// the stochastic-rounding bit stream (deterministic per group). It
+// panics if a product of the rule lacks a bare x1 factor (see Rule).
 func (g *SynapseGroup) EnableLearning(rule *Rule, seed uint64) {
+	if !rule.gatedByPreTrace() {
+		panic(fmt.Sprintf("loihi: group %q rule has a product without a bare x1 factor", g.Name))
+	}
 	g.Rule = rule
 	g.preTrace = make([]uint8, g.Pre.N)
 	g.tag = make([]int32, g.Post.N)

@@ -5,16 +5,14 @@
 // its upstream keys — so stages shared by many cells compute exactly
 // once, results memoise across sweeps in a stage Cache with optional
 // disk spill, and a warm rerun touches only the stages whose inputs
-// changed. Scheduling is watermark-based batch issuance over the
-// engine worker pool: the ready set is issued in deterministic key
-// order, low/high watermarks bound the number of tasks in flight the
-// same way stream.Channel bounds its buffer, and an optional Governor
-// retunes the issue width from realized throughput.
+// changed. Scheduling issues the ready set over the engine worker pool
+// in deterministic key order, with at most one task in flight per
+// worker.
 //
 // Tasks must be pure functions of their configuration and dependency
 // outputs, and must treat dependency outputs as read-only: that is
-// what makes an orchestrated sweep bit-identical to the sequential
-// cell-per-worker path, cache hit or miss, at any pool width.
+// what makes a sweep's results independent of cache hits and misses
+// and of the pool width.
 package orchestrator
 
 import (

@@ -3,43 +3,32 @@ package orchestrator
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
-	"emstdp/internal/stream"
 	"emstdp/internal/trace"
 )
 
 // Config wires a Run to its execution resources. The zero value is
-// usable: GOMAXPROCS workers, default watermarks, no cache, no
-// governor, no counters.
+// usable: GOMAXPROCS workers, no cache, no counters.
 type Config struct {
-	// Pool supplies the worker width (nil selects engine.NewPool(0),
-	// i.e. GOMAXPROCS).
+	// Pool supplies the worker width, which is also the issue width:
+	// Run keeps at most Pool.Workers tasks in flight (nil selects
+	// engine.NewPool(0), i.e. GOMAXPROCS).
 	Pool *engine.Pool
 	// Cache memoizes non-ephemeral stage outputs across runs; nil runs
 	// without memoization (within-run sharing still happens through the
 	// graph's content-address dedup).
 	Cache *Cache
-	// WM bounds the number of tasks in flight with the same low/high
-	// hysteresis stream.Channel applies to samples: issue until High are
-	// in flight, then wait for the drain back to Low before refilling.
-	// The zero value selects stream.DefaultWatermarks.
-	WM stream.Watermarks
-	// Governor, if set, retunes the issue width within [Governor.Min,
-	// Governor.Max] (clamped to WM.High) from realized throughput.
-	Governor *Governor
 	// Counters, if set, receives the run's observability counters under
 	// "orchestrator." names.
 	Counters *metrics.Counters
 	// Tracer, if set, records the run's timeline: executed stages as
 	// spans on the pool workers' tracks (noted "cold" — an executed
 	// stage is by definition a cache miss), cache hits during demand
-	// resolution as instants noted "warm"/"disk-hit", and the governor's
-	// issue width as a counter track. Tracing observes the schedule and
-	// never steers it: results stay independent of whether a tracer is
-	// attached.
+	// resolution as instants noted "warm"/"disk-hit". Tracing observes
+	// the schedule and never steers it: results stay independent of
+	// whether a tracer is attached.
 	Tracer *trace.Tracer
 }
 
@@ -56,17 +45,6 @@ type taskResult struct {
 	key Key
 	val any
 	err error
-	dur time.Duration
-}
-
-func clampWidth(w, lo, hi int) int {
-	if w < lo {
-		return lo
-	}
-	if w > hi {
-		return hi
-	}
-	return w
 }
 
 // Run executes the graph and returns the sink outputs by key.
@@ -75,12 +53,12 @@ func clampWidth(w, lo, hi int) int {
 // already in the cache is served from it, and its entire ancestry is
 // pruned — the mechanism that makes a warm rerun compute nothing. The
 // remaining stages are issued to the worker pool in deterministic key
-// order under watermark hysteresis, outputs are stored back into the
-// cache (spilling to disk when marked), and ephemeral outputs are
-// dropped — with Release called — as soon as their last dependent
+// order, at most one per worker in flight; outputs are stored back
+// into the cache (spilling to disk when marked), and ephemeral outputs
+// are dropped — with Release called — as soon as their last dependent
 // completes. Because tasks are pure and dependency outputs are treated
-// as read-only, the returned values are independent of pool width,
-// watermark settings, governor behaviour and cache state.
+// as read-only, the returned values are independent of pool width and
+// cache state.
 //
 // On failure Run drains the tasks already in flight and reports the
 // failed stage with the smallest key, so the surfaced error is
@@ -90,8 +68,8 @@ func Run(g *Graph, cfg Config) (map[Key]any, error) {
 	ctr := cfg.Counters
 	ctr.Add("orchestrator.runs", 1)
 	ctr.Set("orchestrator.stages", int64(g.Len()))
-	// orch is the scheduler's own track: width/inflight counters,
-	// cache-hit and gate instants. Nil when tracing is off.
+	// orch is the scheduler's own track: cache-hit instants. Nil when
+	// tracing is off.
 	orch := cfg.Tracer.Track("orchestrator", 0)
 
 	// Demand resolution: walk backwards from the sinks, stopping at
@@ -175,23 +153,6 @@ func Run(g *Graph, cfg Config) (map[Key]any, error) {
 		}
 	}
 
-	wm := cfg.WM
-	if wm.High < 1 {
-		wm = stream.DefaultWatermarks()
-	}
-	if wm.Low < 0 {
-		wm.Low = 0
-	}
-	if wm.Low >= wm.High {
-		wm.Low = wm.High - 1
-	}
-	width := wm.High
-	if cfg.Governor != nil {
-		width = clampWidth(cfg.Governor.Width(), 1, wm.High)
-	}
-	ctr.Set("orchestrator.width", int64(width))
-	orch.Counter("width", int64(width))
-
 	pool := cfg.Pool
 	if pool == nil {
 		pool = engine.NewPool(0)
@@ -206,33 +167,29 @@ func Run(g *Graph, cfg Config) (map[Key]any, error) {
 		pool.SetTracer(cfg.Tracer)
 	}
 
-	// inflight never exceeds width <= wm.High, so both channels hold
-	// every outstanding item and no send below can block.
-	taskCh := make(chan issued, wm.High)
-	resCh := make(chan taskResult, wm.High)
+	// inflight never exceeds workers, so both channels hold every
+	// outstanding item and no send below can block.
+	taskCh := make(chan issued, workers)
+	resCh := make(chan taskResult, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			tk := pool.WorkerTrack(w)
 			for t := range taskCh {
-				t0 := time.Now()
 				ts := tk.Begin()
 				v, err := t.run(t.deps)
 				tk.EndNote(ts, t.stage, "cold")
-				resCh <- taskResult{key: t.key, val: v, err: err, dur: time.Since(t0)}
+				resCh <- taskResult{key: t.key, val: v, err: err}
 			}
 		}(w)
 	}
 	defer close(taskCh)
 
 	inflight := 0
-	gated := false
 	failed := false
 	var failures []taskResult
-	var windowStart time.Time
-	windowDone := 0
 
 	issue := func() {
-		for !failed && !gated && len(ready) > 0 && inflight < width {
+		for !failed && len(ready) > 0 && inflight < workers {
 			k := ready[0]
 			ready = ready[1:]
 			n := g.nodes[k]
@@ -243,21 +200,11 @@ func Run(g *Graph, cfg Config) (map[Key]any, error) {
 			taskCh <- issued{key: k, stage: n.task.Stage, deps: deps, run: n.task.Run}
 			inflight++
 			ctr.Add("orchestrator.issued", 1)
-			if inflight >= width {
-				gated = true
-				windowStart = time.Now()
-				windowDone = 0
-				ctr.Add("orchestrator.stalls", 1)
-				orch.Instant("gated")
-			}
 		}
 	}
 
 	complete := func(r taskResult) {
 		n := g.nodes[r.key]
-		if cfg.Governor != nil {
-			cfg.Governor.ObserveTask(n.task.Stage, r.dur)
-		}
 		ctr.Add("orchestrator.completed", 1)
 		if !n.task.Ephemeral && cfg.Cache != nil {
 			if err := cfg.Cache.Put(r.key, n.canon, r.val, n.task.Spill); err != nil {
@@ -299,20 +246,6 @@ func Run(g *Graph, cfg Config) (map[Key]any, error) {
 		} else {
 			complete(r)
 		}
-		if gated {
-			windowDone++
-			if inflight <= wm.Low {
-				gated = false
-				if cfg.Governor != nil {
-					cfg.Governor.ObserveWindow(windowDone, time.Since(windowStart))
-					width = clampWidth(cfg.Governor.Width(), 1, wm.High)
-				}
-				ctr.Set("orchestrator.width", int64(width))
-				ctr.Add("orchestrator.refills", 1)
-				orch.Counter("width", int64(width))
-				orch.Instant("refill")
-			}
-		}
 		issue()
 	}
 
@@ -323,7 +256,6 @@ func Run(g *Graph, cfg Config) (map[Key]any, error) {
 		ctr.Set("orchestrator.cache.spills", st.Spills)
 		ctr.Set("orchestrator.cache.loads", st.Loads)
 	}
-	cfg.Governor.Publish(ctr)
 
 	if failed {
 		// Release any ephemeral outputs stranded by the failure.

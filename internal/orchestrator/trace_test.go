@@ -5,10 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"emstdp/internal/engine"
-	"emstdp/internal/metrics"
 	"emstdp/internal/trace"
 )
 
@@ -81,32 +79,4 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 	if warmInstants == 0 {
 		t.Fatal("warm rerun recorded no warm resolve instants")
 	}
-}
-
-// TestGovernorPublishExportsState pins the counters export of the
-// hill-climb: width, window/reversal telemetry and per-stage EWMAs all
-// land in the registry under stable names, and nil receiver/registry
-// are no-ops.
-func TestGovernorPublishExportsState(t *testing.T) {
-	gov := NewGovernor(1, 8)
-	gov.ObserveTask("evaluate", 100*time.Millisecond)
-	gov.ObserveTask("evaluate", 200*time.Millisecond)
-	gov.ObserveWindow(10, time.Millisecond)
-	gov.ObserveWindow(20, time.Millisecond)
-
-	ctr := metrics.NewCounters()
-	gov.Publish(ctr)
-	if got, want := ctr.Get("orchestrator.governor.width"), int64(gov.Width()); got != want {
-		t.Fatalf("published width %d, want %d", got, want)
-	}
-	if got := ctr.Get("orchestrator.governor.windows"); got != 2 {
-		t.Fatalf("published windows %d, want 2", got)
-	}
-	if got := ctr.Get("orchestrator.governor.stage.evaluate.ewma_ns"); got != 125e6 {
-		t.Fatalf("published stage EWMA %d, want 1.25e8", got)
-	}
-
-	var nilGov *Governor
-	nilGov.Publish(ctr) // must not panic
-	gov.Publish(nil)    // must not panic
 }

@@ -11,8 +11,7 @@
 // the consumer (the training hot path) is never starved while the
 // producer generates ahead. Per-stage counters (produced, consumed,
 // dropped, stalled-ns) make the pipeline's behaviour observable. The
-// serving layer's training admission keys off the watermark gate, and
-// the orchestrator bounds its issue window with the same Watermarks.
+// serving layer's training admission keys off the watermark gate.
 //
 // A Channel preserves its upstream order, so engine.Group.TrainStream
 // or TrainPipelined over a Channel is bit-identical to the same call
