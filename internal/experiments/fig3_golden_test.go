@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"emstdp/internal/orchestrator"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current output")
@@ -30,8 +32,9 @@ func goldenScale() Scale {
 //
 //	go test ./internal/experiments -run Fig3CSVGolden -update
 //
-// TestFig3OrchestratedMatchesFlat holds the same file against cold,
-// warm and disk-warm runs at several pool widths.
+// TestFig3CSVGoldenOrchestrated and TestFig3OrchestratedMatchesFlat
+// hold the same file against shared-cache, warm and disk-warm runs at
+// several pool widths.
 func TestFig3CSVGolden(t *testing.T) {
 	points, err := Fig3(goldenScale(), 1)
 	if err != nil {
@@ -74,6 +77,34 @@ func TestFig3CSVGolden(t *testing.T) {
 	for i, line := range lines[1:] {
 		if cols := len(strings.Split(line, ",")); cols != wantCols {
 			t.Fatalf("row %d has %d columns, schema has %d", i, cols, wantCols)
+		}
+	}
+}
+
+// TestFig3CSVGoldenOrchestrated drives the same golden grid through a
+// shared stage cache on a two-worker pool — cold, then warm — and
+// requires the byte-exact CSV the default sweep committed.
+func TestFig3CSVGoldenOrchestrated(t *testing.T) {
+	path := filepath.Join("testdata", "fig3_quick_golden.csv")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (run TestFig3CSVGolden with -update to create it): %v", err)
+	}
+	sc := goldenScale()
+	sc.Cache = orchestrator.NewCache("")
+	sc.Workers = 2
+	for _, pass := range []string{"cold", "warm"} {
+		points, err := Fig3(sc, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteFig3CSV(&buf, points); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s-cache orchestrated Fig-3 CSV diverged from golden file %s.\n--- got ---\n%s\n--- want ---\n%s",
+				pass, path, buf.Bytes(), want)
 		}
 	}
 }
