@@ -23,7 +23,7 @@ func chipStream(r *rng.Source, in, classes, n int) ([][]float64, []int) {
 
 // TestChipTrainingBitIdenticalAcrossDelivery trains two identical chip
 // networks — one forced onto the reference dense delivery kernel, one on
-// the event-driven transposed path — and demands byte-identical plastic
+// the production packed path — and demands byte-identical plastic
 // mantissas, spike counts and predictions. Integer membrane accumulation
 // is saturating, so this holds only because both kernels deliver in
 // ascending presynaptic order; the test pins that contract.

@@ -31,7 +31,6 @@ func buildStepBench(tb testing.TB, preset ...DeliveryMode) *Chip {
 		for i := range g.W {
 			g.W[i] = int8(r.Intn(21) - 10)
 		}
-		g.MarkWeightsDirty()
 		if err := chip.Connect(g); err != nil {
 			tb.Fatal(err)
 		}
@@ -158,7 +157,6 @@ func buildRangeMeshBench(tb testing.TB) *Mesh {
 		for i := range g.W {
 			g.W[i] = int8(r.Intn(21) - 10)
 		}
-		g.MarkWeightsDirty()
 		g.EnableLearning(EMSTDPRule(6), uint64(100+gi))
 		if err := mesh.Connect(g); err != nil {
 			tb.Fatal(err)
@@ -254,5 +252,53 @@ func BenchmarkLoihiStep_DenseDelivery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		chip.Step()
+	}
+}
+
+// TestPackedDeliverSeesInPlaceWeightWrite writes SynapseGroup.W in place
+// between two steps, with no call in between, and checks that the very
+// next step's packed delivery uses the new weights: bit-identical to the
+// dense reference given the same write, and diverging from a chip that
+// kept the old weights.
+func TestPackedDeliverSeesInPlaceWeightWrite(t *testing.T) {
+	packed, dense, kept := buildStepBench(t), buildStepBench(t, DeliveryDense), buildStepBench(t)
+	chips := []*Chip{packed, dense, kept}
+	for step := 0; step < 16; step++ {
+		for _, c := range chips {
+			c.Step()
+		}
+	}
+	for _, c := range chips[:2] {
+		r := rng.New(9)
+		for _, e := range c.groups {
+			w := e.g.(*SynapseGroup).W
+			for i := range w {
+				w[i] = int8(r.Intn(41) - 20)
+			}
+		}
+	}
+	diverged := false
+	for step := 0; step < 32; step++ {
+		for _, c := range chips {
+			c.Step()
+		}
+		for pi, e := range packed.pops {
+			pp, dp, kp := e.p, dense.pops[pi].p, kept.pops[pi].p
+			for i := 0; i < pp.N; i++ {
+				if pp.Potential(i) != dp.Potential(i) || pp.SpikeBits().Get(i) != dp.SpikeBits().Get(i) {
+					t.Fatalf("step %d pop %s compartment %d: packed v=%d, dense v=%d after the in-place write",
+						step, pp.Name, i, pp.Potential(i), dp.Potential(i))
+				}
+				if pp.Potential(i) != kp.Potential(i) {
+					diverged = true
+				}
+			}
+		}
+	}
+	if p, d := packed.Counters(), dense.Counters(); p != d {
+		t.Fatalf("counters diverge:\npacked %+v\ndense  %+v", p, d)
+	}
+	if !diverged {
+		t.Fatal("the rewritten weights changed no membrane: the check proves nothing")
 	}
 }

@@ -329,10 +329,11 @@ func (c *Chip) CountHostTransaction(n int) { c.counters.HostTransactions += int6
 //  3. per-step learning micro-ops (tag accumulation) run;
 //  4. spike buffers rotate.
 //
-// The Mesh drives the same four sub-phases through stepDeliver /
-// stepUpdate / stepLearnMicro / stepAccount across several dies with a
-// global barrier between phases, rotating each shared population exactly
-// once — which is why the sub-phases are split out here.
+// The Mesh drives the same four sub-phases across several dies with a
+// global barrier between phases — stepDeliver, stepLearnMicro and
+// stepAccount per die, the update once per population — rotating each
+// shared population exactly once, which is why the sub-phases are split
+// out here.
 func (c *Chip) Step() {
 	c.stepDeliver()
 	c.stepUpdate()

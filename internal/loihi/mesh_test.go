@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"emstdp/internal/rng"
+	"emstdp/internal/trace"
 )
 
 // mustMesh builds a line-topology board or fails the test.
@@ -65,7 +66,6 @@ func buildMeshBench(tb testing.TB, dies int, topo ...Topology) (*Mesh, []*Popula
 		for i := range g.W {
 			g.W[i] = int8(r.Intn(21) - 10)
 		}
-		g.MarkWeightsDirty()
 		g.EnableLearning(EMSTDPRule(6), uint64(100+gi))
 		if err := mesh.Connect(g); err != nil {
 			tb.Fatal(err)
@@ -215,5 +215,175 @@ func TestMeshRegistrationErrors(t *testing.T) {
 	}
 	if err := mesh.Connect(NewDiagonalGroup("ab3", a, b, 1, 0)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refTraffic replays the mesh's traffic model the direct way, as a
+// reference for its route tables: for every spike, every subscribed
+// remote die the neuron's fan-out reaches, with the XY path worked out
+// on the spot. samples lists each step's per-link loads in the order the
+// links were first touched — the order of the mesh's link counters.
+type refTraffic struct {
+	traffic MeshTraffic
+	loads   []int64
+	samples []trace.Event
+}
+
+// step accounts the spikes m is about to deliver; call it before m.Step.
+func (r *refTraffic) step(m *Mesh) {
+	stepLoad := make([]int64, len(r.loads))
+	var touched []int32
+	for _, mp := range m.pops {
+		for _, k := range mp.p.ActiveSpikes() {
+			src := mp.uniformDie
+			if src < 0 {
+				src = int(mp.dieOf[k])
+			}
+			for _, d := range mp.subDies {
+				if d == src || !mp.reach[d][k] {
+					continue
+				}
+				r.traffic.CrossDieSpikes++
+				for _, l := range m.topo.route(src, d, nil) {
+					r.traffic.SpikeHops++
+					if stepLoad[l] == 0 {
+						touched = append(touched, l)
+					}
+					stepLoad[l]++
+				}
+			}
+		}
+	}
+	bw := int64(m.topo.LinkBandwidth)
+	for _, l := range touched {
+		load := stepLoad[l]
+		r.loads[l] += load
+		r.samples = append(r.samples, trace.Event{Kind: trace.KindCounter, Name: m.topo.LinkName(int(l)), Value: load})
+		r.traffic.MaxLinkLoad = max(r.traffic.MaxLinkLoad, load)
+		if load > bw {
+			r.traffic.StallCycles += load - bw
+		}
+	}
+}
+
+// TestMeshRouteTablesLateConnect steps a 2×2 range mesh, then registers
+// a population and connects a second group out of the already-subscribed
+// hidden population — a sparse one whose fan-out reaches the new die
+// from only some hidden neurons — and steps again. The traffic counters,
+// the per-link loads and the per-step link counter samples must match
+// the direct per-spike walk throughout: the route tables are rebuilt by
+// the late registration, not left stale.
+func TestMeshRouteTablesLateConnect(t *testing.T) {
+	mesh := buildRangeMeshBench(t)
+	tr := trace.New()
+	mesh.SetTracer(tr)
+	ref := refTraffic{loads: make([]int64, len(mesh.LinkLoads()))}
+	hid := mesh.pops[1].p
+	lateFired := 0
+	run := func(steps int) {
+		for i := 0; i < steps; i++ {
+			for _, k := range hid.ActiveSpikes() {
+				if k >= 25 && k < 50 {
+					lateFired++
+				}
+			}
+			ref.step(mesh)
+			mesh.Step()
+		}
+	}
+	run(16)
+	side := NewPopulation("side", PopulationConfig{N: 10, Theta: 256, VMin: -256})
+	if err := mesh.AddPopulation(side, 0, 0, 10, 30, 10); err != nil {
+		t.Fatal(err)
+	}
+	// hid rows 0..24 live on die 0 with side (local), rows 25..49 on
+	// die 1 (one new message each); rows 50..99 reach no side neuron.
+	late := NewSparseGroup("hs", hid, side, 0)
+	for k := 0; k < 50; k++ {
+		late.Add(k, k%10, 1)
+	}
+	if err := mesh.Connect(late); err != nil {
+		t.Fatal(err)
+	}
+	lateFired = 0
+	run(32)
+	if lateFired == 0 {
+		t.Fatal("no hidden neuron on die 1 fired after the late connect: the check proves nothing")
+	}
+
+	if got := mesh.Traffic(); got != ref.traffic {
+		t.Fatalf("traffic %+v, reference walk %+v", got, ref.traffic)
+	}
+	if got := mesh.LinkLoads(); !slices.Equal(got, ref.loads) {
+		t.Fatalf("link loads %v, reference walk %v", got, ref.loads)
+	}
+	var links *trace.Track
+	for _, tk := range tr.Tracks() {
+		if tk.Name() == "mesh-links" {
+			links = tk
+		}
+	}
+	if links == nil || links.Dropped() != 0 {
+		t.Fatal("mesh-links track missing or overwritten")
+	}
+	got := links.Events()
+	if len(got) != len(ref.samples) {
+		t.Fatalf("%d link counter samples, reference walk %d", len(got), len(ref.samples))
+	}
+	for i, e := range got {
+		if e.Name != ref.samples[i].Name || e.Value != ref.samples[i].Value {
+			t.Fatalf("link counter sample %d is %s=%d, reference walk %s=%d",
+				i, e.Name, e.Value, ref.samples[i].Name, ref.samples[i].Value)
+		}
+	}
+}
+
+// TestMeshDieCountersPerShard pins each die's own activity counters on a
+// 2×2 range mesh whose shard edges fall inside bitset words: Spikes is
+// the popcount of the die's shards of every population, summed over
+// steps, and CompartmentUpdates is steps × the compartments it hosts.
+func TestMeshDieCountersPerShard(t *testing.T) {
+	mesh := buildRangeMeshBench(t)
+	in, hid, out := mesh.pops[0].p, mesh.pops[1].p, mesh.pops[2].p
+	type shard struct {
+		p      *Population
+		lo, hi int
+	}
+	// buildRangeMeshBench's layout: in and hid cut in four, out on die 3.
+	hosted := make([][]shard, 4)
+	for d := range hosted {
+		hosted[d] = []shard{{in, 50 * d, 50 * (d + 1)}, {hid, 25 * d, 25 * (d + 1)}}
+	}
+	hosted[3] = append(hosted[3], shard{out, 0, 10})
+	want := make([]int64, 4)
+	mesh.OnStep = func() {
+		for d, shards := range hosted {
+			for _, s := range shards {
+				for i := s.lo; i < s.hi; i++ {
+					if s.p.SpikeBits().Get(i) {
+						want[d]++
+					}
+				}
+			}
+		}
+	}
+	const steps = 64
+	mesh.Run(steps)
+	for d, shards := range hosted {
+		if want[d] == 0 {
+			t.Fatalf("die %d hosts no spike: the check proves nothing", d)
+		}
+		c := mesh.DieCounters(d)
+		if c.Spikes != want[d] {
+			t.Fatalf("die %d counts %d spikes, its shards fired %d", d, c.Spikes, want[d])
+		}
+		n := 0
+		for _, s := range shards {
+			n += s.hi - s.lo
+		}
+		if c.CompartmentUpdates != steps*int64(n) {
+			t.Fatalf("die %d counts %d compartment updates, want %d steps × %d hosted",
+				d, c.CompartmentUpdates, steps, n)
+		}
 	}
 }

@@ -55,8 +55,8 @@ type Population struct {
 	// bitsNow collects this step's spikes: the compartment update sets
 	// the bit of each compartment that fires (InjectSpikes stages a
 	// source's), and rotate swaps it into bitsPrev, the word-parallel
-	// view synapse groups read this step. Packed delivery traverses
-	// bitsPrev's nonzero words with trailing-zeros iteration.
+	// view synapse groups read this step. Sparse packed delivery
+	// traverses bitsPrev's nonzero words with trailing-zeros iteration.
 	bitsNow, bitsPrev *spike.Bitset
 	// activePrev holds the indices set in bitsPrev (ascending) — the
 	// sparse view event-driven consumers iterate. Gathered from bitsPrev
@@ -200,13 +200,15 @@ func (p *Population) InjectSpikes(spikes []bool) int {
 	return p.bitsNow.Count()
 }
 
-// updateRange advances compartments [lo,hi) only — the slice of the
-// population a die hosts under a multi-chip partition — setting the
-// bitsNow bit of every compartment that fires. Compartment dynamics are
-// strictly per-neuron, so range-partitioned updates compose to exactly
-// the full update regardless of how [0,N) is cut. Ranges need not be
-// word-aligned: dies update one after another, and each ORs only its
-// own bits into words rotate cleared.
+// updateRange advances compartments [lo,hi) only — a range a chip hosts
+// (Chip.AddPopulationRange), or the whole population when the mesh
+// updates it in one pass — setting the bitsNow bit of every compartment
+// that fires. Compartment dynamics are strictly per-neuron, so
+// range-partitioned updates compose to exactly the full update
+// regardless of how [0,N) is cut. Ranges need not be
+// word-aligned: a die hosting several ranges of one population updates
+// them one after another, and each ORs only its own bits into words
+// rotate cleared.
 func (p *Population) updateRange(lo, hi int) int {
 	now := p.bitsNow.Words()
 	trace := p.postTrace[lo:hi]

@@ -7,15 +7,16 @@ import (
 )
 
 // DeliveryMode selects how a connector iterates last step's presynaptic
-// spikes. Both modes visit the same (pre, post) pairs in the same
-// ascending order and accumulate through the same saturating addInput,
-// so they are bit-identical by construction; the hook exists so the
-// equivalence tests can prove it end to end.
+// spikes. Both modes add each post neuron's inputs in the same
+// ascending presynaptic order through the same saturating add, so they
+// are bit-identical by construction; the hook exists so the equivalence
+// tests can prove it end to end.
 type DeliveryMode int
 
 const (
-	// DeliveryPacked traverses the word-parallel spike bitset with
-	// trailing-zeros iteration — the production default.
+	// DeliveryPacked is the production default: a dense group gathers
+	// each post row over the presynaptic active list, a sparse group
+	// walks the spike bitset with trailing-zeros iteration.
 	DeliveryPacked DeliveryMode = iota
 	// DeliveryDense scans the dense spike vector — the reference kernel
 	// the equivalence suites compare against.
@@ -68,8 +69,8 @@ type Connector interface {
 // GroupName returns the group's name.
 func (g *SynapseGroup) GroupName() string { return g.Name }
 
-// prepareRange is a no-op: the dense group's transposed view already
-// serves any column slice.
+// prepareRange is a no-op: the gather kernel reads any row range of W
+// directly.
 func (g *SynapseGroup) prepareRange(lo, hi int) {}
 
 // PrePopulation returns the spike source population.
@@ -166,27 +167,18 @@ func (g *SparseGroup) finalizeFanIn() {
 // deliverRange routes spikes through the adjacency lists, iterating the
 // presynaptic bitset instead of scanning the dense vector, and delivers
 // the synapses whose post compartment lies in [lo,hi) — the whole group
-// or a multi-die shard. Per post neuron the contribution sequence
-// (ascending pre index, insertion order within a pre fan-out list) is
-// the same as the full kernel, so sharded delivery is bit-identical.
-// Sparse groups carry no pre trace; tracePre is accepted for the
-// Connector contract.
+// or a multi-die shard, whose adjacency prepareRange bucketed at
+// registration. Per post neuron the contribution sequence (ascending pre
+// index, insertion order within a pre fan-out list) is the same as the
+// full kernel, so sharded delivery is bit-identical. Sparse groups carry
+// no pre trace; tracePre is accepted for the Connector contract.
 func (g *SparseGroup) deliverRange(lo, hi int, _ bool) int64 {
 	if g.delivery == DeliveryDense {
 		return g.deliverDenseRange(lo, hi)
 	}
 	fanOut := g.fanOut
-	filter := false
 	if !(lo == 0 && hi == g.Post.N) {
-		if idx := g.shardFanOut(lo, hi); idx != nil {
-			// Pre-bucketed shard adjacency: walk only this shard's
-			// synapses (same per-pre insertion order as the full list,
-			// so accumulation stays bit-identical).
-			fanOut = idx
-		} else {
-			// Unprepared range: filter the full adjacency.
-			filter = true
-		}
+		fanOut = g.shardFanOut(lo, hi)
 	}
 	// Trailing-zeros iteration over the presynaptic bitset visits the
 	// set bits in ascending order — the dense kernel's order, so the
@@ -197,29 +189,13 @@ func (g *SparseGroup) deliverRange(lo, hi int, _ bool) int64 {
 		for word != 0 {
 			k := base + mbits.TrailingZeros64(word)
 			word &= word - 1
-			events += g.deliverFanOut(fanOut[k], filter, lo, hi)
+			for _, syn := range fanOut[k] {
+				g.Post.addInput(syn.Post, int32(syn.W)<<g.Exp)
+			}
+			events += int64(len(fanOut[k]))
 		}
 	}
 	return events
-}
-
-// deliverFanOut scatters one presynaptic neuron's adjacency, optionally
-// range-filtered, returning the synaptic events delivered.
-func (g *SparseGroup) deliverFanOut(outs []SparseSynapse, filter bool, lo, hi int) int64 {
-	if filter {
-		var events int64
-		for _, syn := range outs {
-			if syn.Post >= lo && syn.Post < hi {
-				g.Post.addInput(syn.Post, int32(syn.W)<<g.Exp)
-				events++
-			}
-		}
-		return events
-	}
-	for _, syn := range outs {
-		g.Post.addInput(syn.Post, int32(syn.W)<<g.Exp)
-	}
-	return int64(len(outs))
 }
 
 // prepareRange pre-buckets the adjacency of post rows [lo,hi) (mesh

@@ -35,12 +35,6 @@ type SynapseGroup struct {
 	// lrnRNG supplies random bits for stochastic rounding.
 	lrnRNG *rng.Source
 
-	// wt is the column-major (Pre.N×Post.N) transposed weight view:
-	// delivering one presynaptic spike reads a contiguous run instead of
-	// a Pre.N-strided walk of W. Rebuilt lazily when wtDirty; every
-	// writer of W must set the flag (MarkWeightsDirty).
-	wt      []int8
-	wtDirty bool
 	// delivery selects the spike-iteration kernel (packed word traversal
 	// by default; dense kept for the equivalence tests — see
 	// Chip.SetDelivery).
@@ -71,38 +65,13 @@ const (
 
 // NewSynapseGroup builds a group with zeroed weights.
 func NewSynapseGroup(name string, pre, post *Population, exp uint) *SynapseGroup {
-	g := &SynapseGroup{
-		Name:    name,
-		Pre:     pre,
-		Post:    post,
-		W:       make([]int8, pre.N*post.N),
-		wt:      make([]int8, pre.N*post.N),
-		wtDirty: true,
-		Exp:     exp,
+	return &SynapseGroup{
+		Name: name,
+		Pre:  pre,
+		Post: post,
+		W:    make([]int8, pre.N*post.N),
+		Exp:  exp,
 	}
-	return g
-}
-
-// MarkWeightsDirty invalidates the transposed weight view after W was
-// written in place (the learning epoch and the weight-loading paths call
-// it; any external writer of W must too).
-func (g *SynapseGroup) MarkWeightsDirty() { g.wtDirty = true }
-
-// ensureTransposed rebuilds the Pre.N×Post.N view if W changed since the
-// last build — once per weight write (per sample under EMSTDP), not per
-// step.
-func (g *SynapseGroup) ensureTransposed() {
-	if !g.wtDirty {
-		return
-	}
-	preN, postN := g.Pre.N, g.Post.N
-	for o := 0; o < postN; o++ {
-		row := g.W[o*preN : (o+1)*preN]
-		for k, w := range row {
-			g.wt[k*postN+o] = w
-		}
-	}
-	g.wtDirty = false
 }
 
 // setDelivery selects the spike-iteration kernel.
@@ -178,7 +147,6 @@ func (g *SynapseGroup) SetWeightsFloat(w []float64, scale, headroom float64) {
 	for i, v := range w {
 		g.W[i] = fixed.SatWeight(int64(roundHalfAway(v * scale / unit)))
 	}
-	g.MarkWeightsDirty()
 }
 
 func roundHalfAway(x float64) int64 {
@@ -196,20 +164,17 @@ func (g *SynapseGroup) WeightFloat(o, k int, scale float64) float64 {
 
 // deliverRange routes last step's presynaptic spikes into post
 // compartments [lo,hi), returning the number of synaptic events
-// (per-spike fan-out deliveries). The event-driven kernel walks the
-// presynaptic spike bitset and scatters each spike's contiguous
-// transposed weight column — the simulator does work proportional to
-// the SynapticEvents it counts, like the chip. Membrane accumulation is
-// saturating-integer in the same order as the dense reference (ascending
-// presynaptic index per post neuron), so results are bit-identical.
+// (per-spike fan-out deliveries). The simulator does work proportional
+// to the SynapticEvents it counts, like the chip, and accumulates
+// membrane input saturating-integer in the dense reference's order
+// (ascending presynaptic index per post neuron), so results are
+// bit-identical.
 //
 // [lo,hi) is the whole group or the shard a die hosts when the post
 // population is range-partitioned (Loihi stores synapses at the
 // destination, so a split post population splits the group's rows with
 // it). tracePre guards the presynaptic trace update so exactly one shard
-// per group maintains it. Per post neuron the contribution order
-// (ascending presynaptic index) is the same as the full kernel, so
-// sharded delivery is bit-identical.
+// per group maintains it.
 //
 // Under a drive tape (EnableDriveTape) the step's SetTape mode decides:
 // TapeRecord copies the drive left in post rows [lo,hi) into the tape
@@ -223,7 +188,6 @@ func (g *SynapseGroup) deliverRange(lo, hi int, tracePre bool) int64 {
 	case g.delivery == DeliveryDense:
 		events = g.deliverDenseRange(lo, hi, tracePre)
 	case g.Pre.activePrev.Len() > 0:
-		g.ensureTransposed()
 		events = g.deliverPackedRange(lo, hi, tracePre)
 	}
 	if g.tapeMode == TapeRecord {
@@ -249,56 +213,34 @@ func (g *SynapseGroup) replayRange(lo, hi int, tracePre bool) int64 {
 	return int64(len(active)) * int64(hi-lo)
 }
 
-// deliverPackedRange is the production kernel: trailing-zeros iteration
-// over the presynaptic spike bitset scans the nonzero words and scatters
-// each set bit's transposed weight column in ascending presynaptic
-// order — the dense reference's order, so the saturating accumulation is
-// bit-identical while the spike iteration itself costs one popcount-
-// bounded loop per 64 presynaptic neurons.
+// deliverPackedRange is the production kernel: a row gather over the
+// presynaptic active list. Each post row [lo,hi) holds its accumulator
+// in a register and adds its weights at the active presynaptic indices,
+// which the list holds in ascending order — per row the dense
+// reference's addition sequence, so the saturating sums are
+// bit-identical. The reference skips zero weights; here every weight is
+// added, since a zero adds nothing to an in-range accumulator and a
+// branch on it mispredicts on learned weights. It reads W itself, so an
+// in-place write of W is delivered on the next step with no view to
+// invalidate.
 func (g *SynapseGroup) deliverPackedRange(lo, hi int, tracePre bool) int64 {
-	postN := g.Post.N
-	var events int64
-	if lo == 0 && hi == postN {
-		// Full-range fast path (the single-die hot loop): no per-synapse
-		// index offset.
-		for wi, word := range g.Pre.SpikeBits().Words() {
-			base := wi << 6
-			for word != 0 {
-				k := base + mbits.TrailingZeros64(word)
-				word &= word - 1
-				if tracePre && g.preTrace != nil {
-					g.preTrace[k] = fixed.SatTrace(int64(g.preTrace[k]) + 1)
-				}
-				col := g.wt[k*postN : (k+1)*postN]
-				for o, w := range col {
-					if w != 0 {
-						g.Post.addInput(o, int32(w)<<g.Exp)
-					}
-				}
-				events += int64(postN)
-			}
-		}
-		return events
-	}
-	span := int64(hi - lo)
-	for wi, word := range g.Pre.SpikeBits().Words() {
-		base := wi << 6
-		for word != 0 {
-			k := base + mbits.TrailingZeros64(word)
-			word &= word - 1
-			if tracePre && g.preTrace != nil {
-				g.preTrace[k] = fixed.SatTrace(int64(g.preTrace[k]) + 1)
-			}
-			col := g.wt[k*postN+lo : k*postN+hi]
-			for o, w := range col {
-				if w != 0 {
-					g.Post.addInput(lo+o, int32(w)<<g.Exp)
-				}
-			}
-			events += span
+	active := g.Pre.activePrev.Indices()
+	if tracePre && g.preTrace != nil {
+		for _, k := range active {
+			g.preTrace[k] = fixed.SatTrace(int64(g.preTrace[k]) + 1)
 		}
 	}
-	return events
+	preN, exp := g.Pre.N, g.Exp
+	acc := g.Post.acc[lo:hi]
+	for j := range acc {
+		row := g.W[(lo+j)*preN : (lo+j+1)*preN]
+		a := acc[j]
+		for _, k := range active {
+			a = fixed.SatAdd32(a, int32(row[k])<<exp, fixed.StateMin, fixed.StateMax)
+		}
+		acc[j] = a
+	}
+	return int64(len(active)) * int64(hi-lo)
 }
 
 // deliverDenseRange is the reference row-strided kernel, kept for the
@@ -382,9 +324,6 @@ func (g *SynapseGroup) applyEpochRange(lo, hi int) int64 {
 			}
 		}
 	}
-	// Weights changed in place: invalidate the transposed delivery view
-	// (once per learning epoch — per sample — not per step).
-	g.MarkWeightsDirty()
 	return int64((hi - lo) * preN)
 }
 
@@ -448,7 +387,6 @@ func (g *SynapseGroup) CopyWeightsFrom(src *SynapseGroup) {
 	}
 	copy(g.W, src.W)
 	g.Exp = src.Exp
-	g.MarkWeightsDirty()
 }
 
 // PerturbWeights adds zero-mean Gaussian drift of the given standard
@@ -461,7 +399,6 @@ func (g *SynapseGroup) PerturbWeights(r *rng.Source, sd float64) {
 	for i, w := range g.W {
 		g.W[i] = fixed.SatWeight(int64(w) + int64(r.NormScaled(0, sd)))
 	}
-	g.MarkWeightsDirty()
 }
 
 // resetPhaseTraces zeroes the pre trace (tags persist across the phase

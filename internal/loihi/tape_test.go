@@ -33,8 +33,6 @@ func buildTapeChip(t *testing.T, steps int) (*Chip, *SynapseGroup, *Population) 
 	for i := range other.W {
 		other.W[i] = int8(r.Intn(255) - 127)
 	}
-	taped.MarkWeightsDirty()
-	other.MarkWeightsDirty()
 	taped.EnableLearning(EMSTDPRule(8), 1)
 	taped.EnableDriveTape(steps)
 	for _, g := range []*SynapseGroup{taped, other} {

@@ -128,7 +128,6 @@ func Load(r io.Reader) (*core.Model, error) {
 			for j, v := range g.W {
 				g.W[j] = fixed.SatWeight(int64(v)) // defensive re-saturation
 			}
-			g.MarkWeightsDirty()
 		}
 	}
 	return m, nil

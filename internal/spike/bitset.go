@@ -47,6 +47,25 @@ func (b *Bitset) Count() int {
 	return c
 }
 
+// CountRange returns the number of set bits in [lo,hi) — the popcount
+// of one slice of the neurons, such as the shard a die hosts.
+func (b *Bitset) CountRange(lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	first, last := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << (uint(lo) & 63)
+	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
+	if first == last {
+		return bits.OnesCount64(b.words[first] & loMask & hiMask)
+	}
+	c := bits.OnesCount64(b.words[first]&loMask) + bits.OnesCount64(b.words[last]&hiMask)
+	for _, w := range b.words[first+1 : last] {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
 // FromBools rebuilds the set from a dense spike vector of length Len.
 // The word assembly is branchless: each bool becomes a shifted bit, so
 // unpredictable spike patterns cost no mispredictions here.

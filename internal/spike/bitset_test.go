@@ -36,6 +36,25 @@ func TestBitsetRoundTrip(t *testing.T) {
 					t.Fatalf("n=%d bit %d: round trip lost a spike", n, i)
 				}
 			}
+			// prefix[i] counts the spikes below neuron i: the reference
+			// for CountRange over word-straddling and sub-word ranges.
+			prefix := make([]int, n+1)
+			for i, sp := range spikes {
+				prefix[i+1] = prefix[i]
+				if sp {
+					prefix[i+1]++
+				}
+			}
+			for lo := 0; lo <= n; lo += 7 {
+				for hi := lo; hi <= n; hi += 11 {
+					if got, want := b.CountRange(lo, hi), prefix[hi]-prefix[lo]; got != want {
+						t.Fatalf("n=%d: CountRange(%d,%d)=%d want %d", n, lo, hi, got, want)
+					}
+				}
+				if got, want := b.CountRange(lo, n), prefix[n]-prefix[lo]; got != want {
+					t.Fatalf("n=%d: CountRange(%d,%d)=%d want %d", n, lo, n, got, want)
+				}
+			}
 			idx := b.AppendIndices(nil)
 			if len(idx) != count {
 				t.Fatalf("n=%d: %d indices want %d", n, len(idx), count)
