@@ -31,7 +31,7 @@ func main() {
 		m.ChipNetwork().CoresUsed(), m.ChipNetwork().NumPlasticSynapses())
 
 	// Online learning: one sample at a time, two phases of T steps each,
-	// weights updated on chip by the sum-of-products learning engine.
+	// weights updated on chip by the eq (12) learning engine.
 	for epoch := 1; epoch <= 2; epoch++ {
 		m.TrainEpoch()
 		fmt.Printf("epoch %d: test accuracy %.1f%%\n", epoch, m.Evaluate().Accuracy()*100)

@@ -10,7 +10,7 @@
 //   - optionally a fixed spiking convolutional front end converted from
 //     the offline-pretrained ANN stack by weight–threshold balancing;
 //   - the plastic dense forward layers (IF neurons, 8-bit synapses under
-//     the eq-12 sum-of-products rule);
+//     the chip's eq-12 learning engine);
 //   - label neurons (bias-programmed targets);
 //   - positive/negative error-channel populations for the spike-based
 //     loss (eq 6) and gated (multi-compartment h′ AND, §III-A) error
@@ -26,6 +26,7 @@ package chipnet
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"emstdp/internal/ann"
 	"emstdp/internal/emstdp"
@@ -168,9 +169,8 @@ type Network struct {
 	input   *loihi.Population // feature-level input (nil when conv present)
 	fwd     []*loihi.Population
 	plastic []*loihi.SynapseGroup
-	rules   []*loihi.Rule
 
-	baseShifts []uint // per-rule learning shifts (SetLRReduced restores these)
+	baseShifts []uint // per-group learning shifts (SetLRReduced restores these)
 
 	label     *loihi.Population
 	phase     *loihi.Population
@@ -382,9 +382,7 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 		if !cfg.InferenceOnly {
 			// Integer learning-rate shift: Δmant = Δh·x / 2^(2logT − logθ + η + exp).
 			shift := 2*logT - logTheta + cfg.EtaLog2 + g.Exp
-			rule := loihi.EMSTDPRule(shift)
-			g.EnableLearning(rule, cfg.Seed+uint64(i)*0x9e3779b9)
-			n.rules = append(n.rules, rule)
+			g.EnableLearning(shift, cfg.Seed+uint64(i)*0x9e3779b9)
 			n.baseShifts = append(n.baseShifts, shift)
 		}
 		if err := n.connect(g); err != nil {
@@ -676,19 +674,21 @@ func (n *Network) SetLRReduced(reduced bool) {
 	if reduced {
 		delta = 2
 	}
-	for i, rule := range n.rules {
-		rule.StochasticShift = n.baseShifts[i] + delta
+	for i, shift := range n.baseShifts {
+		n.plastic[i].Shift = shift + delta
 	}
 }
 
 // SetOutputDisabled freezes the given output classes: their classifier
 // rows stop learning and their loss-layer error neurons are silenced —
-// the chip realisation of the incremental-learning step-1 protocol.
+// the chip realisation of the incremental-learning step-1 protocol. The
+// mask must hold one entry per output neuron.
 func (n *Network) SetOutputDisabled(disabled []bool) {
-	last := n.rules[len(n.rules)-1]
-	mask := make([]bool, len(disabled))
-	copy(mask, disabled)
-	last.FrozenPost = mask
+	last := n.plastic[len(n.plastic)-1]
+	if len(disabled) != last.Post.N {
+		panic("chipnet: disabled mask length mismatch")
+	}
+	last.FrozenPost = slices.Clone(disabled)
 	for i, d := range disabled {
 		n.errOutPos.SetDisabled(i, d)
 		n.errOutNeg.SetDisabled(i, d)
@@ -697,7 +697,7 @@ func (n *Network) SetOutputDisabled(disabled []bool) {
 
 // EnableAllOutputs clears the disabled mask.
 func (n *Network) EnableAllOutputs() {
-	n.rules[len(n.rules)-1].FrozenPost = nil
+	n.plastic[len(n.plastic)-1].FrozenPost = nil
 	for i := 0; i < n.errOutPos.N; i++ {
 		n.errOutPos.SetDisabled(i, false)
 		n.errOutNeg.SetDisabled(i, false)

@@ -303,6 +303,26 @@ func TestChipDisabledOutputsFrozen(t *testing.T) {
 	net.EnableAllOutputs()
 }
 
+// A disabled mask must hold one entry per output and is checked at the
+// call: unchecked, a short mask indexes out of range at the next
+// learning epoch and a long one inside the error population.
+func TestChipSetOutputDisabledRejectsWrongLength(t *testing.T) {
+	net, err := New(DefaultConfig(8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{2, 4} {
+		func() {
+			defer func() {
+				if r := recover(); r != "chipnet: disabled mask length mismatch" {
+					t.Errorf("mask of %d for 3 outputs: recovered %v", n, r)
+				}
+			}()
+			net.SetOutputDisabled(make([]bool, n))
+		}()
+	}
+}
+
 func TestChipConfigValidation(t *testing.T) {
 	if _, err := New(DefaultConfig(5)); err == nil {
 		t.Error("expected error for too few layers")

@@ -2,6 +2,7 @@ package chipnet
 
 import (
 	"fmt"
+	"slices"
 
 	"emstdp/internal/engine"
 	"emstdp/internal/loihi"
@@ -121,16 +122,10 @@ func (n *Network) SyncWeights(src engine.Runner) error {
 		return fmt.Errorf("chipnet: sync plastic group count %d != %d", len(s.plastic), len(n.plastic))
 	}
 	for i, g := range n.plastic {
-		g.CopyWeightsFrom(s.plastic[i])
-	}
-	for i, rule := range n.rules {
-		sr := s.rules[i]
-		rule.StochasticShift = sr.StochasticShift
-		if sr.FrozenPost != nil {
-			rule.FrozenPost = append([]bool(nil), sr.FrozenPost...)
-		} else {
-			rule.FrozenPost = nil
-		}
+		sg := s.plastic[i]
+		g.CopyWeightsFrom(sg)
+		g.Shift = sg.Shift
+		g.FrozenPost = slices.Clone(sg.FrozenPost)
 	}
 	if n.errOutPos != nil && s.errOutPos != nil {
 		for i := 0; i < s.errOutPos.N; i++ {

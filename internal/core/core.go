@@ -41,7 +41,7 @@ const (
 	// identical spiking dynamics) — the paper's "Python" columns.
 	FP Backend = iota
 	// Chip runs on the Loihi-class simulator: 8-bit synapses, integer
-	// state, sum-of-products learning engine, core mapping — the
+	// state, the eq (12) learning engine, core mapping — the
 	// paper's "Loihi" columns.
 	Chip
 )

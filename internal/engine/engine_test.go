@@ -241,7 +241,7 @@ func TestChipSyncWeightsCarriesTrainingMasks(t *testing.T) {
 	}
 
 	// Behavioural check: identical training on both must stay
-	// bit-identical (covers FrozenPost and the stochastic shift too).
+	// bit-identical (covers the groups' FrozenPost and Shift too).
 	samples := synthSamples(8, 20, 4, 23)
 	for _, s := range samples {
 		master.TrainSample(s.X, s.Y)

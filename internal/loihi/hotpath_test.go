@@ -157,7 +157,7 @@ func buildRangeMeshBench(tb testing.TB) *Mesh {
 		for i := range g.W {
 			g.W[i] = int8(r.Intn(21) - 10)
 		}
-		g.EnableLearning(EMSTDPRule(6), uint64(100+gi))
+		g.EnableLearning(6, uint64(100+gi))
 		if err := mesh.Connect(g); err != nil {
 			tb.Fatal(err)
 		}

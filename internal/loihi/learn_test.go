@@ -5,18 +5,32 @@ import (
 	"testing/quick"
 
 	"emstdp/internal/fixed"
+	"emstdp/internal/rng"
 )
 
+// oneSynapse returns a plastic 1×1 group with W = 0, the given shift and
+// rounding seed, and learning inputs x1 (phase-2 pre count), y1 (phase-2
+// post count ĥ) and tag (Z).
+func oneSynapse(shift uint, seed uint64, x1, y1, tag int64) *SynapseGroup {
+	g := NewSynapseGroup("one", ifPop("pre", 1, 10), ifPop("post", 1, 10), 0)
+	g.EnableLearning(shift, seed)
+	g.preTrace[0] = uint8(x1)
+	g.Post.postTrace[0] = uint8(y1)
+	g.tag[0] = int32(tag)
+	return g
+}
+
 // The eq (11) → eq (12) transformation must be exact in the integer
-// domain: 2·ĥ·x − Z·x == (ĥ−h)·x when Z = ĥ + h.
+// domain: a learning epoch computing 2·ĥ·x − Z·x with Z = ĥ + h moves
+// the weight by (ĥ−h)·x.
 func TestEMSTDPRuleEquivalence(t *testing.T) {
-	rule := EMSTDPRule(3)
 	f := func(hHat, h, x uint8) bool {
 		y1 := int64(hHat % 65) // ĥ: phase-2 post count
 		h1 := int64(h % 65)    // h: phase-1 post count
 		x1 := int64(x%64) + 1  // phase-2 pre count (nonzero)
-		tag := y1 + h1         // Z accumulated across both phases
-		return rule.EvalRaw(x1, y1, tag, 0) == (y1-h1)*x1
+		g := oneSynapse(0, 1, x1, y1, y1+h1)
+		g.applyEpochRange(0, 1)
+		return g.W[0] == fixed.SatWeight((y1-h1)*x1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -49,57 +63,41 @@ func TestStochasticShiftRoundZeroShift(t *testing.T) {
 }
 
 func TestEMSTDPRuleSigns(t *testing.T) {
-	rule := EMSTDPRule(0) // no scaling: exact products
-	// ĥ > h: potentiation proportional to (ĥ−h)·x.
-	if got := rule.EvalRaw(10, 20, 25, 0); got != (20-5)*10 {
-		t.Errorf("potentiation = %d, want %d", got, 150)
-	}
-	// ĥ < h: depression.
-	if got := rule.EvalRaw(10, 5, 25, 0); got != (5-20)*10 {
-		t.Errorf("depression = %d, want %d", got, -150)
-	}
-	// ĥ == h: no change.
-	if got := rule.EvalRaw(10, 12, 24, 0); got != 0 {
-		t.Errorf("no-error update = %d, want 0", got)
-	}
-}
-
-func TestRuleEvalVarW(t *testing.T) {
-	// A weight-decay-style rule: Δw = -w.
-	rule := &Rule{Products: []Product{{Scale: -1, Factors: []Factor{{V: VarW}}}}}
-	if got := rule.EvalRaw(0, 0, 0, 100); got != -100 {
-		t.Errorf("decay = %d, want -100", got)
-	}
-}
-
-func TestRuleEvalConstants(t *testing.T) {
-	// Δw = (x1 + 2)·(y1 − 1), scale 1, no shift.
-	rule := &Rule{Products: []Product{{Scale: 1, Factors: []Factor{
-		{V: VarX1, C: 2}, {V: VarY1, C: -1},
-	}}}}
-	if got := rule.EvalRaw(3, 4, 0, 0); got != 5*3 {
-		t.Errorf("eval = %d, want 15", got)
-	}
-}
-
-// applyEpochRange skips synapses with a zero pre-trace, so a rule with a
-// product that is nonzero at x1 = 0 must be refused at EnableLearning.
-func TestEnableLearningRejectsRuleWithoutBareX1(t *testing.T) {
-	for name, rule := range map[string]*Rule{
-		"decay": {Products: []Product{{Scale: -1, Factors: []Factor{{V: VarW}}}}},
-		"offset_x1": {Products: []Product{{Scale: 1, Factors: []Factor{
-			{V: VarX1, C: 1}, {V: VarY1},
-		}}}},
+	for _, c := range []struct {
+		name        string
+		x1, hHat, h int64
+		want        int8
+	}{
+		{"potentiation", 2, 20, 5, (20 - 5) * 2}, // ĥ > h
+		{"depression", 2, 5, 20, (5 - 20) * 2},   // ĥ < h
+		{"no error", 2, 12, 12, 0},               // ĥ == h
 	} {
-		t.Run(name, func(t *testing.T) {
-			g := NewSynapseGroup("g", ifPop("pre", 1, 10), ifPop("post", 1, 10), 0)
-			defer func() {
-				if recover() == nil {
-					t.Fatal("EnableLearning accepted a rule that is nonzero at x1 = 0")
-				}
-			}()
-			g.EnableLearning(rule, 1)
-		})
+		g := oneSynapse(0, 1, c.x1, c.hHat, c.hHat+c.h)
+		g.applyEpochRange(0, 1)
+		if g.W[0] != c.want {
+			t.Errorf("%s: Δw = %d, want %d", c.name, g.W[0], c.want)
+		}
+	}
+}
+
+// A row with 2·ĥ = Z has Δw = 0 on every synapse, so the epoch skips it
+// without drawing a rounding word; a row with an error draws one per
+// synapse with a nonzero pre-trace.
+func TestZeroErrorRowDrawsNoRoundingWord(t *testing.T) {
+	const seed = 42
+	fresh := rng.New(seed)
+	first, second := fresh.Uint64(), fresh.Uint64()
+
+	g := oneSynapse(3, seed, 5, 12, 24)
+	g.applyEpochRange(0, 1)
+	if got := g.lrnRNG.Uint64(); got != first {
+		t.Errorf("zero-error row consumed a rounding word: next draw %#x, want %#x", got, first)
+	}
+
+	g = oneSynapse(3, seed, 5, 12, 23)
+	g.applyEpochRange(0, 1)
+	if got := g.lrnRNG.Uint64(); got != second {
+		t.Errorf("error row: next draw %#x, want the second word %#x", got, second)
 	}
 }
 
@@ -116,7 +114,7 @@ func TestOnChipLearningEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewSynapseGroup("pp", pre, post, 0)
-	g.EnableLearning(EMSTDPRule(3), 1)
+	g.EnableLearning(3, 1)
 	if err := chip.Connect(g); err != nil {
 		t.Fatal(err)
 	}
@@ -141,14 +139,13 @@ func TestOnChipLearningEpoch(t *testing.T) {
 }
 
 func TestLearningSaturatesAtInt8(t *testing.T) {
-	rule := EMSTDPRule(0)
 	g := &SynapseGroup{
 		Name: "sat",
 		Pre:  ifPop("pre", 1, 10),
 		Post: ifPop("post", 1, 10),
 		W:    []int8{120},
 	}
-	g.EnableLearning(rule, 1)
+	g.EnableLearning(0, 1)
 	g.preTrace[0] = 64
 	g.Post.postTrace[0] = 64
 	g.tag[0] = 64
@@ -159,15 +156,14 @@ func TestLearningSaturatesAtInt8(t *testing.T) {
 }
 
 func TestFrozenPostRowsSkipped(t *testing.T) {
-	rule := EMSTDPRule(0)
-	rule.FrozenPost = []bool{false, true}
 	g := &SynapseGroup{
 		Name: "fr",
 		Pre:  ifPop("pre", 1, 10),
 		Post: ifPop("post", 2, 10),
 		W:    []int8{0, 0},
 	}
-	g.EnableLearning(rule, 1)
+	g.EnableLearning(0, 1)
+	g.FrozenPost = []bool{false, true}
 	g.preTrace[0] = 10
 	g.Post.postTrace[0] = 5
 	g.Post.postTrace[1] = 5
@@ -193,7 +189,7 @@ func TestPhaseTraceSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewSynapseGroup("pp", pre, post, 0)
-	g.EnableLearning(EMSTDPRule(3), 1)
+	g.EnableLearning(3, 1)
 	if err := chip.Connect(g); err != nil {
 		t.Fatal(err)
 	}

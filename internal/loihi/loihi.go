@@ -12,9 +12,10 @@
 //     explicitly (§III-A);
 //   - multi-compartment neurons whose soma output is AND-gated by an
 //     auxiliary compartment (§III-A);
-//   - pre/post synaptic trace counters and a microcode learning engine
-//     whose update rules are sums of products of locally available
-//     variables (eq 9), applied at learning epochs;
+//   - pre/post synaptic trace counters, a per-postsynaptic-row synaptic
+//     tag, and a learning engine fixed to EMSTDP's update, eq (12):
+//     Δw = 2η·ĥ·x − η·Z·x with the tag holding Z, applied at learning
+//     epochs with stochastic rounding (see SynapseGroup);
 //   - activity counters (spikes, synaptic events, compartment updates,
 //     core occupancy) that drive the energy/timing model in
 //     internal/energy.
@@ -385,7 +386,7 @@ func (c *Chip) Run(n int) {
 	}
 }
 
-// ApplyLearning fires the learning epoch: every group with a rule applies
+// ApplyLearning fires the learning epoch: every plastic group applies
 // its weight update from the current trace state (end of phase 2 in the
 // EMSTDP schedule).
 func (c *Chip) ApplyLearning() {

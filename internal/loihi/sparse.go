@@ -35,7 +35,7 @@ type Connector interface {
 	// stepLearningRange runs the per-step learning micro-ops for post
 	// rows [lo,hi).
 	stepLearningRange(lo, hi int)
-	// applyEpochRange applies the learning rule to post rows [lo,hi),
+	// applyEpochRange applies the eq (12) update to post rows [lo,hi),
 	// returning ops performed; shards must be visited in ascending row
 	// order to preserve the RNG stream.
 	applyEpochRange(lo, hi int) int64

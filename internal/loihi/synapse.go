@@ -12,6 +12,20 @@ import (
 // with signed 8-bit weights and a shared power-of-two weight exponent:
 // the membrane contribution of a spike through synapse (o,k) is
 // W[o*Pre.N+k] << Exp.
+//
+// A group is plastic once EnableLearning has given it learning state.
+// Its learning engine runs EMSTDP's eq (12), Δw = 2η·ĥ·x − η·Z·x, and
+// nothing else. Each step it adds one to a row's tag per postsynaptic
+// spike (dt = y0), so the tag holds Z = ĥ + h across both phases. At a
+// learning epoch it applies
+//
+//	Δw = StochasticShiftRound(x1·(2·y1 − tag), Shift)
+//
+// to every synapse, where x1 is the presynaptic trace and y1 the
+// postsynaptic trace (ĥ), both counted over phase 2 only. Because
+// Z = ĥ + h the raw value is (ĥ−h)·x, the delta rule of eq (7), computed
+// from end-of-phase-2 state alone: Loihi cannot bank the phase-1 count h
+// for later use.
 type SynapseGroup struct {
 	Name string
 	Pre  *Population
@@ -20,17 +34,25 @@ type SynapseGroup struct {
 	W []int8
 	// Exp is the shared weight exponent (contribution = mantissa << Exp).
 	Exp uint
-	// Rule, when non-nil, makes this group plastic: the learning engine
-	// maintains a presynaptic trace and per-post tag, and applies the
-	// rule at learning epochs.
-	Rule *Rule
+	// Shift is the learning-rate exponent, η = 2^-Shift. The update is
+	// right-shifted with probabilistic rounding — Loihi's stochastic
+	// rounding mode. With 8-bit mantissas, deterministic rounding kills
+	// every update smaller than half a weight quantum; stochastic
+	// rounding keeps them in expectation, which is what makes
+	// small-learning-rate on-chip training converge. Zero applies the
+	// update unshifted.
+	Shift uint
+	// FrozenPost, when set, excludes postsynaptic rows from updates — the
+	// incremental-learning protocol freezes old-class classifier rows
+	// this way (§IV-B). Its length must be Post.N.
+	FrozenPost []bool
 
 	// preTrace counts presynaptic spikes since the last phase reset
 	// (Loihi's x1 trace configured with no decay).
 	preTrace []uint8
-	// tag is the per-postsynaptic-row synaptic tag variable. EMSTDP's
-	// tag rule (dt = y0) gives every synapse of a row the same value, so
-	// it is stored once per row; see Rule for the engine semantics.
+	// tag is the per-postsynaptic-row synaptic tag. The tag rule dt = y0
+	// gives every synapse of a row the same value, so it is stored once
+	// per row.
 	tag []int32
 	// lrnRNG supplies random bits for stochastic rounding.
 	lrnRNG *rng.Source
@@ -100,14 +122,11 @@ func (g *SynapseGroup) SetTape(mode TapeMode, t int) {
 	}
 }
 
-// EnableLearning attaches a rule and allocates trace state. seed drives
-// the stochastic-rounding bit stream (deterministic per group). It
-// panics if a product of the rule lacks a bare x1 factor (see Rule).
-func (g *SynapseGroup) EnableLearning(rule *Rule, seed uint64) {
-	if !rule.gatedByPreTrace() {
-		panic(fmt.Sprintf("loihi: group %q rule has a product without a bare x1 factor", g.Name))
-	}
-	g.Rule = rule
+// EnableLearning makes the group plastic: it sets the learning-rate
+// shift and allocates the trace and tag state. seed drives the
+// stochastic-rounding bit stream (deterministic per group).
+func (g *SynapseGroup) EnableLearning(shift uint, seed uint64) {
+	g.Shift = shift
 	g.preTrace = make([]uint8, g.Pre.N)
 	g.tag = make([]int32, g.Post.N)
 	g.lrnRNG = rng.New(seed)
@@ -271,7 +290,7 @@ func (g *SynapseGroup) deliverDenseRange(lo, hi int, tracePre bool) int64 {
 // [lo,hi): the tag accumulation rule dt = y0 (one increment per
 // postsynaptic spike, both phases).
 func (g *SynapseGroup) stepLearningRange(lo, hi int) {
-	if g.Rule == nil {
+	if g.tag == nil {
 		return
 	}
 	// Walk the words of the post population's fresh spikes that overlap
@@ -293,31 +312,35 @@ func (g *SynapseGroup) stepLearningRange(lo, hi int) {
 	}
 }
 
-// applyEpochRange applies the weight update rule to post rows [lo,hi),
-// returning the number of learning operations performed. The
-// stochastic-rounding bits come from the group's single lrnRNG stream in
-// row order, so a multi-die learning epoch that walks a group's shards
-// in ascending row order draws exactly the single-die bit sequence.
+// applyEpochRange applies eq (12) to post rows [lo,hi), returning the
+// number of learning operations performed. Each row computes
+// c = 2·y1 − tag once; a row with c = 0 has Δw = 0 on every synapse and
+// is skipped whole, and a synapse with x1 = 0 likewise. The
+// stochastic-rounding bits — one per nonzero Δw — come from the group's
+// single lrnRNG stream in row order, so a multi-die learning epoch that
+// walks a group's shards in ascending row order draws exactly the
+// single-die bit sequence.
 func (g *SynapseGroup) applyEpochRange(lo, hi int) int64 {
-	if g.Rule == nil {
+	if g.tag == nil {
 		return 0
 	}
 	preN := g.Pre.N
 	for o := lo; o < hi; o++ {
-		if g.Rule.FrozenPost != nil && g.Rule.FrozenPost[o] {
+		if g.FrozenPost != nil && g.FrozenPost[o] {
+			continue
+		}
+		c := 2*int64(g.Post.postTrace[o]) - int64(g.tag[o])
+		if c == 0 {
 			continue
 		}
 		row := g.W[o*preN : (o+1)*preN]
-		y1 := int64(g.Post.postTrace[o])
-		tg := int64(g.tag[o])
-		for k := 0; k < preN; k++ {
-			x1 := int64(g.preTrace[k])
+		for k, x1 := range g.preTrace {
 			if x1 == 0 {
-				continue // every product term carries x1; zero pre-trace means no update
+				continue
 			}
-			dw := g.Rule.EvalRaw(x1, y1, tg, int64(row[k]))
-			if s := g.Rule.StochasticShift; s > 0 && dw != 0 {
-				dw = StochasticShiftRound(dw, s, g.lrnRNG.Uint64())
+			dw := int64(x1) * c
+			if g.Shift > 0 {
+				dw = StochasticShiftRound(dw, g.Shift, g.lrnRNG.Uint64())
 			}
 			if dw != 0 {
 				row[k] = fixed.SatWeight(int64(row[k]) + dw)

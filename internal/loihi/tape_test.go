@@ -33,7 +33,7 @@ func buildTapeChip(t *testing.T, steps int) (*Chip, *SynapseGroup, *Population) 
 	for i := range other.W {
 		other.W[i] = int8(r.Intn(255) - 127)
 	}
-	taped.EnableLearning(EMSTDPRule(8), 1)
+	taped.EnableLearning(8, 1)
 	taped.EnableDriveTape(steps)
 	for _, g := range []*SynapseGroup{taped, other} {
 		if err := chip.Connect(g); err != nil {
