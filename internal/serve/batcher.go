@@ -1,9 +1,6 @@
 package serve
 
-import (
-	"context"
-	"time"
-)
+import "context"
 
 // classifyReq is one handler's submission to the micro-batcher: one or
 // more feature vectors that must all be answered from a single weight
@@ -23,35 +20,37 @@ type classifyResp struct {
 }
 
 // batcher coalesces concurrent classify submissions into micro-batches.
-// The dispatcher takes the first waiting request, keeps collecting
-// until the coalescing window elapses or the batch is full, then
-// answers the whole batch with one pool-sharded Predict on the
-// tenant's current weight version. Because a prediction is a pure
-// function of (weights, input) and Group.Predict is bit-identical
-// across pool widths, coalescing amortises dispatch without changing
-// any individual answer — the conformance tests pin this.
+// The dispatcher takes the first waiting request, drains the requests
+// already parked on reqs (up to maxBatch vectors) without waiting for
+// more, then answers the whole batch with one pool-sharded Predict on
+// the tenant's current weight version. A request on an idle tenant is
+// served at once; requests that arrive while a batch predicts park and
+// leave together in the next one, so batches grow with load. Because a
+// prediction is a pure function of (weights, input) and Group.Predict
+// is bit-identical across pool widths, coalescing amortises dispatch
+// without changing any individual answer — the conformance tests pin
+// this.
 type batcher struct {
 	// reqs is unbuffered: a request the dispatcher has accepted is
 	// always answered, even during shutdown.
 	reqs     chan classifyReq
-	window   time.Duration
 	maxBatch int
 	quit     chan struct{}
 	done     chan struct{}
 }
 
-func newBatcher(window time.Duration, maxBatch int) *batcher {
+func newBatcher(maxBatch int) *batcher {
 	return &batcher{
 		reqs:     make(chan classifyReq),
-		window:   window,
 		maxBatch: maxBatch,
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 }
 
-// run is the dispatcher loop, owned by one goroutine per tenant.
-func (b *batcher) run(t *tenant) {
+// run is the dispatcher loop, owned by one goroutine per tenant; serve
+// answers one batch of size feature vectors.
+func (b *batcher) run(serve func(batch []classifyReq, size int)) {
 	defer close(b.done)
 	for {
 		var first classifyReq
@@ -62,23 +61,17 @@ func (b *batcher) run(t *tenant) {
 		}
 		batch := []classifyReq{first}
 		size := len(first.xs)
-		timer := time.NewTimer(b.window)
-	collect:
+	drain:
 		for size < b.maxBatch {
 			select {
 			case r := <-b.reqs:
 				batch = append(batch, r)
 				size += len(r.xs)
-			case <-timer.C:
-				break collect
-			case <-b.quit:
-				// Serve what was already accepted, then exit on the
-				// next loop iteration.
-				break collect
+			default:
+				break drain
 			}
 		}
-		timer.Stop()
-		t.serveBatch(batch, size)
+		serve(batch, size)
 	}
 }
 

@@ -3,22 +3,21 @@ package serve
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"emstdp/internal/core"
 	"emstdp/internal/dataset"
 	"emstdp/internal/stream"
 )
 
-// Serving-knob defaults: a 2ms coalescing window is long enough to
-// merge bursts arriving together and short enough to be invisible next
-// to a spiking forward pass; the admission band mirrors the training
-// channel's double-buffering hysteresis at request scale.
+// Serving-knob defaults: a micro-batch holds at most 64 feature
+// vectors, enough to keep every pool worker busy without letting one
+// large batch delay the requests parked behind it; the admission band
+// mirrors the training channel's double-buffering hysteresis at request
+// scale.
 const (
-	defaultBatchWindow = 2 * time.Millisecond
-	defaultMaxBatch    = 64
-	defaultAdmitLow    = 8
-	defaultAdmitHigh   = 32
+	defaultMaxBatch  = 64
+	defaultAdmitLow  = 8
+	defaultAdmitHigh = 32
 )
 
 // TenantOptions is the JSON body of a tenant-creation request: the
@@ -49,9 +48,6 @@ type TenantOptions struct {
 	// Workers sizes the replica pool classify batches shard across.
 	Workers int `json:"workers,omitempty"`
 
-	// BatchWindowUs is the micro-batcher's coalescing window in
-	// microseconds (default 2000).
-	BatchWindowUs int `json:"batch_window_us,omitempty"`
 	// MaxBatch caps the feature vectors coalesced into one pool
 	// dispatch (default 64).
 	MaxBatch int `json:"max_batch,omitempty"`
@@ -121,14 +117,6 @@ func (o TenantOptions) coreOptions() (core.Options, error) {
 		Seed:           o.Seed,
 		Workers:        o.Workers,
 	}, nil
-}
-
-// batchWindow returns the coalescing window with its default applied.
-func (o TenantOptions) batchWindow() time.Duration {
-	if o.BatchWindowUs <= 0 {
-		return defaultBatchWindow
-	}
-	return time.Duration(o.BatchWindowUs) * time.Microsecond
 }
 
 // batchCap returns the max coalesced batch size with its default.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -471,6 +472,7 @@ func TestCreateValidation(t *testing.T) {
 		{"unknown dataset", "/v1/tenants/b", map[string]any{"dataset": "imagenet"}, http.StatusBadRequest},
 		{"unknown backend", "/v1/tenants/b", map[string]any{"backend": "tpu"}, http.StatusBadRequest},
 		{"unknown knob", "/v1/tenants/b", map[string]any{"hiden": []int{3}}, http.StatusBadRequest},
+		{"retired batch window", "/v1/tenants/b", map[string]any{"batch_window_us": 2000}, http.StatusBadRequest},
 	} {
 		resp, body := doJSON(t, http.MethodPut, ts.URL+tc.path, tc.body)
 		if resp.StatusCode != tc.status {
@@ -648,7 +650,7 @@ func submitReturns(t *testing.T, what string, b *batcher, ctx context.Context) e
 // dispatcher accepts it and while it waits for the batch's answer.
 func TestSubmitStopsWaitingWhenClientGone(t *testing.T) {
 	// A dispatcher that never accepts: the context is already done.
-	idle := newBatcher(time.Millisecond, 4)
+	idle := newBatcher(4)
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := submitReturns(t, "before acceptance", idle, gone); !errors.Is(err, context.Canceled) {
@@ -657,7 +659,7 @@ func TestSubmitStopsWaitingWhenClientGone(t *testing.T) {
 
 	// A dispatcher that accepts but never answers: the client leaves
 	// after acceptance.
-	stuck := newBatcher(time.Millisecond, 4)
+	stuck := newBatcher(4)
 	accepted := make(chan struct{})
 	go func() {
 		<-stuck.reqs
@@ -671,6 +673,153 @@ func TestSubmitStopsWaitingWhenClientGone(t *testing.T) {
 	if err := submitReturns(t, "awaiting the answer", stuck, leaving); !errors.Is(err, context.Canceled) {
 		t.Fatalf("awaiting the answer: err %v, want context.Canceled", err)
 	}
+}
+
+// parkRequest sends req straight onto the dispatcher's channel, giving
+// up once the dispatcher has exited. It is a named function so
+// waitParked can find its goroutines in a stack dump.
+func parkRequest(b *batcher, req classifyReq) {
+	select {
+	case b.reqs <- req:
+	case <-b.done:
+	}
+}
+
+// waitParked blocks until n goroutines are parked in parkRequest's
+// select, waiting for the dispatcher to take their requests.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, " [select") && strings.Contains(g, "serve.parkRequest(") {
+				parked++
+			}
+		}
+		if parked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests parked after 5s, want %d", parked, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestBatcherServesOnArrival pins the dispatch rule: a lone request on
+// an idle dispatcher is served at once as a batch of one, and requests
+// that park while a batch is in flight leave together in the next
+// batch, up to maxBatch vectors.
+func TestBatcherServesOnArrival(t *testing.T) {
+	b := newBatcher(4)
+	type served struct{ reqs, size int }
+	batches := make(chan served)
+	release := make(chan struct{})
+	// The serve func gives up once close is called, so a failing
+	// assertion cannot leave the dispatcher blocked in it.
+	go b.run(func(batch []classifyReq, size int) {
+		select {
+		case batches <- served{len(batch), size}:
+		case <-b.quit:
+			return
+		}
+		select {
+		case <-release:
+		case <-b.quit:
+		}
+	})
+	defer b.close()
+	req := func(vectors int) classifyReq {
+		return classifyReq{xs: make([][]float64, vectors), resp: make(chan classifyResp, 1)}
+	}
+
+	go parkRequest(b, req(1))
+	if got := <-batches; got != (served{1, 1}) {
+		t.Fatalf("lone request served as %+v, want a batch of one", got)
+	}
+	// The first batch is held in flight while three more requests park.
+	for range 3 {
+		go parkRequest(b, req(2))
+	}
+	waitParked(t, 3)
+	release <- struct{}{}
+	if got := <-batches; got != (served{2, 4}) {
+		t.Fatalf("parked requests served as %+v, want 2 requests / 4 vectors (maxBatch)", got)
+	}
+	release <- struct{}{}
+	if got := <-batches; got != (served{1, 2}) {
+		t.Fatalf("request over maxBatch served as %+v, want 1 request / 2 vectors", got)
+	}
+	release <- struct{}{}
+}
+
+// FuzzHandlers posts fuzzer-chosen bodies to one small tenant's
+// classify and train routes: no body may panic a handler or draw a 5xx.
+// Create bodies are left out because each one builds a model.
+func FuzzHandlers(f *testing.F) {
+	srv := New()
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	opts, err := json.Marshal(testOpts(91))
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/tenants/a", bytes.NewReader(opts)))
+	if rec.Code != http.StatusCreated {
+		f.Fatalf("create: status %d: %s", rec.Code, rec.Body)
+	}
+	var info TenantInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		f.Fatal(err)
+	}
+
+	// The TestRequestValidation cases (route false = classify, true =
+	// train), valid bodies for each route, and raw malformed JSON.
+	short := make([]float64, info.InputDim-1)
+	good := make([]float64, info.InputDim)
+	huge := make([]float64, info.InputDim)
+	for i := range huge {
+		huge[i] = 1e308 * float64(1-2*(i%2))
+	}
+	for _, tc := range []struct {
+		train bool
+		body  any
+	}{
+		{false, map[string]any{}},
+		{false, map[string]any{"x": short}},
+		{true, map[string]any{}},
+		{true, map[string]any{"x": good}},
+		{true, map[string]any{"x": short, "y": 0}},
+		{true, map[string]any{"x": good, "y": info.Classes}},
+		{true, map[string]any{"x": good, "y": -1}},
+		{false, map[string]any{"x": good, "inputs": [][]float64{good, good}}},
+		{true, map[string]any{"x": good, "y": 1, "samples": []map[string]any{{"x": good, "y": 0}}}},
+		{false, map[string]any{"x": huge}},
+		{true, map[string]any{"x": huge, "y": 0}},
+	} {
+		b, err := json.Marshal(tc.body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(tc.train, b)
+	}
+	f.Add(true, []byte(`{"samples":[{"x":null,"y":0}]}`))
+	f.Add(false, []byte(`{"inputs":[[],null]`))
+
+	f.Fuzz(func(t *testing.T, train bool, body []byte) {
+		path := "/v1/a/classify"
+		if train {
+			path = "/v1/a/train"
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code >= 500 {
+			t.Fatalf("POST %s %q: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+	})
 }
 
 // TestClassifyCanceledCounted sends a classify whose client has already

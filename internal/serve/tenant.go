@@ -111,8 +111,8 @@ func newTenant(name string, topts TenantOptions) (*tenant, error) {
 		Tracer: tr,
 		Name:   "train-admission",
 	})
-	t.bat = newBatcher(topts.batchWindow(), topts.batchCap())
-	go t.bat.run(t)
+	t.bat = newBatcher(topts.batchCap())
+	go t.bat.run(t.serveBatch)
 	t.trainDone = make(chan struct{})
 	go t.trainLoop()
 	return t, nil
