@@ -19,16 +19,23 @@
 //	                        presynaptic counts — the same quantities the
 //	                        chip's traces hold at the end of phase 2.
 //
+// The input side of a sample is fixed when it is programmed. Each
+// input's spike train depends only on its quantized rate, so the encoder
+// serves precomputed step bitsets (see the spike package) and its phase
+// counts — the presynaptic counts eq (7) uses for layer 0 — are the
+// trains' popcounts, known before phase 1 runs.
+//
 // Phase 2 replays phase 1's input side instead of recomputing it. The
 // phase boundary resets every membrane and nothing writes the weights
 // before the update, so the encoder emits the same spikes step for step
 // in both phases, and layer 0's drive (Bias plus the weights of those
 // spikes, which never reads the membrane) is the same too. A training
-// pass therefore counts the encoder spikes in phase 1 — equal to the
-// phase-2 counts eq (7) consumes — and records layer 0's drive per step;
-// phase 2 steps neither the encoder nor layer 0's gather, finishing
-// layer 0 from the recorded drive. Error injections act on the membrane
-// only, so the replay is bit-identical to re-stepping.
+// pass therefore records layer 0's drive per phase-1 step; phase 2 steps
+// neither the encoder nor layer 0's gather, finishing layer 0 from the
+// recorded drive. Error injections act on the membrane only, so the
+// replay is bit-identical to re-stepping. Likewise the h′ gates (eq 4)
+// read only the phase-1 counts, which are final at the phase boundary,
+// so they are latched there once rather than recomputed every step.
 //
 // Counts are normalised by the phase length so the update is in rate
 // units: Δw = η·((ĥ−h)/T)·(h_pre/T).
@@ -195,11 +202,11 @@ type Network struct {
 
 	// Reusable per-sample scratch, so the TrainSample/Predict hot loop
 	// allocates nothing after construction (enforced by AllocsPerRun
-	// tests): quantized input rates, label biases, the output-gate mask,
-	// per-hidden-bank direction gates, and the counter views ApplyUpdate
-	// hands to applyFrom.
-	qbuf               []float64
-	lbuf               []float64
+	// tests): input and label-neuron levels, the output-gate mask,
+	// per-hidden-bank direction gates (latched at the phase boundary),
+	// and the counter views ApplyUpdate hands to applyFrom.
+	levels             []int
+	labelLevels        []int
 	gateOut            []bool
 	gatePosBuf         [][]bool
 	gateNegBuf         [][]bool
@@ -233,8 +240,7 @@ func New(cfg Config) *Network {
 	n := &Network{cfg: cfg, eta: cfg.Eta, quantRNG: rng.New(cfg.Seed ^ 0xabcd1234), pendingLabel: -1}
 	in := cfg.LayerSizes[0]
 	out := cfg.LayerSizes[len(cfg.LayerSizes)-1]
-	n.enc = spike.NewBiasEncoder(in, cfg.Theta)
-	n.labelEnc = spike.NewBiasEncoder(out, cfg.Theta)
+	n.enc, n.labelEnc = newEncoders(cfg)
 
 	for i := 1; i < len(cfg.LayerSizes); i++ {
 		fanIn := cfg.LayerSizes[i-1]
@@ -288,12 +294,24 @@ func New(cfg Config) *Network {
 	return n
 }
 
+// newEncoders builds the input encoder, whose table holds the T+1
+// quantization levels of an input rate, and the label encoder, whose
+// table holds the two target rates (entry 0 TargetLow, entry 1
+// TargetHigh). Both biases are the rate times θ, as the paper writes them.
+func newEncoders(cfg Config) (enc, label *spike.BiasEncoder) {
+	in := cfg.LayerSizes[0]
+	out := cfg.LayerSizes[len(cfg.LayerSizes)-1]
+	targets := []float64{cfg.TargetLow * cfg.Theta, cfg.TargetHigh * cfg.Theta}
+	return spike.NewBiasEncoder(in, cfg.T, cfg.Theta, spike.PhaseBiases(cfg.T, cfg.Theta)),
+		spike.NewBiasEncoder(out, cfg.T, cfg.Theta, targets)
+}
+
 // initScratch builds the reusable hot-loop buffers (New and Clone).
 func (n *Network) initScratch() {
 	in := n.cfg.LayerSizes[0]
 	out := n.cfg.LayerSizes[len(n.cfg.LayerSizes)-1]
-	n.qbuf = make([]float64, in)
-	n.lbuf = make([]float64, out)
+	n.levels = make([]int, in)
+	n.labelLevels = make([]int, out)
 	n.gateOut = make([]bool, out)
 	n.gatePosBuf = make([][]bool, len(n.errHidden))
 	n.gateNegBuf = make([][]bool, len(n.errHidden))
@@ -471,24 +489,24 @@ func (n *Network) reset() {
 }
 
 // forwardStep advances encoder and all layers one timestep, recording
-// counts into the given counters. Spikes travel as (dense vector,
-// bitset) pairs so the packed kernel never rebuilds the word view; the
-// counters read each producer's active-index list.
+// layer counts into layerCounters; the packed kernel reads each
+// producer's bitset, the counters its active-index list. A non-nil
+// encCounter takes the encoder's phase counts — the programmed trains'
+// popcounts, fixed before any step runs — so one step per phase need
+// pass it.
 func (n *Network) forwardStep(encCounter *spike.Counter, layerCounters []*spike.Counter) {
-	s := n.enc.Step()
-	bits := n.enc.Bits()
 	if encCounter != nil {
-		encCounter.ObserveActive(n.enc.Active())
+		copy(encCounter.Counts, n.enc.Counts())
 	}
-	n.stepLayers(0, s, bits, layerCounters)
+	n.stepLayers(0, n.enc.Step(), layerCounters)
 }
 
 // stepLayers advances layers from..end one timestep on the spikes of the
 // layer below (or the encoder, when from is 0).
-func (n *Network) stepLayers(from int, s []bool, bits *spike.Bitset, layerCounters []*spike.Counter) {
+func (n *Network) stepLayers(from int, bits *spike.Bitset, layerCounters []*spike.Counter) {
 	for i := from; i < len(n.layers); i++ {
 		l := n.layers[i]
-		s = l.Step(s, bits)
+		l.Step(bits)
 		bits = l.Bits()
 		if layerCounters != nil {
 			layerCounters[i].ObserveActive(l.Active())
@@ -500,27 +518,27 @@ func (n *Network) stepLayers(from int, s []bool, bits *spike.Bitset, layerCounte
 // phase 1 recorded at step t, and the layers above step from its spikes.
 func (n *Network) replayStep(t int) {
 	l0 := n.layers[0]
-	s := l0.StepDrive(n.drive0[t*l0.Out : (t+1)*l0.Out])
+	l0.StepDrive(n.drive0[t*l0.Out : (t+1)*l0.Out])
 	n.h2[0].ObserveActive(l0.Active())
-	n.stepLayers(1, s, l0.Bits(), n.h2)
+	n.stepLayers(1, l0.Bits(), n.h2)
 }
 
-// setInput programs the input biases from rates in [0,1].
+// setInput programs the input neurons from rates in [0,1]: each takes
+// the quantization level of its rate.
 func (n *Network) setInput(x []float64) {
 	if len(x) != n.enc.Len() {
 		panic(fmt.Sprintf("emstdp: input size %d, want %d", len(x), n.enc.Len()))
 	}
-	q := spike.QuantizeToPhaseInto(n.qbuf, x, n.cfg.T)
-	for i := range q {
-		q[i] *= n.cfg.Theta
+	for i, v := range x {
+		n.levels[i] = spike.PhaseLevel(v, n.cfg.T)
 	}
-	n.enc.SetBiases(q)
+	n.enc.SetLevels(n.levels)
 }
 
 // phase1 runs the inference phase into the h1 counters. State is NOT
 // reset first so callers can inspect; use Predict for plain
-// classification. A training pass (record) also counts the encoder
-// spikes and records layer 0's drive per step for phase 2 to replay.
+// classification. A training pass (record) also takes the encoder
+// counts and records layer 0's drive per step for phase 2 to replay.
 func (n *Network) phase1(record bool) {
 	var encCounter *spike.Counter
 	if record {
@@ -529,6 +547,7 @@ func (n *Network) phase1(record bool) {
 	out0 := n.layers[0].Out
 	for t := 0; t < n.cfg.T; t++ {
 		n.forwardStep(encCounter, n.h1)
+		encCounter = nil // taken on the first step
 		if record {
 			copy(n.drive0[t*out0:(t+1)*out0], n.layers[0].Drive())
 		}
@@ -588,22 +607,19 @@ func (n *Network) ProgramSample(x []float64, label int) {
 	if label < 0 {
 		return
 	}
-	lb := n.lbuf
-	for j := 0; j < out; j++ {
-		rate := n.cfg.TargetLow
-		if j == label {
-			rate = n.cfg.TargetHigh
-		}
-		lb[j] = rate * n.cfg.Theta
+	for j := range n.labelLevels {
+		n.labelLevels[j] = 0 // TargetLow
 	}
-	n.labelEnc.SetBiases(lb)
+	n.labelLevels[label] = 1 // TargetHigh
+	n.labelEnc.SetLevels(n.labelLevels)
 }
 
 // RunPhases executes phase 1 and, when train is true, the phase boundary
 // plus the error-driven phase 2 of the programmed sample. A training
-// pass observes the encoder counts eq (7) uses in phase 1 and records
-// layer 0's drive there; phase 2 replays both rather than re-stepping
-// the encoder and layer 0's gather (exact: see the package doc).
+// pass takes the encoder counts eq (7) uses and records layer 0's drive
+// in phase 1; phase 2 replays the drive rather than re-stepping the
+// encoder and layer 0's gather, and reads h′ gates latched at the
+// boundary (exact: see the package doc).
 func (n *Network) RunPhases(train bool) {
 	if train && n.pendingLabel < 0 {
 		panic("emstdp: RunPhases(train) without a labelled ProgramSample")
@@ -624,6 +640,7 @@ func (n *Network) RunPhases(train bool) {
 	for _, l := range n.layers {
 		l.Reset()
 	}
+	n.latchGates(n.h1)
 
 	// Phase 2: errors correct the forward rates toward ĥ.
 	for t := 0; t < n.cfg.T; t++ {
@@ -647,7 +664,7 @@ func (n *Network) correctStep() {
 			continue
 		}
 		drive := 0.0
-		if labelSpikes[j] {
+		if labelSpikes.Get(j) {
 			drive += 1
 		}
 		if outSpikes[j] {
@@ -743,17 +760,7 @@ func (n *Network) driveAndInject(i int, src []int8) []int8 {
 	}
 	var gatePos, gateNeg []bool
 	if n.cfg.GateHidden {
-		gatePos = n.gatePosBuf[i]
-		gateNeg = n.gateNegBuf[i]
-		h1 := n.h1[i].Counts
-		hi := n.gateHi()
-		for k := 0; k < size; k++ {
-			// h′ of the shifted-ReLU activation (eq 2): upward
-			// corrections only below the saturation bound, downward
-			// corrections for any active neuron.
-			gatePos[k] = h1[k] > 0 && h1[k] < hi
-			gateNeg[k] = h1[k] > 0
-		}
+		gatePos, gateNeg = n.gatePosBuf[i], n.gateNegBuf[i]
 	}
 	spikes := bank.StepDir(gatePos, gateNeg)
 	layer := n.layers[i]
@@ -764,6 +771,25 @@ func (n *Network) driveAndInject(i int, src []int8) []int8 {
 		}
 	}
 	return spikes
+}
+
+// latchGates fills every hidden error bank's direction gates from the
+// given phase counts — phase 1's, final at the phase boundary: h′ of the
+// shifted-ReLU activation (eq 2) passes upward corrections only below
+// the saturation bound and downward corrections for any active neuron.
+// Without GateHidden the masks go unused.
+func (n *Network) latchGates(h []*spike.Counter) {
+	if !n.cfg.GateHidden {
+		return
+	}
+	hi := n.gateHi()
+	for i := range n.errHidden {
+		gatePos, gateNeg := n.gatePosBuf[i], n.gateNegBuf[i]
+		for k, c := range h[i].Counts {
+			gatePos[k] = c > 0 && c < hi
+			gateNeg[k] = c > 0
+		}
+	}
 }
 
 // injectHidden returns the effective hidden correction gain.
@@ -839,12 +865,10 @@ func (n *Network) applyFrom(enc []int, h1, h2 [][]int) {
 					}
 					w = lo * step
 				}
-				row[k] = w
+				// SetWeight keeps the layer's transposed view current,
+				// so no rebuild waits for the next sample.
+				layer.SetWeight(o, k, w)
 			}
 		}
-		// The in-place weight write invalidates the layer's transposed
-		// view; mark once per sample so the packed kernel retransposes
-		// lazily on the next step, not per timestep.
-		layer.MarkWeightsDirty()
 	}
 }

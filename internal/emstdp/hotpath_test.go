@@ -196,3 +196,33 @@ func TestTrainSampleAndPredictAllocateNothing(t *testing.T) {
 		t.Errorf("two-hidden-layer FA TrainSample allocates %.1f objects per call, want 0", avg)
 	}
 }
+
+// benchNetwork builds perfbench's FP model shape — 200-100-10, T=64, DFA
+// (DefaultConfig) — and 64 seeded rate vectors with labels.
+func benchNetwork() (*Network, [][]float64, []int) {
+	net := New(DefaultConfig(200, 100, 10))
+	xs, ys := trainStream(rng.New(1), 200, 10, 64)
+	return net, xs, ys
+}
+
+// BenchmarkTrainSample times one online training sample: programming,
+// both phases and the eq (7) update.
+func BenchmarkTrainSample(b *testing.B) {
+	net, xs, ys := benchNetwork()
+	for i := 0; b.Loop(); i++ {
+		k := i % len(xs)
+		net.TrainSample(xs[k], ys[k])
+	}
+}
+
+// BenchmarkPredict times one inference pass on weights trained over the
+// seeded vectors once.
+func BenchmarkPredict(b *testing.B) {
+	net, xs, ys := benchNetwork()
+	for k := range xs {
+		net.TrainSample(xs[k], ys[k])
+	}
+	for i := 0; b.Loop(); i++ {
+		net.Predict(xs[i%len(xs)])
+	}
+}

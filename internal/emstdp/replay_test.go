@@ -21,6 +21,7 @@ func runPhasesRestep(n *Network) {
 	for _, l := range n.layers {
 		l.Reset()
 	}
+	n.latchGates(n.h1)
 	for t := 0; t < n.cfg.T; t++ {
 		n.forwardStep(n.encCount, n.h2)
 		n.correctStep()

@@ -101,8 +101,7 @@ func (n *Network) Clone() *Network {
 		pendingLabel: -1,
 		b:            n.b, // fixed after init: shared read-only
 	}
-	c.enc = spike.NewBiasEncoder(in, cfg.Theta)
-	c.labelEnc = spike.NewBiasEncoder(out, cfg.Theta)
+	c.enc, c.labelEnc = newEncoders(cfg)
 	for _, l := range n.layers {
 		c.layers = append(c.layers, l.Clone())
 	}

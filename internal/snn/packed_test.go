@@ -8,18 +8,22 @@ import (
 	"emstdp/internal/spike"
 )
 
-// randomSpikes fills pre with the given firing density.
-func randomSpikes(r *rng.Source, pre []bool, density float64) {
+// randomSpikes returns a step of in presynaptic neurons firing with the
+// given density.
+func randomSpikes(r *rng.Source, in int, density float64) *spike.Bitset {
+	pre := make([]bool, in)
 	for i := range pre {
 		pre[i] = r.Float64() < density
 	}
+	b := spike.NewBitset(in)
+	b.FromBools(pre)
+	return b
 }
 
 // TestPackedKernelBitIdenticalToDense drives identical layers — the
-// dense reference, the packed kernel on a caller-provided bitset, and
-// the packed kernel building its bitset from the dense vector in
-// scratch — with the same spike trains across a density sweep, and
-// demands byte-identical spikes, membranes, active lists and output
+// dense reference, which expands the bitset to a bool vector, and the
+// packed kernel — with the same spike trains across a density sweep,
+// and demands byte-identical spikes, membranes, active lists and output
 // bitsets at every step. Density 0 covers the empty step. This pins the
 // register-blocked multi-column scatter to the reference accumulation
 // order (bias first, then ascending presynaptic index).
@@ -28,41 +32,34 @@ func TestPackedKernelBitIdenticalToDense(t *testing.T) {
 	for _, density := range []float64{0, 0.02, 0.1, 0.3, 0.6, 0.95, 1} {
 		dense := NewIFLayer(rng.New(11), in, out, 0.4, 1.0)
 		packed := dense.Clone()
-		scratch := dense.Clone()
 		dense.Kernel = KernelDense
 		r := rng.New(uint64(1000 * (1 + density)))
-		pre := make([]bool, in)
-		bits := spike.NewBitset(in)
 		for step := 0; step < 200; step++ {
-			randomSpikes(r, pre, density)
-			bits.FromBools(pre)
-			sd := dense.Step(pre, nil)
-			sp := packed.Step(pre, bits)
-			ss := scratch.Step(pre, nil)
+			bits := randomSpikes(r, in, density)
+			sd := dense.Step(bits)
+			sp := packed.Step(bits)
 			for o := 0; o < out; o++ {
-				if sd[o] != sp[o] || sd[o] != ss[o] {
-					t.Fatalf("density %.2f step %d: spike[%d] dense=%v packed=%v scratch=%v",
-						density, step, o, sd[o], sp[o], ss[o])
+				if sd[o] != sp[o] {
+					t.Fatalf("density %.2f step %d: spike[%d] dense=%v packed=%v",
+						density, step, o, sd[o], sp[o])
 				}
-				if dense.Potential(o) != packed.Potential(o) || dense.Potential(o) != scratch.Potential(o) {
+				if dense.Potential(o) != packed.Potential(o) {
 					t.Fatalf("density %.2f step %d: u[%d] diverges across kernels", density, step, o)
 				}
 			}
 			da := dense.Active()
-			for _, l := range []*IFLayer{packed, scratch} {
-				la := l.Active()
-				if len(da) != len(la) {
-					t.Fatalf("density %.2f step %d: active lengths %d vs %d", density, step, len(da), len(la))
+			la := packed.Active()
+			if len(da) != len(la) {
+				t.Fatalf("density %.2f step %d: active lengths %d vs %d", density, step, len(da), len(la))
+			}
+			for i := range da {
+				if da[i] != la[i] {
+					t.Fatalf("density %.2f step %d: active[%d] %d vs %d", density, step, i, da[i], la[i])
 				}
-				for i := range da {
-					if da[i] != la[i] {
-						t.Fatalf("density %.2f step %d: active[%d] %d vs %d", density, step, i, da[i], la[i])
-					}
-				}
-				if l.Bits().Count() != len(da) {
-					t.Fatalf("density %.2f step %d: bitset popcount %d, active %d",
-						density, step, l.Bits().Count(), len(da))
-				}
+			}
+			if packed.Bits().Count() != len(da) {
+				t.Fatalf("density %.2f step %d: bitset popcount %d, active %d",
+					density, step, packed.Bits().Count(), len(da))
 			}
 		}
 	}
@@ -70,20 +67,22 @@ func TestPackedKernelBitIdenticalToDense(t *testing.T) {
 
 // TestStepMatchesStepSparseAuto chains two layers the way the network
 // does — the second fed the first's published output bitset — and
-// checks it against an identical chain whose second layer rebuilds the
-// bitset from the bool vector (nil preBits). Spikes and membranes must
-// agree at every step, so a producer's Bits() is a valid preBits for
-// its consumer.
+// checks it against an identical chain whose second layer gets a bitset
+// rebuilt from the first's bool vector. Spikes and membranes must agree
+// at every step, so a producer's Bits() is a valid input for its
+// consumer.
 func TestStepMatchesStepSparseAuto(t *testing.T) {
 	a1 := NewIFLayer(rng.New(5), 40, 33, 0.5, 1.0)
 	a2 := NewIFLayer(rng.New(6), 33, 17, 0.5, 1.0)
 	b1, b2 := a1.Clone(), a2.Clone()
 	r := rng.New(99)
-	pre := make([]bool, 40)
+	rebuilt := spike.NewBitset(33)
 	for step := 0; step < 100; step++ {
-		randomSpikes(r, pre, 0.25)
-		sa := a2.Step(a1.Step(pre, nil), a1.Bits())
-		sb := b2.Step(b1.Step(pre, nil), nil)
+		pre := randomSpikes(r, 40, 0.25)
+		a1.Step(pre)
+		sa := a2.Step(a1.Bits())
+		rebuilt.FromBools(b1.Step(pre))
+		sb := b2.Step(rebuilt)
 		for o := range sa {
 			if sa[o] != sb[o] || a2.Potential(o) != b2.Potential(o) {
 				t.Fatalf("step %d neuron %d: upstream bitset and rebuilt bitset diverge", step, o)
@@ -97,36 +96,69 @@ func TestStepMatchesStepSparseAuto(t *testing.T) {
 // visible through the transposed view on the next packed step.
 func TestPackedKernelSeesInPlaceWeightWrites(t *testing.T) {
 	l := NewIFLayer(rng.New(3), 4, 2, 0, 1.0)
-	pre := []bool{true, false, false, false}
-	l.Step(pre, nil) // builds the transpose from the zero weights
+	pre := spike.NewBitset(4)
+	pre.Set(0)
+	l.Step(pre) // builds the transpose from the zero weights
 	if got := l.Potential(0); got != 0 {
 		t.Fatalf("potential %v before weight write, want 0", got)
 	}
 	l.W[0*4+0] = 0.75 // post 0 <- pre 0
 	l.MarkWeightsDirty()
-	l.Step(pre, nil)
+	l.Step(pre)
 	if got := l.Potential(0); got != 0.75 {
 		t.Fatalf("potential %v after marked weight write, want 0.75", got)
 	}
 }
 
+// TestSetWeightKeepsTransposeCurrent writes scattered weights through
+// SetWeight while the transposed view is current, and while it is
+// dirty: either way the view must equal a full rebuild from W, and a
+// packed layer must keep stepping bit-identically to the dense
+// reference, which reads W directly.
+func TestSetWeightKeepsTransposeCurrent(t *testing.T) {
+	const in, out = 70, 45
+	packed := NewIFLayer(rng.New(21), in, out, 0.5, 1.0)
+	dense := packed.Clone()
+	dense.Kernel = KernelDense
+	r := rng.New(22)
+	for round := 0; round < 30; round++ {
+		pre := randomSpikes(r, in, 0.3)
+		sp, sd := packed.Step(pre), dense.Step(pre)
+		for o := range sp {
+			if sp[o] != sd[o] || packed.Potential(o) != dense.Potential(o) {
+				t.Fatalf("round %d neuron %d: packed and dense diverge after SetWeight", round, o)
+			}
+		}
+		if round == 20 {
+			packed.MarkWeightsDirty() // the next writes land on a dirty view
+		}
+		for k := 0; k < 25; k++ {
+			o, i, w := r.Intn(out), r.Intn(in), r.Float64()-0.5
+			packed.SetWeight(o, i, w)
+			dense.SetWeight(o, i, w)
+		}
+	}
+	packed.ensureTransposed()
+	for o := 0; o < out; o++ {
+		for i := 0; i < in; i++ {
+			if w, v := packed.W[o*in+i], packed.wt[i*out+o]; w != v {
+				t.Fatalf("weight %d->%d: W %v, transposed view %v", i, o, w, v)
+			}
+		}
+	}
+}
+
 // TestStepAllocatesNothing pins the zero-allocation contract of Step on
-// both kernels, with a caller-provided bitset and with the nil-bitset
-// path that fills the layer's scratch.
+// both kernels.
 func TestStepAllocatesNothing(t *testing.T) {
 	const in, out = 200, 100
 	l := NewIFLayer(rng.New(1), in, out, 0.2, 1.0)
-	r := rng.New(2)
-	pre := make([]bool, in)
-	randomSpikes(r, pre, 0.25)
-	bits := spike.NewBitset(in)
-	bits.FromBools(pre)
-	l.Step(pre, bits) // warm the transpose
+	bits := randomSpikes(rng.New(2), in, 0.25)
+	l.Step(bits) // warm the transpose
 	for _, k := range []Kernel{KernelPacked, KernelDense} {
 		l.Kernel = k
 		if n := testing.AllocsPerRun(50, func() {
-			l.Step(pre, bits)
-			l.Step(pre, nil)
+			l.Step(bits)
 		}); n != 0 {
 			t.Fatalf("kernel %d: Step allocates %v per run", k, n)
 		}
@@ -140,15 +172,11 @@ func benchLayerStep(b *testing.B, k Kernel, densityPct int) {
 	const in, out = 200, 100
 	l := NewIFLayer(rng.New(1), in, out, 0.2, 1.0)
 	l.Kernel = k
-	r := rng.New(2)
-	pre := make([]bool, in)
-	randomSpikes(r, pre, float64(densityPct)/100)
-	bits := spike.NewBitset(in)
-	bits.FromBools(pre)
-	l.Step(pre, bits) // warm the transpose outside the timer
+	bits := randomSpikes(rng.New(2), in, float64(densityPct)/100)
+	l.Step(bits) // warm the transpose outside the timer
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Step(pre, bits)
+		l.Step(bits)
 	}
 }
 
@@ -180,12 +208,11 @@ func TestStepDriveMatchesStepUnderInject(t *testing.T) {
 	rng.New(18).FillUniform(rec.Bias, -0.1, 0.3)
 	stepped, replayed := rec.Clone(), rec.Clone()
 	r := rng.New(19)
-	pres := make([][]bool, steps)
+	pres := make([]*spike.Bitset, steps)
 	drives := make([][]float64, steps)
 	for s := range pres {
-		pres[s] = make([]bool, in)
-		randomSpikes(r, pres[s], 0.2)
-		rec.Step(pres[s], nil)
+		pres[s] = randomSpikes(r, in, 0.2)
+		rec.Step(pres[s])
 		drives[s] = append([]float64(nil), rec.Drive()...)
 	}
 	for s := 0; s < steps; s++ {
@@ -195,7 +222,7 @@ func TestStepDriveMatchesStepUnderInject(t *testing.T) {
 			stepped.Inject(o, v)
 			replayed.Inject(o, v)
 		}
-		ss := stepped.Step(pres[s], nil)
+		ss := stepped.Step(pres[s])
 		sr := replayed.StepDrive(drives[s])
 		for o := 0; o < out; o++ {
 			if ss[o] != sr[o] || stepped.Potential(o) != replayed.Potential(o) {

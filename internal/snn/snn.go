@@ -29,17 +29,18 @@ const (
 	// weight view.
 	KernelPacked Kernel = iota
 	// KernelDense is the O(Out×In) row gather over the dense spike
-	// vector — the reference the equivalence suites compare the packed
-	// kernel against.
+	// vector, expanded from the bitset each step — the reference the
+	// equivalence suites compare the packed kernel against.
 	KernelDense
 )
 
 // IFLayer is a dense layer of integrate-and-fire neurons.
 type IFLayer struct {
 	In, Out int
-	// W holds synaptic weights, row-major Out×In. Trainable layers are
-	// updated in place by the EMSTDP trainer; any writer MUST call
-	// MarkWeightsDirty afterwards so the transposed view is rebuilt.
+	// W holds synaptic weights, row-major Out×In. The EMSTDP update
+	// writes single weights through SetWeight, which keeps the transposed
+	// view current; a writer that stores into W directly (a bulk copy or
+	// snap) MUST call MarkWeightsDirty afterwards so the view is rebuilt.
 	W []float64
 	// Bias is a constant per-step membrane increment (paper eq 1's b_i).
 	Bias []float64
@@ -59,14 +60,14 @@ type IFLayer struct {
 	active []int32
 	bits   *spike.Bitset
 	// wt is the column-major (In×Out) transposed weight view the packed
-	// kernel scatters from; rebuilt lazily when wtDirty.
+	// kernel scatters from. SetWeight keeps it current; after a direct
+	// write to W it is rebuilt lazily, once wtDirty is set.
 	wt      []float64
 	wtDirty bool
 	// acc is the membrane-drive accumulator both kernels fill.
 	acc []float64
-	// preScratch is the layer-owned presynaptic bitset used when Step is
-	// called without a caller-provided one.
-	preScratch *spike.Bitset
+	// preDense is the dense kernel's expansion of the presynaptic bitset.
+	preDense []bool
 }
 
 // NewIFLayer builds a dense IF layer with uniformly initialised weights
@@ -74,18 +75,18 @@ type IFLayer struct {
 func NewIFLayer(r *rng.Source, in, out int, scale, theta float64) *IFLayer {
 	l := &IFLayer{
 		In: in, Out: out,
-		W:          make([]float64, in*out),
-		Bias:       make([]float64, out),
-		Theta:      theta,
-		UMin:       -theta,
-		u:          make([]float64, out),
-		spikes:     make([]bool, out),
-		active:     make([]int32, 0, out),
-		bits:       spike.NewBitset(out),
-		wt:         make([]float64, in*out),
-		wtDirty:    true,
-		acc:        make([]float64, out),
-		preScratch: spike.NewBitset(in),
+		W:        make([]float64, in*out),
+		Bias:     make([]float64, out),
+		Theta:    theta,
+		UMin:     -theta,
+		u:        make([]float64, out),
+		spikes:   make([]bool, out),
+		active:   make([]int32, 0, out),
+		bits:     spike.NewBitset(out),
+		wt:       make([]float64, in*out),
+		wtDirty:  true,
+		acc:      make([]float64, out),
+		preDense: make([]bool, in),
 	}
 	r.FillUniform(l.W, -scale, scale)
 	return l
@@ -97,19 +98,19 @@ func NewIFLayer(r *rng.Source, in, out int, scale, theta float64) *IFLayer {
 func (l *IFLayer) Clone() *IFLayer {
 	c := &IFLayer{
 		In: l.In, Out: l.Out,
-		W:          make([]float64, len(l.W)),
-		Bias:       make([]float64, len(l.Bias)),
-		Theta:      l.Theta,
-		UMin:       l.UMin,
-		Kernel:     l.Kernel,
-		u:          make([]float64, l.Out),
-		spikes:     make([]bool, l.Out),
-		active:     make([]int32, 0, l.Out),
-		bits:       spike.NewBitset(l.Out),
-		wt:         make([]float64, len(l.W)),
-		wtDirty:    true,
-		acc:        make([]float64, l.Out),
-		preScratch: spike.NewBitset(l.In),
+		W:        make([]float64, len(l.W)),
+		Bias:     make([]float64, len(l.Bias)),
+		Theta:    l.Theta,
+		UMin:     l.UMin,
+		Kernel:   l.Kernel,
+		u:        make([]float64, l.Out),
+		spikes:   make([]bool, l.Out),
+		active:   make([]int32, 0, l.Out),
+		bits:     spike.NewBitset(l.Out),
+		wt:       make([]float64, len(l.W)),
+		wtDirty:  true,
+		acc:      make([]float64, l.Out),
+		preDense: make([]bool, l.In),
 	}
 	copy(c.W, l.W)
 	copy(c.Bias, l.Bias)
@@ -117,13 +118,23 @@ func (l *IFLayer) Clone() *IFLayer {
 }
 
 // MarkWeightsDirty invalidates the transposed weight view after W was
-// written in place. The trainer calls it once per applied update (once
-// per sample), so the rebuild is amortised over the 2T steps of the
-// next sample rather than paid per step.
+// written in place. It is for bulk writers (a grid snap, a weight sync,
+// a snapshot load): the next packed step rebuilds the whole In×Out view.
+// The per-sample update writes through SetWeight instead.
 func (l *IFLayer) MarkWeightsDirty() { l.wtDirty = true }
 
-// ensureTransposed rebuilds the In×Out view if W changed since the last
-// build.
+// SetWeight stores w as the weight from presynaptic neuron i to neuron o,
+// in W and, while the transposed view is current, in the view too — so
+// an update that rewrites a few rows never costs a whole rebuild.
+func (l *IFLayer) SetWeight(o, i int, w float64) {
+	l.W[o*l.In+i] = w
+	if !l.wtDirty {
+		l.wt[i*l.Out+o] = w
+	}
+}
+
+// ensureTransposed rebuilds the In×Out view if a bulk write marked it
+// dirty since the last build.
 func (l *IFLayer) ensureTransposed() {
 	if !l.wtDirty {
 		return
@@ -137,26 +148,22 @@ func (l *IFLayer) ensureTransposed() {
 	l.wtDirty = false
 }
 
-// Step integrates one timestep of presynaptic spikes and returns the
-// layer's spike vector (valid until the next Step). preBits is the
-// word-parallel view of the same spikes as the upstream producer
-// publishes it; when nil, the packed kernel builds it from pre in
-// layer-owned scratch. Both kernels accumulate each neuron's drive in
-// the same order — bias first, then ascending presynaptic index — so the
-// float result is bit-identical whichever runs.
-func (l *IFLayer) Step(pre []bool, preBits *spike.Bitset) []bool {
-	if len(pre) != l.In {
-		panic(fmt.Sprintf("snn: layer expects %d inputs, got %d", l.In, len(pre)))
+// Step integrates one timestep of presynaptic spikes, given as the
+// word-parallel view the upstream producer publishes (an encoder's step
+// row or the layer below's Bits), and returns the layer's spike vector
+// (valid until the next Step). Both kernels accumulate each neuron's
+// drive in the same order — bias first, then ascending presynaptic index
+// — so the float result is bit-identical whichever runs.
+func (l *IFLayer) Step(pre *spike.Bitset) []bool {
+	if pre.Len() != l.In {
+		panic(fmt.Sprintf("snn: layer expects %d inputs, got %d", l.In, pre.Len()))
 	}
 	if l.Kernel == KernelDense {
-		l.stepDense(pre)
+		pre.ToBools(l.preDense)
+		l.stepDense(l.preDense)
 		return l.spikes
 	}
-	if preBits == nil {
-		preBits = l.preScratch
-		preBits.FromBools(pre)
-	}
-	l.stepPacked(preBits)
+	l.stepPacked(pre)
 	return l.spikes
 }
 

@@ -4,14 +4,16 @@ import (
 	"testing"
 
 	"emstdp/internal/rng"
+	"emstdp/internal/spike"
 )
 
-func constantInput(n int) []bool {
-	s := make([]bool, n)
-	for i := range s {
-		s[i] = true
+// constantInput returns a step on which all n presynaptic neurons fire.
+func constantInput(n int) *spike.Bitset {
+	b := spike.NewBitset(n)
+	for i := 0; i < n; i++ {
+		b.Set(i)
 	}
-	return s
+	return b
 }
 
 // With reset-by-subtraction, the spike count over T steps equals
@@ -25,7 +27,7 @@ func TestIFLayerFloorQuantizedRate(t *testing.T) {
 		count := 0
 		const T = 64
 		for i := 0; i < T; i++ {
-			if l.Step(constantInput(1), nil)[0] {
+			if l.Step(constantInput(1))[0] {
 				count++
 			}
 		}
@@ -41,7 +43,7 @@ func TestIFLayerBias(t *testing.T) {
 	l.Bias[0] = 0.25
 	count := 0
 	for i := 0; i < 64; i++ {
-		if l.Step(make([]bool, 1), nil)[0] { // no input spikes, bias only
+		if l.Step(spike.NewBitset(1))[0] { // no input spikes, bias only
 			count++
 		}
 	}
@@ -55,7 +57,7 @@ func TestIFLayerNegativeDriveFloored(t *testing.T) {
 	l.W[0] = -5
 	l.MarkWeightsDirty()
 	for i := 0; i < 10; i++ {
-		l.Step(constantInput(1), nil)
+		l.Step(constantInput(1))
 	}
 	if l.Potential(0) < l.UMin {
 		t.Errorf("membrane %v below floor %v", l.Potential(0), l.UMin)
@@ -65,7 +67,7 @@ func TestIFLayerNegativeDriveFloored(t *testing.T) {
 	l.MarkWeightsDirty()
 	fired := false
 	for i := 0; i < 3; i++ {
-		if l.Step(constantInput(1), nil)[0] {
+		if l.Step(constantInput(1))[0] {
 			fired = true
 		}
 	}
@@ -80,7 +82,7 @@ func TestIFLayerInject(t *testing.T) {
 	// Injected charge drives spikes on subsequent (zero-input) steps.
 	count := 0
 	for i := 0; i < 5; i++ {
-		if l.Step(make([]bool, 1), nil)[0] {
+		if l.Step(spike.NewBitset(1))[0] {
 			count++
 		}
 	}
@@ -91,7 +93,7 @@ func TestIFLayerInject(t *testing.T) {
 
 func TestIFLayerReset(t *testing.T) {
 	l := NewIFLayer(rng.New(1), 2, 3, 0.5, 1.0)
-	l.Step(constantInput(2), nil)
+	l.Step(constantInput(2))
 	l.Reset()
 	for o := 0; o < 3; o++ {
 		if l.Potential(o) != 0 || l.Spikes()[o] {
@@ -106,7 +108,7 @@ func TestIFLayerInputValidation(t *testing.T) {
 			t.Error("expected panic on wrong input size")
 		}
 	}()
-	NewIFLayer(rng.New(1), 3, 1, 0, 1).Step(make([]bool, 2), nil)
+	NewIFLayer(rng.New(1), 3, 1, 0, 1).Step(spike.NewBitset(2))
 }
 
 func TestIFLayerInitRange(t *testing.T) {

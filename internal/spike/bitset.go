@@ -3,11 +3,12 @@ package spike
 import "math/bits"
 
 // Bitset is the word-parallel spike representation of the hot path: bit i
-// set means neuron i fired this step, 64 neurons per uint64 word. It rides
-// alongside the dense []bool vector and the ActiveList index view —
-// producers publish all three, and packed delivery kernels iterate the
-// nonzero words with math/bits.TrailingZeros64 instead of scanning the
-// dense vector or chasing one int32 index at a time.
+// set means neuron i fired this step, 64 neurons per uint64 word. Neuron
+// layers publish it alongside the ActiveList index view (and, on the FP
+// side, the dense []bool vector); the input encoder publishes it alone.
+// Packed delivery kernels iterate the nonzero words with
+// math/bits.TrailingZeros64 instead of scanning a dense vector or
+// chasing one int32 index at a time.
 type Bitset struct {
 	n     int
 	words []uint64

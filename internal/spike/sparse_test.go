@@ -45,39 +45,32 @@ func TestActiveListGatherMatchesDense(t *testing.T) {
 	}
 }
 
-func TestBiasEncoderActiveMatchesSpikes(t *testing.T) {
-	e := NewBiasEncoder(16, 1.0)
-	b := make([]float64, 16)
+// TestBiasEncoderCountsMatchSteps checks the encoder's two published
+// views of a programmed sample against each other: each neuron's count
+// equals the number of step bitsets in which its bit is set, and no
+// step sets a bit past Len.
+func TestBiasEncoderCountsMatchSteps(t *testing.T) {
+	const n, T = 70, 40
+	e := NewBiasEncoder(n, T, 1.0, PhaseBiases(T, 1.0))
 	r := rng.New(7)
-	r.FillUniform(b, 0, 1)
-	e.SetBiases(b)
-	for step := 0; step < 40; step++ {
-		s := e.Step()
-		act := e.Active()
-		j := 0
-		for i, fired := range s {
-			if !fired {
-				continue
+	levels := make([]int, n)
+	for i := range levels {
+		levels[i] = r.Intn(T + 1)
+	}
+	e.SetLevels(levels)
+	seen := make([]int, n)
+	for step := 0; step < T; step++ {
+		row := e.Step()
+		for _, i := range row.AppendIndices(nil) {
+			if int(i) >= n {
+				t.Fatalf("step %d: bit %d set past Len %d", step, i, n)
 			}
-			if j >= len(act) || act[j] != int32(i) {
-				t.Fatalf("step %d: Active %v does not match Step vector", step, act)
-			}
-			j++
-		}
-		if j != len(act) {
-			t.Fatalf("step %d: active list has %d stale entries", step, len(act)-j)
+			seen[i]++
 		}
 	}
-}
-
-func TestQuantizeToPhaseIntoMatchesAllocating(t *testing.T) {
-	x := []float64{-0.5, 0, 0.031, 0.5, 0.984, 1, 2}
-	dst := make([]float64, len(x))
-	got := QuantizeToPhaseInto(dst, x, 64)
-	want := QuantizeToPhase(x, 64)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: in-place %v, allocating %v", i, got[i], want[i])
+	for i, c := range e.Counts() {
+		if c != seen[i] {
+			t.Fatalf("neuron %d (level %d): Counts %d, steps fired %d", i, levels[i], c, seen[i])
 		}
 	}
 }

@@ -8,9 +8,17 @@
 // step, U(t) = U(t-1) + i, and fires whenever U crosses θ. Over a phase of
 // T steps it emits floor(i·T/θ) spikes — a rate linearly proportional to
 // the input with one host transaction instead of O(T).
+//
+// Because the bias is written once and inputs are quantized to T+1
+// levels, each input's spike train is fixed before the phase starts.
+// BiasEncoder therefore computes every level's train once, when it is
+// built, and serves a sample's steps as precomputed bitsets; the
+// per-neuron phase counts are those trains' popcounts.
 package spike
 
 import (
+	"math/bits"
+
 	"emstdp/internal/fixed"
 	"emstdp/internal/rng"
 )
@@ -38,113 +46,144 @@ func (a *ActiveList) Len() int { return len(a.idx) }
 // Reset empties the list.
 func (a *ActiveList) Reset() { a.idx = a.idx[:0] }
 
-// BiasEncoder is a bank of bias-driven integrate-and-fire input neurons.
-// Thresholds are uniform; biases are set once per sample.
+// BiasEncoder is a bank of bias-driven integrate-and-fire input neurons
+// over a phase of T steps. A neuron's spike train over the phase depends
+// on its bias alone, and every neuron takes its bias from one fixed
+// table — the T+1 quantization levels of an input rate (PhaseBiases), or
+// the two target rates of the label neurons. So the encoder runs the
+// recurrence once per table entry at construction and keeps each entry's
+// train as bits. Programming a sample (the single bias write of §III-D)
+// lays the chosen trains out as T step bitsets, and each Step hands out
+// the next one: no neuron is integrated while a phase runs.
 type BiasEncoder struct {
-	Theta  float64
-	bias   []float64
-	u      []float64
-	spikes []bool
-	active *ActiveList
-	bits   *Bitset
+	n, steps int
+	// tw is the words per train, (T+63)/64; nw the words per step row,
+	// (n+63)/64.
+	tw, nw int
+	// trains holds table entry e's train in words [e·tw, (e+1)·tw): bit
+	// t set means a neuron with that bias fires at step t. counts[e] is
+	// the train's popcount, its spike count over the phase.
+	trains []uint64
+	counts []int
+	// raster is the programmed sample, T rows of nw words: row t holds
+	// the spikes of step t. count is each neuron's phase spike count.
+	raster []uint64
+	count  []int
+	row    Bitset // the row the last Step returned
+	t      int    // the next step
 }
 
 // NewBiasEncoder returns an encoder for n input neurons with threshold
-// theta.
-func NewBiasEncoder(n int, theta float64) *BiasEncoder {
-	return &BiasEncoder{
-		Theta:  theta,
-		bias:   make([]float64, n),
-		u:      make([]float64, n),
-		spikes: make([]bool, n),
-		active: NewActiveList(n),
-		bits:   NewBitset(n),
+// theta over phases of T steps, whose neurons take their biases from the
+// given table. Each entry's train is the recurrence u += bias, fire when
+// u ≥ θ, then u −= θ, run from u = 0.
+func NewBiasEncoder(n, T int, theta float64, biases []float64) *BiasEncoder {
+	e := &BiasEncoder{
+		n: n, steps: T,
+		tw:     (T + 63) >> 6,
+		nw:     (n + 63) >> 6,
+		counts: make([]int, len(biases)),
+		count:  make([]int, n),
 	}
+	e.trains = make([]uint64, len(biases)*e.tw)
+	e.raster = make([]uint64, T*e.nw)
+	e.row = Bitset{n: n, words: e.raster[:e.nw]}
+	for k, bias := range biases {
+		train := e.trains[k*e.tw : (k+1)*e.tw]
+		u := 0.0
+		for t := 0; t < T; t++ {
+			u += bias
+			if u >= theta {
+				u -= theta
+				train[t>>6] |= 1 << (uint(t) & 63)
+			}
+		}
+		for _, w := range train {
+			e.counts[k] += bits.OnesCount64(w)
+		}
+	}
+	return e
+}
+
+// PhaseBiases returns the bias of every quantization level of a phase of
+// T steps (PhaseLevel): level k's bias is k/T·θ. Its neuron fires k times
+// over the phase when T and θ are powers of two; otherwise the float
+// running sum can land just under kθ and leave it one spike short.
+func PhaseBiases(T int, theta float64) []float64 {
+	b := make([]float64, T+1)
+	for k := range b {
+		b[k] = float64(k) / float64(T) * theta
+	}
+	return b
 }
 
 // Len returns the number of input neurons.
-func (e *BiasEncoder) Len() int { return len(e.bias) }
+func (e *BiasEncoder) Len() int { return e.n }
 
-// SetBiases programs the per-neuron biases (the single host→chip write of
-// §III-D). Values are copied.
-func (e *BiasEncoder) SetBiases(b []float64) {
-	if len(b) != len(e.bias) {
-		panic("spike: bias length mismatch")
+// SetLevels programs the sample: neuron i takes the bias of table entry
+// levels[i]. It rewrites every step row and the phase counts; Reset
+// starts the phase.
+func (e *BiasEncoder) SetLevels(levels []int) {
+	if len(levels) != e.n {
+		panic("spike: level count mismatch")
 	}
-	copy(e.bias, b)
-}
-
-// Step advances one timestep and returns the spike vector (valid until the
-// next Step call). The matching bitset and active-index list are rebuilt
-// in the same pass (readable through Bits and Active). The integration
-// loop is branchless — firing is recorded as a shifted bit and the reset
-// subtraction is θ·(0|1), exactly the same float64 values the branching
-// form produces — because rate-coded firing decisions are data-dependent
-// and mispredict at a cost comparable to the arithmetic itself.
-func (e *BiasEncoder) Step() []bool {
-	theta := e.Theta
-	words := e.bits.words
-	var w uint64
-	wi := 0
-	for i := range e.u {
-		u := e.u[i] + e.bias[i]
-		fired := u >= theta
-		b := b2u(fired)
-		e.u[i] = u - theta*float64(b)
-		e.spikes[i] = fired
-		w |= b << (uint(i) & 63)
-		if i&63 == 63 {
-			words[wi] = w
-			w = 0
-			wi++
+	clear(e.raster)
+	for i, lv := range levels {
+		e.count[i] = e.counts[lv]
+		bit, col := uint64(1)<<(uint(i)&63), i>>6
+		for wi, w := range e.trains[lv*e.tw : (lv+1)*e.tw] {
+			for w != 0 {
+				t := wi<<6 + bits.TrailingZeros64(w)
+				w &= w - 1
+				e.raster[t*e.nw+col] |= bit
+			}
 		}
 	}
-	if len(e.u)&63 != 0 {
-		words[wi] = w
-	}
-	e.active.GatherBits(e.bits)
-	return e.spikes
 }
 
-// Active returns the indices of the neurons that fired in the last Step
-// (ascending; valid until the next Step call).
-func (e *BiasEncoder) Active() []int32 { return e.active.idx }
-
-// Bits returns the word-parallel view of the last Step's spikes (valid
-// until the next Step call).
-func (e *BiasEncoder) Bits() *Bitset { return e.bits }
-
-// Reset zeroes membrane state (biases are kept).
-func (e *BiasEncoder) Reset() {
-	for i := range e.u {
-		e.u[i] = 0
+// Step returns the next step's spikes (valid until the next Step or
+// SetLevels). A phase has T steps.
+func (e *BiasEncoder) Step() *Bitset {
+	if e.t == e.steps {
+		panic("spike: encoder stepped past the end of its phase")
 	}
-	e.active.Reset()
-	e.bits.Zero()
+	e.row.words = e.raster[e.t*e.nw : (e.t+1)*e.nw]
+	e.t++
+	return &e.row
+}
+
+// Counts returns each neuron's spike count over the programmed phase —
+// its train's popcount, known before any step runs (not a copy).
+func (e *BiasEncoder) Counts() []int { return e.count }
+
+// Reset rewinds to the phase's first step (the programmed trains are
+// kept).
+func (e *BiasEncoder) Reset() { e.t = 0 }
+
+// PhaseLevel returns the quantization level of rate v over a phase of T
+// steps, the bin index k of QuantizeToPhase: v is clamped to [0,1] and
+// rounded to the nearest k/T. NaN, which no clamp orders, maps to level
+// 0, the silent input.
+func PhaseLevel(v float64, T int) int {
+	if v != v {
+		return 0
+	}
+	k := int(fixed.ClampF(v, 0, 1)*float64(T) + 0.5)
+	if k > T {
+		k = T
+	}
+	return k
 }
 
 // QuantizeToPhase quantizes real-valued inputs in [0,1] to T bins, the
 // paper's "Quantize x to T bins" step: the returned values are k/T for
-// integer k, so the spike count over a phase of T steps is exactly k.
+// the integer level k = PhaseLevel(x, T).
 func QuantizeToPhase(x []float64, T int) []float64 {
-	return QuantizeToPhaseInto(make([]float64, len(x)), x, T)
-}
-
-// QuantizeToPhaseInto is the allocation-free variant of QuantizeToPhase:
-// it quantizes into dst (which must have len(x) entries) and returns it.
-// Per-sample hot loops keep a reusable dst.
-func QuantizeToPhaseInto(dst, x []float64, T int) []float64 {
-	if len(dst) != len(x) {
-		panic("spike: quantize destination length mismatch")
-	}
+	q := make([]float64, len(x))
 	for i, v := range x {
-		k := int(fixed.ClampF(v, 0, 1)*float64(T) + 0.5)
-		if k > T {
-			k = T
-		}
-		dst[i] = float64(k) / float64(T)
+		q[i] = float64(PhaseLevel(v, T)) / float64(T)
 	}
-	return dst
+	return q
 }
 
 // PoissonEncoder is the stochastic alternative to BiasEncoder: each

@@ -1,30 +1,42 @@
 package spike
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
 	"emstdp/internal/fixed"
 )
 
+// phaseCount steps one encoder neuron through a whole phase and returns
+// its spike count.
+func phaseCount(enc *BiasEncoder, i int) int {
+	enc.Reset()
+	count := 0
+	for step := 0; step < enc.steps; step++ {
+		if enc.Step().Get(i) {
+			count++
+		}
+	}
+	return count
+}
+
 // The §III-D property: an input neuron with bias i and threshold θ emits
 // exactly floor(i·T/θ) spikes over T steps.
 func TestBiasEncoderExactRate(t *testing.T) {
 	const T = 64
 	const theta = 1.0
-	enc := NewBiasEncoder(1, theta)
-	for _, bias := range []float64{0, 1.0 / T, 0.25, 0.5, 0.999, 1.0} {
-		enc.Reset()
-		enc.SetBiases([]float64{bias})
-		count := 0
-		for step := 0; step < T; step++ {
-			if enc.Step()[0] {
-				count++
-			}
-		}
+	biases := []float64{0, 1.0 / T, 0.25, 0.5, 0.999, 1.0}
+	enc := NewBiasEncoder(1, T, theta, biases)
+	for k, bias := range biases {
+		enc.SetLevels([]int{k})
+		count := phaseCount(enc, 0)
 		want := int(bias * T / theta * (1 + 1e-12))
 		if count != want {
 			t.Errorf("bias %v: %d spikes over %d steps, want %d", bias, count, T, want)
+		}
+		if c := enc.Counts()[0]; c != count {
+			t.Errorf("bias %v: Counts %d, stepped %d", bias, c, count)
 		}
 	}
 }
@@ -37,19 +49,9 @@ func TestBiasEncoderMonotone(t *testing.T) {
 		if ba > bb {
 			ba, bb = bb, ba
 		}
-		enc := NewBiasEncoder(2, 1)
-		enc.SetBiases([]float64{ba, bb})
-		ca, cb := 0, 0
-		for i := 0; i < 64; i++ {
-			s := enc.Step()
-			if s[0] {
-				ca++
-			}
-			if s[1] {
-				cb++
-			}
-		}
-		return ca <= cb
+		enc := NewBiasEncoder(2, 64, 1, []float64{ba, bb})
+		enc.SetLevels([]int{0, 1})
+		return phaseCount(enc, 0) <= phaseCount(enc, 1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -59,12 +61,12 @@ func TestBiasEncoderMonotone(t *testing.T) {
 // Spikes are evenly spread, not bursty: over any window of k steps the
 // count differs from the ideal rate by at most 1.
 func TestBiasEncoderUniformSpacing(t *testing.T) {
-	enc := NewBiasEncoder(1, 1)
-	enc.SetBiases([]float64{0.3})
+	enc := NewBiasEncoder(1, 200, 1, []float64{0.3})
+	enc.SetLevels([]int{0})
 	prefix := []int{0}
 	for i := 0; i < 200; i++ {
 		c := prefix[len(prefix)-1]
-		if enc.Step()[0] {
+		if enc.Step().Get(0) {
 			c++
 		}
 		prefix = append(prefix, c)
@@ -81,33 +83,91 @@ func TestBiasEncoderUniformSpacing(t *testing.T) {
 }
 
 func TestBiasEncoderReset(t *testing.T) {
-	enc := NewBiasEncoder(1, 1)
-	enc.SetBiases([]float64{0.9})
+	enc := NewBiasEncoder(1, 30, 1, []float64{0.9})
+	enc.SetLevels([]int{0})
 	for i := 0; i < 10; i++ {
 		enc.Step()
 	}
 	enc.Reset()
 	// After reset the first spike appears at the same step as from fresh.
-	fresh := NewBiasEncoder(1, 1)
-	fresh.SetBiases([]float64{0.9})
+	fresh := NewBiasEncoder(1, 30, 1, []float64{0.9})
+	fresh.SetLevels([]int{0})
 	for i := 0; i < 20; i++ {
-		if enc.Step()[0] != fresh.Step()[0] {
+		if enc.Step().Get(0) != fresh.Step().Get(0) {
 			t.Fatal("reset encoder diverges from fresh encoder")
 		}
 	}
 }
 
-func TestSetBiasesValidates(t *testing.T) {
+func TestSetLevelsValidates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
 		}
 	}()
-	NewBiasEncoder(2, 1).SetBiases([]float64{1})
+	NewBiasEncoder(2, 8, 1, PhaseBiases(8, 1)).SetLevels([]int{1})
+}
+
+func TestBiasEncoderStepPastPhasePanics(t *testing.T) {
+	enc := NewBiasEncoder(1, 4, 1, []float64{0.5})
+	for i := 0; i < 4; i++ {
+		enc.Step()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on step T+1")
+		}
+	}()
+	enc.Step()
+}
+
+// TestBiasEncoderRasterMatchesRecurrence is the property the raster
+// rests on: for every quantization level, at phase lengths spanning one
+// and two words per train and thresholds above, at and below 1, the
+// precomputed train equals a step-by-step run of the float recurrence
+// u += k/T·θ; fire when u ≥ θ; u −= θ, and the encoder's count equals
+// that run's spike count. Neuron i takes level i mod (T+1), so trains
+// land in several raster words.
+func TestBiasEncoderRasterMatchesRecurrence(t *testing.T) {
+	for _, T := range []int{16, 50, 64, 100, 128} {
+		for _, theta := range []float64{1, 0.3, 256} {
+			n := T + 70
+			enc := NewBiasEncoder(n, T, theta, PhaseBiases(T, theta))
+			levels := make([]int, n)
+			for i := range levels {
+				levels[i] = i % (T + 1)
+			}
+			enc.SetLevels(levels)
+			enc.Reset()
+			u := make([]float64, n)
+			want := make([]int, n)
+			for step := 0; step < T; step++ {
+				row := enc.Step()
+				for i, k := range levels {
+					u[i] += float64(k) / float64(T) * theta
+					fired := u[i] >= theta
+					if fired {
+						u[i] -= theta
+						want[i]++
+					}
+					if row.Get(i) != fired {
+						t.Fatalf("T=%d θ=%v neuron %d (level %d) step %d: raster %v, recurrence %v",
+							T, theta, i, k, step, row.Get(i), fired)
+					}
+				}
+			}
+			for i, c := range enc.Counts() {
+				if c != want[i] {
+					t.Fatalf("T=%d θ=%v neuron %d (level %d): count %d, recurrence %d",
+						T, theta, i, levels[i], c, want[i])
+				}
+			}
+		}
+	}
 }
 
 func TestQuantizeToPhase(t *testing.T) {
-	out := QuantizeToPhase([]float64{0, 0.5, 1, 1.5, -0.2}, 64)
+	out := QuantizeToPhase([]float64{0, 0.5, 1, 1.5, -0.2, math.NaN(), math.Inf(1), math.Inf(-1)}, 64)
 	if out[0] != 0 {
 		t.Errorf("q(0) = %v", out[0])
 	}
@@ -122,6 +182,15 @@ func TestQuantizeToPhase(t *testing.T) {
 	}
 	if out[4] != 0 {
 		t.Errorf("q(-0.2) should clamp to 0, got %v", out[4])
+	}
+	if out[5] != 0 {
+		t.Errorf("q(NaN) should map to level 0, got %v", out[5])
+	}
+	if out[6] != 1 {
+		t.Errorf("q(+Inf) should clamp to 1, got %v", out[6])
+	}
+	if out[7] != 0 {
+		t.Errorf("q(-Inf) should clamp to 0, got %v", out[7])
 	}
 }
 
@@ -144,15 +213,9 @@ func TestQuantizeToPhaseBins(t *testing.T) {
 func TestQuantizeEncodeRoundTrip(t *testing.T) {
 	const T = 64
 	for _, v := range []float64{0.1, 0.33, 0.71, 0.99} {
-		q := QuantizeToPhase([]float64{v}, T)
-		enc := NewBiasEncoder(1, 1)
-		enc.SetBiases(q)
-		count := 0
-		for i := 0; i < T; i++ {
-			if enc.Step()[0] {
-				count++
-			}
-		}
+		enc := NewBiasEncoder(1, T, 1, PhaseBiases(T, 1))
+		enc.SetLevels([]int{PhaseLevel(v, T)})
+		count := phaseCount(enc, 0)
 		wantBin := int(v*T + 0.5)
 		if count != wantBin {
 			t.Errorf("v=%v: %d spikes, want %d", v, count, wantBin)
