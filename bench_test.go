@@ -104,14 +104,14 @@ func BenchmarkTable2_LoihiTraining(b *testing.B) {
 		b.Fatal(err)
 	}
 	net := m.ChipNetwork()
-	net.Chip().ResetCounters()
+	net.ResetCounters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := m.DS.Train[i%len(m.DS.Train)]
 		net.TrainSample(s.Image.Data, s.Label)
 	}
 	b.StopTimer()
-	rep := energy.DefaultLoihi().Analyze(net.Chip().Counters(), net.CoresUsed(),
+	rep := energy.DefaultLoihi().Analyze(net.Counters(), net.CoresUsed(),
 		net.MaxPlasticNeuronsPerCore(), b.N, true)
 	b.ReportMetric(rep.FPS, "loihi-fps")
 	b.ReportMetric(rep.PowerWatts, "loihi-W")
@@ -133,13 +133,13 @@ func BenchmarkTable2_LoihiTesting(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inf.Chip().ResetCounters()
+	inf.ResetCounters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inf.Predict(m.DS.Test[i%len(m.DS.Test)].Image.Data)
 	}
 	b.StopTimer()
-	rep := energy.DefaultLoihi().Analyze(inf.Chip().Counters(), inf.CoresUsed(),
+	rep := energy.DefaultLoihi().Analyze(inf.Counters(), inf.CoresUsed(),
 		inf.MaxPlasticNeuronsPerCore(), b.N, false)
 	b.ReportMetric(rep.FPS, "loihi-fps")
 	b.ReportMetric(rep.PowerWatts, "loihi-W")
@@ -174,14 +174,14 @@ func benchFig3(b *testing.B, mode emstdp.FeedbackMode, perCore int) {
 		b.Fatal(err)
 	}
 	net := m.ChipNetwork()
-	net.Chip().ResetCounters()
+	net.ResetCounters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := m.DS.Train[i%len(m.DS.Train)]
 		net.TrainSample(s.Image.Data, s.Label)
 	}
 	b.StopTimer()
-	rep := energy.DefaultLoihi().Analyze(net.Chip().Counters(), net.CoresUsed(),
+	rep := energy.DefaultLoihi().Analyze(net.Counters(), net.CoresUsed(),
 		net.MaxPlasticNeuronsPerCore(), b.N, true)
 	b.ReportMetric(float64(rep.CoresUsed), "cores")
 	b.ReportMetric(rep.PowerWatts, "loihi-W")
@@ -339,13 +339,13 @@ func BenchmarkAblationInputCoding(b *testing.B) {
 	r := rng.New(1)
 	x := make([]float64, 200)
 	r.FillUniform(x, 0, 1)
-	net.Chip().ResetCounters()
+	net.ResetCounters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.TrainSample(x, 3)
 	}
 	b.StopTimer()
-	bias := float64(net.Chip().Counters().HostTransactions) / float64(b.N)
+	bias := float64(net.Counters().HostTransactions) / float64(b.N)
 	// Direct insertion: one host event per input spike.
 	spikes := 0.0
 	for _, v := range x {
@@ -432,10 +432,10 @@ func BenchmarkChipStep(b *testing.B) {
 	x := make([]float64, 200)
 	r.FillUniform(x, 0, 1)
 	net.Counts(x) // program biases, warm state
-	chip := net.Chip()
+	mesh := net.Mesh()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chip.Step()
+		mesh.Step()
 	}
 }
 
@@ -480,18 +480,20 @@ func BenchmarkExperimentHarness(b *testing.B) {
 // BenchmarkLoihiSynapticDelivery isolates the hot loop: spike routing
 // through a dense synapse group.
 func BenchmarkLoihiSynapticDelivery(b *testing.B) {
-	hw := loihi.DefaultHardware()
-	chip := loihi.New(hw)
-	pre := loihi.NewPopulation("pre", loihi.PopulationConfig{N: 200, Theta: 256, VMin: -256})
-	post := loihi.NewPopulation("post", loihi.PopulationConfig{N: 100, Theta: 256, VMin: -256})
-	if err := chip.AddPopulation(pre, 0, 100); err != nil {
+	mesh, err := loihi.NewMesh(loihi.DefaultHardware(), 1)
+	if err != nil {
 		b.Fatal(err)
 	}
-	if err := chip.AddPopulation(post, 2, 100); err != nil {
+	pre := loihi.NewPopulation("pre", loihi.PopulationConfig{N: 200, Theta: 256, VMin: -256})
+	post := loihi.NewPopulation("post", loihi.PopulationConfig{N: 100, Theta: 256, VMin: -256})
+	if err := mesh.AddPopulation(pre, 0, 0, pre.N, 0, 100); err != nil {
+		b.Fatal(err)
+	}
+	if err := mesh.AddPopulation(post, 0, 0, post.N, 2, 100); err != nil {
 		b.Fatal(err)
 	}
 	g := loihi.NewSynapseGroup("pp", pre, post, 0)
-	if err := chip.Connect(g); err != nil {
+	if err := mesh.Connect(g); err != nil {
 		b.Fatal(err)
 	}
 	biases := make([]int32, 200)
@@ -501,7 +503,7 @@ func BenchmarkLoihiSynapticDelivery(b *testing.B) {
 	pre.SetBiases(biases)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		chip.Step()
+		mesh.Step()
 	}
 }
 

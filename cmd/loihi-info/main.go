@@ -104,7 +104,7 @@ func main() {
 	fmt.Printf("  busiest plastic core:  %d compartments\n", net.MaxPlasticNeuronsPerCore())
 	fmt.Printf("  plastic synapses:      %d\n", net.NumPlasticSynapses())
 
-	occ := net.Chip().CoreOccupancy()
+	occ := net.Mesh().Die(0).CoreOccupancy()
 	fmt.Printf("  occupancy histogram (compartments per core):\n")
 	buckets := map[string]int{}
 	for _, n := range occ {
@@ -125,10 +125,10 @@ func main() {
 	}
 
 	// §III-D: host I/O for bias coding vs direct spike insertion.
-	net.Chip().ResetCounters()
+	net.ResetCounters()
 	s := m.DS.Train[0]
 	net.TrainSample(s.Image.Data, s.Label)
-	biasIO := net.Chip().Counters().HostTransactions
+	biasIO := net.Counters().HostTransactions
 	activePix := 0
 	for _, v := range s.Image.Data {
 		if v > 0.05 {
@@ -150,9 +150,9 @@ func main() {
 		pos, neg := net.ErrOut()
 		rec.Tap("error+ channel", pos)
 		rec.Tap("error- channel", neg)
-		net.Chip().OnStep = rec.Observe
+		net.Mesh().OnStep = rec.Observe
 		net.TrainSample(s.Image.Data, s.Label)
-		net.Chip().OnStep = nil
+		net.Mesh().OnStep = nil
 		fmt.Printf("\nspike raster of one training sample (label %d; steps 0..%d phase 1, then phase 2):\n",
 			s.Label, 63)
 		fmt.Print(rec.String())

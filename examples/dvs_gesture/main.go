@@ -55,10 +55,10 @@ func main() {
 	}
 
 	// The §III-D host-I/O contrast, measured rather than estimated:
-	net.Chip().ResetCounters()
+	net.ResetCounters()
 	net.TrainSampleEvents(data.Train[0].Events, int(data.Train[0].Label))
 	fmt.Printf("\nhost transactions per training sample:\n")
 	fmt.Printf("  event streaming (this demo): %d — one per spike, natural for DVS\n",
-		net.Chip().Counters().HostTransactions)
+		net.Counters().HostTransactions)
 	fmt.Printf("  bias coding (frame data):    3 — what §III-D buys for images\n")
 }

@@ -37,13 +37,13 @@ func main() {
 			log.Fatal(err)
 		}
 		net := m.ChipNetwork()
-		net.Chip().ResetCounters()
+		net.ResetCounters()
 		const samples = 8
 		for i := 0; i < samples; i++ {
 			s := m.DS.Train[i]
 			net.TrainSample(s.Image.Data, s.Label)
 		}
-		rep := model.Analyze(net.Chip().Counters(), net.CoresUsed(),
+		rep := model.Analyze(net.Counters(), net.CoresUsed(),
 			net.MaxPlasticNeuronsPerCore(), samples, true)
 		bar := strings.Repeat("=", int(rep.EnergyPerSampleJ*1e3))
 		fmt.Printf("%-8d %-7d %-10.3f %-10.2f %s\n",

@@ -86,47 +86,27 @@ type Config struct {
 	NeuronsPerCore int
 	// ConvPerCore packs the (much larger, fixed) conv populations.
 	ConvPerCore int
-	// Chips is the number of simulated dies. 0 or 1 deploys the netlist
-	// on a single chip; >1 shards it across a lock-step loihi.Mesh under
-	// the Partition strategy — bit-identical to the single-die
-	// deployment at the same seed, with cross-die spikes accounted as
-	// mesh traffic.
+	// Chips is the number of simulated dies on the loihi.Mesh the
+	// netlist runs on. 0 or 1 is one die, the paper's deployment; >1
+	// shards the netlist across the dies under the Partition strategy —
+	// bit-identical to the one-die deployment at the same seed, with
+	// cross-die spikes accounted as mesh traffic.
 	Chips int
-	// Partition selects the multi-die sharding strategy (Chips > 1).
+	// Partition selects the sharding strategy. On one die every
+	// strategy places the populations in build order.
 	Partition mapping.Strategy
-	// Topology arranges the dies on the board's NoC (Chips > 1): line
-	// (the zero value), 2-D mesh or torus, with optional explicit radix
-	// and link bandwidth. Topology changes traffic, link occupancy and
-	// modeled latency only — never simulation results.
+	// Topology arranges the dies on the board's NoC: line (the zero
+	// value), 2-D mesh or torus, with optional explicit radix and link
+	// bandwidth. Topology changes traffic, link occupancy and modeled
+	// latency only — never simulation results.
 	Topology loihi.Topology
 	// HW gives the per-die chip limits.
 	HW loihi.HardwareConfig
-	// Trace, when set, records the multi-die mesh's per-step sub-phase
-	// spans and per-link load counters onto the shared tracer (Chips > 1
-	// only; a single die has no fabric to time). Observation only —
-	// simulation results never depend on whether a tracer is attached.
+	// Trace, when set, records the mesh's per-step sub-phase spans and
+	// per-link load counters onto the shared tracer, on any die count.
+	// Observation only — simulation results never depend on whether a
+	// tracer is attached.
 	Trace *trace.Tracer
-}
-
-// fabric is the execution substrate a Network runs on: one die
-// (*loihi.Chip) or a lock-step multi-die board (*loihi.Mesh). Both
-// expose identical schedule, counter and equivalence-hook surfaces, so
-// the EMSTDP host logic is substrate-blind.
-type fabric interface {
-	Step()
-	Run(n int)
-	ApplyLearning()
-	LatchGates()
-	ResetPhaseTraces()
-	ResetMembranes()
-	ResetState()
-	CountHostTransaction(n int)
-	SetDelivery(m loihi.DeliveryMode)
-	Counters() loihi.Counters
-	ResetCounters()
-	ActiveCores() int
-	MaxCompartmentsOnACore() int
-	FirstInto(p *loihi.Population) loihi.Connector
 }
 
 // DefaultConfig mirrors the paper's settings: T=64, 8-bit weights,
@@ -152,16 +132,11 @@ func DefaultConfig(layerSizes ...int) Config {
 	}
 }
 
-// Network is an EMSTDP network deployed on the simulated chip (or, with
-// cfg.Chips > 1, sharded across a multi-die mesh).
+// Network is an EMSTDP network deployed on a simulated board of
+// max(1, cfg.Chips) dies.
 type Network struct {
-	cfg Config
-	// chip is the single die (nil when the network runs on a mesh);
-	// mesh is the multi-die board (nil for a single die); fab is
-	// whichever of the two is active.
-	chip *loihi.Chip
+	cfg  Config
 	mesh *loihi.Mesh
-	fab  fabric
 	part *mapping.Partition
 
 	conv *convFront // nil when the network consumes features directly
@@ -179,7 +154,6 @@ type Network struct {
 	errHidPos []*loihi.Population // per hidden layer, both modes
 	errHidNeg []*loihi.Population
 
-	nextCore  int
 	perCoreOf map[*loihi.Population]int
 	phaseOn   []int32
 	phaseOff  []int32
@@ -267,75 +241,48 @@ func newCommon(cfg Config) (*Network, error) {
 	if cfg.Chips < 0 {
 		return nil, fmt.Errorf("chipnet: Chips=%d must be non-negative", cfg.Chips)
 	}
-	n := &Network{cfg: cfg, perCoreOf: map[*loihi.Population]int{}, pendingLabel: -1}
-	if cfg.Chips > 1 {
-		part, err := mapping.NewPartition(cfg.HW, cfg.Chips, cfg.Partition)
-		if err != nil {
-			return nil, err
-		}
-		n.part = part
-		mesh, err := loihi.NewMeshTopology(cfg.HW, cfg.Chips, cfg.Topology)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Trace != nil {
-			mesh.SetTracer(cfg.Trace)
-		}
-		n.mesh = mesh
-		n.fab = n.mesh
-	} else {
-		n.chip = loihi.New(cfg.HW)
-		n.fab = n.chip
+	dies := max(1, cfg.Chips)
+	part, err := mapping.NewPartition(cfg.HW, dies, cfg.Partition)
+	if err != nil {
+		return nil, err
 	}
+	mesh, err := loihi.NewMeshTopology(cfg.HW, dies, cfg.Topology)
+	if err != nil {
+		return nil, err
+	}
+	mesh.SetTracer(cfg.Trace)
+	n := &Network{cfg: cfg, mesh: mesh, part: part, perCoreOf: map[*loihi.Population]int{}, pendingLabel: -1}
 	n.phaseOn = []int32{16}
 	n.phaseOff = []int32{0}
 	n.zeroLabel = make([]int32, cfg.LayerSizes[len(cfg.LayerSizes)-1])
 	return n, nil
 }
 
-// place maps a population onto the next free cores — of the single die,
-// or of the dies the partitioner chose. peers declares the
-// already-placed populations this one is heavily connected to, which
-// only the traffic-aware partition strategy reads (the other strategies
-// and the single-die path ignore it).
+// place maps a population onto the next free cores of the dies the
+// partitioner chose. peers declares the already-placed populations this
+// one is heavily connected to, which only the traffic-aware partition
+// strategy reads.
 func (n *Network) place(p *loihi.Population, perCore int, peers ...string) error {
-	if n.mesh != nil {
-		// Mirror the single-die validation: the partitioner would clamp
-		// an over-limit packing silently, but the same Config must
-		// behave identically regardless of Chips.
-		if perCore <= 0 {
-			return fmt.Errorf("loihi: perCore must be positive, got %d", perCore)
-		}
-		if perCore > n.cfg.HW.MaxCompartmentsPerCore {
-			return fmt.Errorf("loihi: perCore %d exceeds compartments/core limit %d",
-				perCore, n.cfg.HW.MaxCompartmentsPerCore)
-		}
-		pl, err := n.part.AssignConnected(p.Name, p.N, perCore, 0, peers)
-		if err != nil {
-			return err
-		}
-		for _, s := range pl.Shards {
-			if err := n.mesh.AddPopulation(p, s.Die, s.Lo, s.Hi, s.FirstCore, s.PerCore); err != nil {
-				return err
-			}
-		}
-		n.perCoreOf[p] = pl.PerCore
-		return nil
+	// The partitioner would clamp an over-limit packing silently; a
+	// packing the hardware cannot hold is a configuration error.
+	if perCore <= 0 {
+		return fmt.Errorf("loihi: perCore must be positive, got %d", perCore)
 	}
-	if err := n.chip.AddPopulation(p, n.nextCore, perCore); err != nil {
+	if perCore > n.cfg.HW.MaxCompartmentsPerCore {
+		return fmt.Errorf("loihi: perCore %d exceeds compartments/core limit %d",
+			perCore, n.cfg.HW.MaxCompartmentsPerCore)
+	}
+	pl, err := n.part.AssignConnected(p.Name, p.N, perCore, 0, peers)
+	if err != nil {
 		return err
 	}
-	n.perCoreOf[p] = perCore
-	n.nextCore += (p.N + perCore - 1) / perCore
-	return nil
-}
-
-// connect registers a connector on the active fabric.
-func (n *Network) connect(g loihi.Connector) error {
-	if n.mesh != nil {
-		return n.mesh.Connect(g)
+	for _, s := range pl.Shards {
+		if err := n.mesh.AddPopulation(p, s.Die, s.Lo, s.Hi, s.FirstCore, s.PerCore); err != nil {
+			return err
+		}
 	}
-	return n.chip.Connect(g)
+	n.perCoreOf[p] = pl.PerCore
+	return nil
 }
 
 // intWeight decomposes an integer-valued membrane weight into an int8
@@ -385,7 +332,7 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 			g.EnableLearning(shift, cfg.Seed+uint64(i)*0x9e3779b9)
 			n.baseShifts = append(n.baseShifts, shift)
 		}
-		if err := n.connect(g); err != nil {
+		if err := n.mesh.Connect(g); err != nil {
 			return err
 		}
 		n.fwd = append(n.fwd, p)
@@ -439,7 +386,7 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 		{"loss:out->e-", fwdOut, n.errOutNeg, wL},
 	}
 	for _, tp := range taps {
-		if err := n.connect(loihi.NewDiagonalGroup(tp.name, tp.pre, tp.post, tp.w, wLExp)); err != nil {
+		if err := n.mesh.Connect(loihi.NewDiagonalGroup(tp.name, tp.pre, tp.post, tp.w, wLExp)); err != nil {
 			return err
 		}
 	}
@@ -447,10 +394,10 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 	// Output correction: error spikes drive the output forward neurons
 	// toward the target rate.
 	injW, injExp := intWeight(cfg.Inject * theta)
-	if err := n.connect(loihi.NewDiagonalGroup("inj:e+->out", n.errOutPos, fwdOut, injW, injExp)); err != nil {
+	if err := n.mesh.Connect(loihi.NewDiagonalGroup("inj:e+->out", n.errOutPos, fwdOut, injW, injExp)); err != nil {
 		return err
 	}
-	if err := n.connect(loihi.NewDiagonalGroup("inj:e-->out", n.errOutNeg, fwdOut, -injW, injExp)); err != nil {
+	if err := n.mesh.Connect(loihi.NewDiagonalGroup("inj:e-->out", n.errOutNeg, fwdOut, -injW, injExp)); err != nil {
 		return err
 	}
 
@@ -493,10 +440,10 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 		// One-to-one taps: e⁺ → relay⁺, e⁻ → relay⁻ (positive error
 		// stays positive through the relay; the channels don't cross at
 		// an identity stage).
-		if err := n.connect(loihi.NewDiagonalGroup("relay:e+", n.errOutPos, relayPos, wL, wLExp)); err != nil {
+		if err := n.mesh.Connect(loihi.NewDiagonalGroup("relay:e+", n.errOutPos, relayPos, wL, wLExp)); err != nil {
 			return err
 		}
-		if err := n.connect(loihi.NewDiagonalGroup("relay:e-", n.errOutNeg, relayNeg, wL, wLExp)); err != nil {
+		if err := n.mesh.Connect(loihi.NewDiagonalGroup("relay:e-", n.errOutNeg, relayNeg, wL, wLExp)); err != nil {
 			return err
 		}
 	}
@@ -548,7 +495,7 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 				eff[j] = sign * v
 			}
 			g.SetWeightsFloat(eff, float64(cfg.ThetaErr), 1)
-			return n.connect(g)
+			return n.mesh.Connect(g)
 		}
 		if err := conn(fmt.Sprintf("fa:e+->h+%d", i), srcPos, n.errHidPos[i], +1); err != nil {
 			return err
@@ -564,11 +511,11 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 		}
 
 		// Hidden correction injections.
-		if err := n.connect(loihi.NewDiagonalGroup(
+		if err := n.mesh.Connect(loihi.NewDiagonalGroup(
 			fmt.Sprintf("inj:h+->f%d", i), n.errHidPos[i], n.fwd[i], injW, injExp)); err != nil {
 			return err
 		}
-		if err := n.connect(loihi.NewDiagonalGroup(
+		if err := n.mesh.Connect(loihi.NewDiagonalGroup(
 			fmt.Sprintf("inj:h-->f%d", i), n.errHidNeg[i], n.fwd[i], -injW, injExp)); err != nil {
 			return err
 		}
@@ -578,7 +525,7 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 	// fwd0's accumulator, which equals live delivery only while W1 adds
 	// into a zero accumulator: it must be the first connector into fwd0
 	// on every die.
-	if n.fab.FirstInto(n.fwd[0]) != loihi.Connector(n.plastic[0]) {
+	if n.mesh.FirstInto(n.fwd[0]) != loihi.Connector(n.plastic[0]) {
 		return fmt.Errorf("chipnet: %s must be the first connector into %s on every die (phase-2 drive replay)",
 			n.plastic[0].Name, n.fwd[0].Name)
 	}
@@ -586,27 +533,20 @@ func (n *Network) buildDense(pre *loihi.Population) error {
 	return nil
 }
 
-// Chip exposes the underlying single-die simulator (counters,
-// occupancy, OnStep probes). It is nil when the network is sharded
-// across a mesh (cfg.Chips > 1) — use Mesh, Counters and ResetCounters
-// there, which also work for a single die.
-func (n *Network) Chip() *loihi.Chip { return n.chip }
-
-// Mesh exposes the multi-die board (per-die counters, traffic), or nil
-// for a single-die deployment.
+// Mesh exposes the board the network runs on: per-die counters and
+// occupancy (Die), traffic, and the OnStep probe.
 func (n *Network) Mesh() *loihi.Mesh { return n.mesh }
 
-// PartitionPlan returns the multi-die placement, or nil for a
-// single-die deployment.
+// PartitionPlan returns the placement the partitioner produced.
 func (n *Network) PartitionPlan() *mapping.Partition { return n.part }
 
-// Counters returns the fabric's aggregated activity counters (for a
-// mesh: the deterministic die-order reduction, equal to the single-die
-// counters of the same netlist).
-func (n *Network) Counters() loihi.Counters { return n.fab.Counters() }
+// Counters returns the board's aggregated activity counters: the
+// deterministic die-order reduction, equal on any die count for the
+// same netlist.
+func (n *Network) Counters() loihi.Counters { return n.mesh.Counters() }
 
-// ResetCounters zeroes the fabric's activity (and traffic) counters.
-func (n *Network) ResetCounters() { n.fab.ResetCounters() }
+// ResetCounters zeroes the board's activity and traffic counters.
+func (n *Network) ResetCounters() { n.mesh.ResetCounters() }
 
 // Forward exposes forward dense population i (for diagnostics taps).
 func (n *Network) Forward(i int) *loihi.Population { return n.fwd[i] }
@@ -625,10 +565,10 @@ func (n *Network) Label() *loihi.Population { return n.label }
 func (n *Network) Config() Config { return n.cfg }
 
 // CoresUsed returns the number of occupied cores.
-func (n *Network) CoresUsed() int { return n.fab.ActiveCores() }
+func (n *Network) CoresUsed() int { return n.mesh.ActiveCores() }
 
 // MaxNeuronsPerCore returns the busiest core occupancy.
-func (n *Network) MaxNeuronsPerCore() int { return n.fab.MaxCompartmentsOnACore() }
+func (n *Network) MaxNeuronsPerCore() int { return n.mesh.MaxCompartmentsOnACore() }
 
 // MaxPlasticNeuronsPerCore returns the busiest core occupancy among the
 // populations that hold plastic synapses (the forward dense layers).

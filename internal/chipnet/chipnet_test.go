@@ -1,9 +1,12 @@
 package chipnet
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"emstdp/internal/emstdp"
+	"emstdp/internal/raster"
 	"emstdp/internal/rng"
 )
 
@@ -257,12 +260,12 @@ func TestChipHostTransactionsPerSample(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 100)
-	net.Chip().ResetCounters()
+	net.ResetCounters()
 	net.TrainSample(x, 0)
-	train := net.Chip().Counters().HostTransactions
-	net.Chip().ResetCounters()
+	train := net.Counters().HostTransactions
+	net.ResetCounters()
 	net.Predict(x)
-	test := net.Chip().Counters().HostTransactions
+	test := net.Counters().HostTransactions
 	if train != 3 {
 		t.Errorf("training host transactions = %d, want 3", train)
 	}
@@ -320,6 +323,51 @@ func TestChipSetOutputDisabledRejectsWrongLength(t *testing.T) {
 			}()
 			net.SetOutputDisabled(make([]bool, n))
 		}()
+	}
+}
+
+// TestChipInputQuantizesNonFinite programs rates no clamp orders or
+// bounds: NaN and -Inf must be silent, +Inf and rates above 1 full
+// rate, negative rates silent — the levels spike.PhaseLevel gives the
+// FP backend. Theta == T makes the bias unit 1, so a level that wrapped
+// in the int32 conversion shows in the bias as it is.
+func TestChipInputQuantizesNonFinite(t *testing.T) {
+	cfg := DefaultConfig(5, 4, 2)
+	cfg.Theta = int32(cfg.T)
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1.5, -0.2}
+	net.programInput(bad)
+	got := slices.Clone(net.inputBias)
+	net.programInput([]float64{0, 1, 0, 1, 0})
+	if want := net.inputBias; !slices.Equal(got, want) {
+		t.Fatalf("input biases %v, want those of {0, 1, 0, 1, 0}: %v", got, want)
+	}
+	net.Predict(bad)
+	net.TrainSample(bad, 1)
+}
+
+// TestChipRasterHookSeesSpikes hooks a raster recorder on the board's
+// step probe and trains one sample: the recorder must see both phases'
+// steps and the output layer's spikes.
+func TestChipRasterHookSeesSpikes(t *testing.T) {
+	net, err := New(DefaultConfig(20, 10, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := raster.NewRecorder()
+	rec.Tap("output layer", net.Forward(net.NumForward()-1))
+	net.Mesh().OnStep = rec.Observe
+	x, y := twoClassSample(rng.New(3), 20)
+	net.TrainSample(x, y)
+	net.Mesh().OnStep = nil
+	if got, want := rec.Steps(), 2*net.Config().T; got != want {
+		t.Fatalf("recorder saw %d steps, want %d (two phases of T)", got, want)
+	}
+	if rec.SpikeCount(0) == 0 {
+		t.Fatal("recorder saw no output spikes over a training sample")
 	}
 }
 

@@ -111,7 +111,7 @@ func (n *Network) connectConv(pre, post *loihi.Population, conv *ann.Conv2D, sca
 			}
 		}
 	}
-	if err := n.connect(g); err != nil {
+	if err := n.mesh.Connect(g); err != nil {
 		return err
 	}
 

@@ -41,10 +41,10 @@ func TestSpikingConvMatchesANN(t *testing.T) {
 	want := cs.NormalizedRates(img)
 
 	// Run a phase-1 pass and read conv2 spike counts.
-	net.Chip().ResetState()
+	net.Mesh().ResetState()
 	net.programInput(img.Data)
 	net.phase.SetBiases(net.phaseOff)
-	net.Chip().Run(cfg.T)
+	net.Mesh().Run(cfg.T)
 
 	T := float64(cfg.T)
 	var sumErr float64

@@ -33,7 +33,7 @@ func (n *Network) TrainSampleEvents(events EventTrain, label int) {
 	}
 	n.resetSample(label)
 	n.runPhases(true, events)
-	n.fab.ApplyLearning()
+	n.mesh.ApplyLearning()
 }
 
 // CountsEvents classifies an event train with a phase-1-only pass and

@@ -108,9 +108,9 @@ func TestEventInputHostCost(t *testing.T) {
 	cfg := dvs.DefaultConfig()
 	s := dvs.Generate(cfg, dvs.SwipeRight, rng.New(2))
 	net := eventNet(t, cfg.H*cfg.W, 16, int(dvs.NumGestures))
-	net.Chip().ResetCounters()
+	net.ResetCounters()
 	net.TrainSampleEvents(s.Events, 0)
-	tx := net.Chip().Counters().HostTransactions
+	tx := net.Counters().HostTransactions
 	// Two phases replay the stream, plus label and phase writes.
 	want := int64(2*s.EventCount()) + 2
 	if tx != want {

@@ -37,7 +37,7 @@ func TestChipTrainingBitIdenticalAcrossDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense.fab.SetDelivery(loihi.DeliveryDense)
+	dense.mesh.SetDelivery(loihi.DeliveryDense)
 
 	xs, ys := chipStream(rng.New(31), 40, 10, 40)
 	for i := range xs {
@@ -66,7 +66,7 @@ func TestChipTrainingBitIdenticalAcrossDelivery(t *testing.T) {
 	}
 	// The work counted must be the work done: both kernels report the
 	// same SynapticEvents for the same spike history.
-	if de, se := dense.Chip().Counters().SynapticEvents, sparse.Chip().Counters().SynapticEvents; de != se {
+	if de, se := dense.Counters().SynapticEvents, sparse.Counters().SynapticEvents; de != se {
 		t.Fatalf("synaptic events diverge: dense %d sparse %d", de, se)
 	}
 }

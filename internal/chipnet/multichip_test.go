@@ -14,9 +14,9 @@ import (
 
 // conformanceNet builds the acceptance-criterion network — a 256-wide
 // hidden layer over 64 input features and 10 classes — on the given die
-// count and partition strategy (dies == 1 ignores the strategy and
-// returns a plain single-die network). An optional topology overrides
-// the default line fabric.
+// count and partition strategy (on one die every strategy places the
+// populations in build order). An optional topology overrides the
+// default line fabric.
 func conformanceNet(t testing.TB, dies int, strategy mapping.Strategy, mode emstdp.FeedbackMode, topo ...loihi.Topology) *Network {
 	t.Helper()
 	cfg := DefaultConfig(64, 256, 10)
@@ -122,10 +122,10 @@ func TestMultiChipConformance(t *testing.T) {
 			}
 			// Per-die counters must sum to the aggregate (Steps is the
 			// lock-step common value, not a sum).
-			mc := &MultiChip{Network: net}
+			mesh := net.Mesh()
 			var sumSpikes, sumSyn, sumComp, sumLearn, sumCore, sumHost int64
-			for d := 0; d < mc.NumDies(); d++ {
-				dc := mc.DieCounters(d)
+			for d := 0; d < mesh.NumDies(); d++ {
+				dc := mesh.DieCounters(d)
 				sumSpikes += dc.Spikes
 				sumSyn += dc.SynapticEvents
 				sumComp += dc.CompartmentUpdates
@@ -143,10 +143,10 @@ func TestMultiChipConformance(t *testing.T) {
 			}
 			// Sharding must actually produce cross-die work under the
 			// range strategy (every layer spans every die).
-			if tc.strategy == mapping.StrategyRange && mc.Traffic().CrossDieSpikes == 0 {
+			if tc.strategy == mapping.StrategyRange && mesh.Traffic().CrossDieSpikes == 0 {
 				t.Fatal("range partition produced no cross-die traffic")
 			}
-			if tr := mc.Traffic(); tr.SpikeHops < tr.CrossDieSpikes {
+			if tr := mesh.Traffic(); tr.SpikeHops < tr.CrossDieSpikes {
 				t.Fatalf("traffic accounting: %d hops < %d messages", tr.SpikeHops, tr.CrossDieSpikes)
 			}
 		})
@@ -163,8 +163,8 @@ func TestMultiChipTrafficStrategy(t *testing.T) {
 	affine := conformanceNet(t, 4, mapping.StrategyTraffic, emstdp.DFA)
 	driveConformance(ranged, trainN, testN)
 	driveConformance(affine, trainN, testN)
-	rt := (&MultiChip{Network: ranged}).Traffic()
-	at := (&MultiChip{Network: affine}).Traffic()
+	rt := ranged.Mesh().Traffic()
+	at := affine.Mesh().Traffic()
 	if at.CrossDieSpikes >= rt.CrossDieSpikes {
 		t.Fatalf("traffic strategy moved %d cross-die spikes, range %d — want strictly fewer",
 			at.CrossDieSpikes, rt.CrossDieSpikes)
@@ -252,7 +252,7 @@ func TestMultiChipDeterministicRebuild(t *testing.T) {
 // reproduce the sequential pass (CloneRunner rebuilds the partition
 // deterministically).
 func TestMultiChipEngineGroup(t *testing.T) {
-	net, err := NewMulti(func() Config {
+	net, err := New(func() Config {
 		cfg := DefaultConfig(32, 64, 4)
 		cfg.Seed = 11
 		cfg.Chips = 2

@@ -18,18 +18,18 @@ func runPhasesRestep(n *Network, events EventTrain) {
 	phase := func() {
 		for t := 0; t < n.cfg.T; t++ {
 			if t < len(events) {
-				n.fab.CountHostTransaction(n.inputPop().InjectSpikes(events[t]))
+				n.mesh.CountHostTransaction(n.inputPop().InjectSpikes(events[t]))
 			}
-			n.fab.Step()
+			n.mesh.Step()
 		}
 	}
 	phase()
-	n.fab.LatchGates()
-	n.fab.ResetPhaseTraces()
-	n.fab.ResetMembranes()
+	n.mesh.LatchGates()
+	n.mesh.ResetPhaseTraces()
+	n.mesh.ResetMembranes()
 	n.programLabel(n.pendingLabel)
 	n.phase.SetBiases(n.phaseOn)
-	n.fab.CountHostTransaction(1)
+	n.mesh.CountHostTransaction(1)
 	phase()
 }
 
@@ -57,10 +57,8 @@ func assertReplayMatches(t *testing.T, i int, replay, restep *Network) {
 	if got, want := replay.Counters(), restep.Counters(); got != want {
 		t.Fatalf("sample %d: counters %+v, re-stepped %+v", i, got, want)
 	}
-	if replay.mesh != nil {
-		if got, want := replay.mesh.Traffic(), restep.mesh.Traffic(); got != want {
-			t.Fatalf("sample %d: mesh traffic %+v, re-stepped %+v", i, got, want)
-		}
+	if got, want := replay.mesh.Traffic(), restep.mesh.Traffic(); got != want {
+		t.Fatalf("sample %d: mesh traffic %+v, re-stepped %+v", i, got, want)
 	}
 	out, ref := replay.fwd[len(replay.fwd)-1], restep.fwd[len(restep.fwd)-1]
 	if !slices.Equal(out.PostTraces(), ref.PostTraces()) {
@@ -145,8 +143,8 @@ func TestChipPhase2ReplayBitIdentical(t *testing.T) {
 				restep.SetOutputDisabled(mask)
 			}
 			if c.dense {
-				replay.fab.SetDelivery(loihi.DeliveryDense)
-				restep.fab.SetDelivery(loihi.DeliveryDense)
+				replay.mesh.SetDelivery(loihi.DeliveryDense)
+				restep.mesh.SetDelivery(loihi.DeliveryDense)
 			}
 			in := replay.inputPop().N
 			xs, ys := chipStream(rng.New(77), in, sizes[len(sizes)-1], samples)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"emstdp/internal/loihi"
+	"emstdp/internal/spike"
 )
 
 // inputPop returns the population that receives sample biases: the image
@@ -15,7 +16,8 @@ func (n *Network) inputPop() *loihi.Population {
 	return n.input
 }
 
-// programInput quantizes rates in [0,1] to T bins and writes them as
+// programInput quantizes rates to T bins with the FP backend's
+// spike.PhaseLevel (clamped to [0,1], NaN silent) and writes them as
 // biases k·θ/T (§III-D) — one host transaction regardless of input size,
 // versus O(activeInputs·T) spike insertions for direct injection.
 func (n *Network) programInput(x []float64) {
@@ -23,20 +25,13 @@ func (n *Network) programInput(x []float64) {
 	if len(x) != pop.N {
 		panic(fmt.Sprintf("chipnet: input size %d, want %d", len(x), pop.N))
 	}
-	T := int32(n.cfg.T)
-	unit := n.cfg.Theta / T
+	unit := n.cfg.Theta / int32(n.cfg.T)
 	biases := n.inputBias
 	for i, v := range x {
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		k := int32(v*float64(T) + 0.5)
-		biases[i] = k * unit
+		biases[i] = int32(spike.PhaseLevel(v, n.cfg.T)) * unit
 	}
 	pop.SetBiases(biases)
-	n.fab.CountHostTransaction(1)
+	n.mesh.CountHostTransaction(1)
 }
 
 // programLabel writes the target-class biases onto the label neurons.
@@ -52,7 +47,7 @@ func (n *Network) programLabel(label int) {
 		biases[j] = k * (n.cfg.Theta / int32(n.cfg.T))
 	}
 	n.label.SetBiases(biases)
-	n.fab.CountHostTransaction(1)
+	n.mesh.CountHostTransaction(1)
 }
 
 // TrainSample runs the two-phase EMSTDP schedule for one labelled sample
@@ -89,7 +84,7 @@ func (n *Network) ProgramSample(x []float64, label int) {
 // the error path for phase 1, and stages label (-1: none) for
 // RunPhases(true).
 func (n *Network) resetSample(label int) {
-	n.fab.ResetState()
+	n.mesh.ResetState()
 	if n.label != nil {
 		n.label.SetBiases(n.zeroLabel)
 		n.phase.SetBiases(n.phaseOff)
@@ -129,12 +124,12 @@ func (n *Network) runPhases(train bool, events EventTrain) {
 	}
 	n.runPhase(loihi.TapeRecord, events) // phase 1
 
-	n.fab.LatchGates()
-	n.fab.ResetPhaseTraces()
-	n.fab.ResetMembranes()
+	n.mesh.LatchGates()
+	n.mesh.ResetPhaseTraces()
+	n.mesh.ResetMembranes()
 	n.programLabel(n.pendingLabel)
 	n.phase.SetBiases(n.phaseOn)
-	n.fab.CountHostTransaction(1) // the phase-control bias write
+	n.mesh.CountHostTransaction(1) // the phase-control bias write
 
 	n.runPhase(loihi.TapeReplay, events) // phase 2
 }
@@ -147,10 +142,10 @@ func (n *Network) runPhase(tape loihi.TapeMode, events EventTrain) {
 	w1 := n.plastic[0]
 	for t := 0; t < n.cfg.T; t++ {
 		if t < len(events) {
-			n.fab.CountHostTransaction(n.inputPop().InjectSpikes(events[t]))
+			n.mesh.CountHostTransaction(n.inputPop().InjectSpikes(events[t]))
 		}
 		w1.SetTape(tape, t)
-		n.fab.Step()
+		n.mesh.Step()
 	}
 	w1.SetTape(loihi.TapeLive, 0)
 }

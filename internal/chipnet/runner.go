@@ -76,7 +76,7 @@ func (n *Network) ApplyUpdate(u engine.Update) {
 			g.RestoreLearnState(cu.groups[i])
 		}
 	}
-	n.fab.ApplyLearning()
+	n.mesh.ApplyLearning()
 }
 
 // Clone rebuilds the same netlist (same configuration and seed, so all
@@ -112,11 +112,7 @@ func (n *Network) CloneRunner() (engine.Runner, error) { return n.Clone() }
 func (n *Network) SyncWeights(src engine.Runner) error {
 	s, ok := src.(*Network)
 	if !ok {
-		if mc, isMulti := src.(*MultiChip); isMulti {
-			s = mc.Network
-		} else {
-			return fmt.Errorf("chipnet: cannot sync weights from %T", src)
-		}
+		return fmt.Errorf("chipnet: cannot sync weights from %T", src)
 	}
 	if len(s.plastic) != len(n.plastic) {
 		return fmt.Errorf("chipnet: sync plastic group count %d != %d", len(s.plastic), len(n.plastic))

@@ -74,23 +74,22 @@ type Options struct {
 	// NeuronsPerCore is the chip mapping knob (default 10; chip backend
 	// only).
 	NeuronsPerCore int
-	// Chips is the number of simulated dies for the chip backend
-	// (default 1). Values > 1 shard the netlist across a lock-step
-	// multi-die mesh — results stay bit-identical to the single-die
-	// deployment at the same seed, with cross-die spikes accounted as
-	// mesh traffic.
+	// Chips is the number of simulated dies on the chip backend's mesh
+	// (default 1). Values > 1 shard the netlist across the dies —
+	// results stay bit-identical to the single-die deployment at the
+	// same seed, with cross-die spikes accounted as mesh traffic.
 	Chips int
-	// PartitionStrategy names the multi-die sharding strategy:
-	// "population" (default; whole populations, least-loaded die),
-	// "range" (every population split across all dies) or "traffic"
-	// (whole populations co-located with their declared peers to cut
-	// cross-die spikes). Chip backend with Chips > 1 only.
+	// PartitionStrategy names the sharding strategy: "population"
+	// (default; whole populations, least-loaded die), "range" (every
+	// population split across all dies) or "traffic" (whole populations
+	// co-located with their declared peers to cut cross-die spikes).
+	// Chip backend only; on one die every strategy places the
+	// populations in build order.
 	PartitionStrategy string
-	// Topology names the multi-die board's NoC arrangement: "line"
-	// (default), "mesh" or "torus", with automatic radix
-	// factorisation. Topology changes traffic, link occupancy and
-	// modeled latency only — never results. Chip backend with
-	// Chips > 1 only.
+	// Topology names the board's NoC arrangement: "line" (default),
+	// "mesh" or "torus", with automatic radix factorisation. Topology
+	// changes traffic, link occupancy and modeled latency only — never
+	// results. Chip backend only; one die has no links.
 	Topology string
 	// ConvOnChip additionally maps the frozen conv stack as spiking
 	// populations (chip backend only). When false, conv features are

@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"emstdp/internal/dataset"
+	"emstdp/internal/loihi"
 )
 
-// TestChipsFlowThrough pins the Options → chipnet wiring for the
-// multi-die path: a sharded model builds, exposes its mesh, trains and
-// evaluates bit-identically to the single-die model at the same seed,
-// and accumulates mesh traffic while doing so.
+// TestChipsFlowThrough pins the Options → chipnet wiring for the die
+// count: a single-die model builds a one-die mesh that moves no traffic,
+// and a sharded model builds, exposes its mesh, trains and evaluates
+// bit-identically to the single-die model at the same seed, and
+// accumulates mesh traffic while doing so.
 func TestChipsFlowThrough(t *testing.T) {
 	drive := func(chips int, strategy string) (*Model, []int) {
 		opts := smallOpts(Chip)
@@ -29,13 +31,16 @@ func TestChipsFlowThrough(t *testing.T) {
 	}
 
 	ref, refPreds := drive(1, "")
-	if ref.ChipNetwork().Mesh() != nil {
-		t.Fatal("single-die model should not build a mesh")
+	if mesh := ref.ChipNetwork().Mesh(); mesh.NumDies() != 1 {
+		t.Fatalf("single-die model built a %d-die mesh", mesh.NumDies())
+	}
+	if tr := ref.ChipNetwork().Mesh().Traffic(); tr != (loihi.MeshTraffic{}) {
+		t.Fatalf("single-die model moved mesh traffic %+v", tr)
 	}
 	for _, strategy := range []string{"population", "range"} {
 		m, preds := drive(2, strategy)
 		net := m.ChipNetwork()
-		if net.Mesh() == nil || net.Mesh().NumDies() != 2 {
+		if net.Mesh().NumDies() != 2 {
 			t.Fatalf("%s: expected a 2-die mesh", strategy)
 		}
 		if err := net.PartitionPlan().Validate(); err != nil {

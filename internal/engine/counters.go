@@ -15,8 +15,8 @@ import "emstdp/internal/loihi"
 // energy harness pins.
 
 // CounterRunner is the optional Runner facet of backends that accrue
-// activity counters; *chipnet.Network (and MultiChip) implement it, the
-// full-precision reference does not.
+// activity counters; *chipnet.Network implements it on any die count,
+// the full-precision reference does not.
 type CounterRunner interface {
 	// Counters returns the runner's accumulated activity counters.
 	Counters() loihi.Counters

@@ -312,10 +312,7 @@ func fig3Measure(m *core.Model, sc Scale, p fig3PointSpec) Fig3Point {
 		s := m.DS.Train[j%len(m.DS.Train)]
 		net.TrainSample(s.Image.Data, s.Label)
 	}
-	var traffic loihi.MeshTraffic
-	if mesh := net.Mesh(); mesh != nil {
-		traffic = mesh.Traffic()
-	}
+	traffic := net.Mesh().Traffic()
 	rep := model.AnalyzeMesh(net.Counters(), traffic, net.CoresUsed(), net.MaxPlasticNeuronsPerCore(), sc.EnergySamples, true)
 	strategy, _ := mapping.ParseStrategy(sc.Partition)
 	kind, _ := loihi.ParseTopologyKind(sc.Topology)

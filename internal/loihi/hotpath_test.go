@@ -10,9 +10,9 @@ import (
 // bias-driven inputs at roughly the rate-coded activity level. An
 // optional preset delivery mode is selected BEFORE any group is
 // connected — SetDelivery must persist and apply to later connections.
-func buildStepBench(tb testing.TB, preset ...DeliveryMode) *Chip {
+func buildStepBench(tb testing.TB, preset ...DeliveryMode) oneDie {
 	tb.Helper()
-	chip := New(DefaultHardware())
+	chip := newOneDie(tb, DefaultHardware())
 	if len(preset) > 0 {
 		chip.SetDelivery(preset[0])
 	}
@@ -55,7 +55,7 @@ func TestDeliveryKernelsBitIdentical(t *testing.T) {
 	packed.SetDelivery(DeliveryPacked)
 	// Set-then-connect ordering: the persisted mode must produce the
 	// same run as selecting it after wiring.
-	chips := []*Chip{
+	chips := []oneDie{
 		dense, packed,
 		buildStepBench(t, DeliveryDense),
 		buildStepBench(t, DeliveryPacked),
@@ -89,9 +89,9 @@ func TestDeliveryKernelsBitIdentical(t *testing.T) {
 
 // TestMeshDeliverySetThenConnect pins the order-independence contract
 // directly: a delivery mode selected before any group exists is applied
-// to groups connected afterwards, on both a single chip and a mesh.
+// to groups connected afterwards, on a one-die and a two-die mesh.
 func TestMeshDeliverySetThenConnect(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	chip.SetDelivery(DeliveryDense)
 	a := NewPopulation("a", PopulationConfig{N: 4, Theta: 16, VMin: 0})
 	b := NewPopulation("b", PopulationConfig{N: 4, Theta: 16, VMin: 0})
@@ -262,7 +262,7 @@ func BenchmarkLoihiStep_DenseDelivery(b *testing.B) {
 // kept the old weights.
 func TestPackedDeliverSeesInPlaceWeightWrite(t *testing.T) {
 	packed, dense, kept := buildStepBench(t), buildStepBench(t, DeliveryDense), buildStepBench(t)
-	chips := []*Chip{packed, dense, kept}
+	chips := []oneDie{packed, dense, kept}
 	for step := 0; step < 16; step++ {
 		for _, c := range chips {
 			c.Step()

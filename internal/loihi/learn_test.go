@@ -104,7 +104,7 @@ func TestZeroErrorRowDrawsNoRoundingWord(t *testing.T) {
 // Full on-chip learning loop: a plastic synapse under the EMSTDP rule
 // moves toward the target and saturates rather than overflowing.
 func TestOnChipLearningEpoch(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	pre := ifPop("pre", 1, 256)
 	post := ifPop("post", 1, 256)
 	if err := chip.AddPopulation(pre, 0, 10); err != nil {
@@ -179,7 +179,7 @@ func TestFrozenPostRowsSkipped(t *testing.T) {
 }
 
 func TestPhaseTraceSemantics(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	pre := ifPop("pre", 1, 256)
 	post := ifPop("post", 1, 256)
 	if err := chip.AddPopulation(pre, 0, 10); err != nil {

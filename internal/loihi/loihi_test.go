@@ -7,6 +7,27 @@ import (
 	"emstdp/internal/fixed"
 )
 
+// oneDie is a one-die board, the substrate the single-die tests run on:
+// the Mesh's schedule and counters, with AddPopulation registering a
+// whole population on die 0.
+type oneDie struct{ *Mesh }
+
+// newOneDie builds a one-die board with the given hardware limits.
+func newOneDie(tb testing.TB, hw HardwareConfig) oneDie {
+	tb.Helper()
+	m, err := NewMesh(hw, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return oneDie{m}
+}
+
+// AddPopulation registers all of p on the die, perCore compartments per
+// core starting at core firstCore.
+func (d oneDie) AddPopulation(p *Population, firstCore, perCore int) error {
+	return d.Mesh.AddPopulation(p, 0, 0, p.N, firstCore, perCore)
+}
+
 // ifPop builds a plain IF population (no leak, instant current).
 func ifPop(name string, n int, theta int32) *Population {
 	return NewPopulation(name, PopulationConfig{
@@ -18,7 +39,7 @@ func TestBiasDrivenIFRate(t *testing.T) {
 	// §III-D: bias k·θ/T yields exactly k spikes over T steps.
 	const T = 64
 	const theta = 256
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	in := ifPop("in", 1, theta)
 	if err := chip.AddPopulation(in, 0, 10); err != nil {
 		t.Fatal(err)
@@ -40,7 +61,7 @@ func TestBiasDrivenIFRate(t *testing.T) {
 }
 
 func TestSpikeDelayOneStep(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	a := ifPop("a", 1, 10)
 	b := ifPop("b", 1, 10)
 	if err := chip.AddPopulation(a, 0, 10); err != nil {
@@ -69,7 +90,7 @@ func TestSpikeDelayOneStep(t *testing.T) {
 }
 
 func TestWeightExponent(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	a := ifPop("a", 1, 10)
 	b := ifPop("b", 1, 1000)
 	if err := chip.AddPopulation(a, 0, 10); err != nil {
@@ -119,7 +140,7 @@ func TestSetWeightsFloatHeadroom(t *testing.T) {
 }
 
 func TestVMinFloors(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	p := ifPop("p", 1, 100)
 	if err := chip.AddPopulation(p, 0, 10); err != nil {
 		t.Fatal(err)
@@ -132,7 +153,7 @@ func TestVMinFloors(t *testing.T) {
 }
 
 func TestGatedPopulationAND(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	fwd := ifPop("fwd", 2, 10)
 	err := NewPopulation("err", PopulationConfig{
 		N: 2, Theta: 10, VMin: -10, Gated: true, GateLo: 1, GateHi: 1000,
@@ -162,7 +183,7 @@ func TestGatedPopulationAND(t *testing.T) {
 }
 
 func TestGateHiSuppressesSaturated(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	fwd := ifPop("fwd", 1, 10)
 	errp := NewPopulation("err", PopulationConfig{
 		N: 1, Theta: 10, VMin: -10, Gated: true, GateLo: 1, GateHi: 3,
@@ -190,7 +211,7 @@ func TestCoreMappingLimits(t *testing.T) {
 	hw := DefaultHardware()
 	hw.NumCores = 2
 	hw.MaxCompartmentsPerCore = 10
-	chip := New(hw)
+	chip := newOneDie(t, hw)
 	if err := chip.AddPopulation(ifPop("a", 15, 10), 0, 10); err != nil {
 		t.Fatalf("15 compartments over 2 cores should fit: %v", err)
 	}
@@ -206,7 +227,7 @@ func TestCoreMappingLimits(t *testing.T) {
 }
 
 func TestActiveCoresAndOccupancy(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	if err := chip.AddPopulation(ifPop("a", 25, 10), 0, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +237,7 @@ func TestActiveCoresAndOccupancy(t *testing.T) {
 	if got := chip.MaxCompartmentsOnACore(); got != 10 {
 		t.Errorf("MaxCompartmentsOnACore = %d, want 10", got)
 	}
-	occ := chip.CoreOccupancy()
+	occ := chip.Die(0).CoreOccupancy()
 	if occ[0] != 10 || occ[1] != 10 || occ[2] != 5 || occ[3] != 0 {
 		t.Errorf("occupancy = %v", occ[:4])
 	}
@@ -240,15 +261,15 @@ func TestActiveCoresAndOccupancy(t *testing.T) {
 }
 
 // TestChipSplitPopulationRotatesOnce registers one population as two
-// ranges on a single die. The die must rotate the population's spikes
+// ranges on a single die. The board must rotate the population's spikes
 // once per step, so the split population fires exactly like the whole
 // one, step for step.
 func TestChipSplitPopulationRotatesOnce(t *testing.T) {
-	build := func(ranges ...[2]int) (*Chip, *Population) {
-		chip := New(DefaultHardware())
+	build := func(ranges ...[2]int) (oneDie, *Population) {
+		chip := newOneDie(t, DefaultHardware())
 		p := NewPopulation("p", PopulationConfig{N: 4, Theta: 16})
 		for i, rg := range ranges {
-			if err := chip.AddPopulationRange(p, rg[0], rg[1], i, 4); err != nil {
+			if err := chip.Mesh.AddPopulation(p, 0, rg[0], rg[1], i, 4); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -273,7 +294,7 @@ func TestChipSplitPopulationRotatesOnce(t *testing.T) {
 func TestFanInValidation(t *testing.T) {
 	hw := DefaultHardware()
 	hw.MaxFanInPerCompartment = 5
-	chip := New(hw)
+	chip := newOneDie(t, hw)
 	a := ifPop("a", 4, 10)
 	b := ifPop("b", 2, 10)
 	c := ifPop("c", 2, 10)
@@ -293,7 +314,7 @@ func TestFanInValidation(t *testing.T) {
 func TestSynapseMemoryValidation(t *testing.T) {
 	hw := DefaultHardware()
 	hw.MaxSynapsesPerCore = 100
-	chip := New(hw)
+	chip := newOneDie(t, hw)
 	a := ifPop("a", 30, 10)
 	b := ifPop("b", 10, 10)
 	if err := chip.AddPopulation(a, 0, 30); err != nil {
@@ -318,15 +339,15 @@ func TestFailedRegistrationChargesNothing(t *testing.T) {
 		hw := DefaultHardware()
 		hw.NumCores = 2
 		hw.MaxCompartmentsPerCore = 10
-		chip := New(hw)
+		chip := newOneDie(t, hw)
 		if err := chip.AddPopulation(ifPop("full", 10, 10), 1, 10); err != nil {
 			t.Fatal(err)
 		}
 		// 5 per core from core 0: core 0 fits, core 1 is full.
-		if err := chip.AddPopulationRange(ifPop("p", 10, 10), 0, 10, 0, 5); err == nil {
+		if err := chip.Mesh.AddPopulation(ifPop("p", 10, 10), 0, 0, 10, 0, 5); err == nil {
 			t.Fatal("core 1 is full; expected budget error")
 		}
-		if occ := chip.CoreOccupancy(); !slices.Equal(occ, []int{0, 10}) {
+		if occ := chip.Die(0).CoreOccupancy(); !slices.Equal(occ, []int{0, 10}) {
 			t.Errorf("occupancy after failed registration = %v, want [0 10]", occ)
 		}
 		if got := chip.ActiveCores(); got != 1 {
@@ -340,7 +361,7 @@ func TestFailedRegistrationChargesNothing(t *testing.T) {
 		hw := DefaultHardware()
 		hw.MaxSynapsesPerCore = 100
 		hw.MaxFanInPerCompartment = 15
-		chip := New(hw)
+		chip := newOneDie(t, hw)
 		big := ifPop("big", 12, 10)
 		small := ifPop("small", 10, 10)
 		post := ifPop("post", 10, 10) // cores 1 and 2, 5 each
@@ -364,7 +385,7 @@ func TestFailedRegistrationChargesNothing(t *testing.T) {
 		if post.fanIn != 0 {
 			t.Errorf("fan-in after failed connect = %d, want 0", post.fanIn)
 		}
-		if got := chip.coreSynapses[:3]; !slices.Equal(got, []int{0, 0, 50}) {
+		if got := chip.Die(0).coreSynapses[:3]; !slices.Equal(got, []int{0, 0, 50}) {
 			t.Errorf("synapses per core after failed connect = %v, want [0 0 50]", got)
 		}
 		// Fan-in 10 ≤ 15 and 50 entries per core fit only if the failed
@@ -376,7 +397,7 @@ func TestFailedRegistrationChargesNothing(t *testing.T) {
 }
 
 func TestCountersTrackActivity(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	a := ifPop("a", 2, 10)
 	b := ifPop("b", 3, 1000)
 	if err := chip.AddPopulation(a, 0, 10); err != nil {
@@ -415,7 +436,7 @@ func TestCountersTrackActivity(t *testing.T) {
 }
 
 func TestResetStatePreservesWeights(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	a := ifPop("a", 1, 10)
 	b := ifPop("b", 1, 100)
 	if err := chip.AddPopulation(a, 0, 10); err != nil {

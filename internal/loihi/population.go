@@ -155,7 +155,7 @@ func (p *Population) SetPhaseGate(ctrl *Population) {
 }
 
 // SetBiases programs per-compartment biases (one host transaction's worth
-// of data; the caller accounts for it via Chip.CountHostTransaction).
+// of data; the caller accounts for it via Mesh.CountHostTransaction).
 func (p *Population) SetBiases(b []int32) {
 	if len(b) != p.N {
 		panic(fmt.Sprintf("loihi: population %q bias length %d != %d", p.Name, len(b), p.N))
@@ -200,15 +200,13 @@ func (p *Population) InjectSpikes(spikes []bool) int {
 	return p.bitsNow.Count()
 }
 
-// updateRange advances compartments [lo,hi) only — a range a chip hosts
-// (Chip.AddPopulationRange), or the whole population when the mesh
-// updates it in one pass — setting the bitsNow bit of every compartment
-// that fires. Compartment dynamics are strictly per-neuron, so
-// range-partitioned updates compose to exactly the full update
-// regardless of how [0,N) is cut. Ranges need not be
-// word-aligned: a die hosting several ranges of one population updates
-// them one after another, and each ORs only its own bits into words
-// rotate cleared.
+// updateRange advances compartments [lo,hi) only, setting the bitsNow
+// bit of every compartment that fires; the mesh updates each population
+// in one pass over [0,N). Compartment dynamics are strictly per-neuron,
+// so range-partitioned updates compose to exactly the full update
+// regardless of how [0,N) is cut. Ranges need not be word-aligned:
+// consecutive ranges each OR only their own bits into words rotate
+// cleared.
 func (p *Population) updateRange(lo, hi int) int {
 	now := p.bitsNow.Words()
 	trace := p.postTrace[lo:hi]

@@ -49,7 +49,7 @@ type Connector interface {
 	// reset clears all learning state at the sample boundary.
 	reset()
 	// setDelivery selects the spike-iteration kernel — the hook behind
-	// Chip.SetDelivery / Mesh.SetDelivery.
+	// Mesh.SetDelivery.
 	setDelivery(m DeliveryMode)
 
 	// GroupName identifies the group in errors and reports.

@@ -3,7 +3,7 @@ package loihi
 import "testing"
 
 func TestSparseGroupDelivery(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	a := ifPop("a", 3, 10)
 	b := ifPop("b", 3, 1000)
 	if err := chip.AddPopulation(a, 0, 10); err != nil {
@@ -71,7 +71,7 @@ func TestSparseMaxFanIn(t *testing.T) {
 }
 
 func TestPhaseGateBlocksUntilControlFires(t *testing.T) {
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	p := ifPop("p", 1, 10)
 	ctrl := ifPop("ctrl", 1, 10)
 	if err := chip.AddPopulation(p, 0, 10); err != nil {

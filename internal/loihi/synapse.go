@@ -59,7 +59,7 @@ type SynapseGroup struct {
 
 	// delivery selects the spike-iteration kernel (packed word traversal
 	// by default; dense kept for the equivalence tests — see
-	// Chip.SetDelivery).
+	// Mesh.SetDelivery).
 	delivery DeliveryMode
 
 	// tape is the optional steps×Post.N drive record of phase-2 input

@@ -13,9 +13,9 @@ import (
 // accumulator, plus a second, untaped group into the same population
 // connected after it (the error-injection position in the EMSTDP
 // netlist).
-func buildTapeChip(t *testing.T, steps int) (*Chip, *SynapseGroup, *Population) {
+func buildTapeChip(t *testing.T, steps int) (oneDie, *SynapseGroup, *Population) {
 	t.Helper()
-	chip := New(DefaultHardware())
+	chip := newOneDie(t, DefaultHardware())
 	in := NewPopulation("in", PopulationConfig{N: 64, Theta: 256, VMin: -256})
 	side := NewPopulation("side", PopulationConfig{N: 8, Theta: 256, VMin: -256})
 	hid := NewPopulation("hid", PopulationConfig{N: 16, Theta: 1 << 20, VMin: -(1 << 20)})
@@ -66,7 +66,7 @@ func TestDriveTapeReplayBitIdentical(t *testing.T) {
 	const steps = 32
 	replay, tg, rHid := buildTapeChip(t, steps)
 	live, lg, lHid := buildTapeChip(t, steps)
-	for _, c := range []*Chip{replay, live} {
+	for _, c := range []oneDie{replay, live} {
 		c.ResetState()
 	}
 	for s := 0; s < steps; s++ {
@@ -78,7 +78,7 @@ func TestDriveTapeReplayBitIdentical(t *testing.T) {
 	if !slices.Contains(tg.tape, fixed.StateMax) {
 		t.Fatal("no recorded drive saturated: the test does not cover saturation")
 	}
-	for _, c := range []*Chip{replay, live} {
+	for _, c := range []oneDie{replay, live} {
 		c.ResetPhaseTraces()
 		c.ResetMembranes()
 	}

@@ -31,21 +31,13 @@ func (r *Recorder) Tap(name string, p *loihi.Population) {
 	r.trains = append(r.trains, nil)
 }
 
-// Observe captures one timestep from every tapped population. Call after
-// each chip.Step().
+// Observe captures one timestep from every tapped population. Call it
+// after each step: set it as the board's loihi.Mesh.OnStep probe.
 func (r *Recorder) Observe() {
 	for i, p := range r.taps {
 		mask := make([]bool, p.N)
 		p.SpikeBits().ToBools(mask)
 		r.trains[i] = append(r.trains[i], mask)
-	}
-}
-
-// Run advances the chip n steps, observing after each.
-func (r *Recorder) Run(chip *loihi.Chip, n int) {
-	for i := 0; i < n; i++ {
-		chip.Step()
-		r.Observe()
 	}
 }
 

@@ -7,22 +7,34 @@ import (
 	"emstdp/internal/loihi"
 )
 
-func setup(t *testing.T) (*loihi.Chip, *loihi.Population, *Recorder) {
+// board registers p whole on a one-die mesh whose OnStep probe feeds a
+// fresh recorder tapping p.
+func board(t *testing.T, p *loihi.Population, perCore int) (*loihi.Mesh, *Recorder) {
 	t.Helper()
-	chip := loihi.New(loihi.DefaultHardware())
-	p := loihi.NewPopulation("p", loihi.PopulationConfig{N: 3, Theta: 4, VMin: -4})
-	if err := chip.AddPopulation(p, 0, 10); err != nil {
+	mesh, err := loihi.NewMesh(loihi.DefaultHardware(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mesh.AddPopulation(p, 0, 0, p.N, 0, perCore); err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecorder()
-	rec.Tap("p", p)
-	return chip, p, rec
+	rec.Tap(p.Name, p)
+	mesh.OnStep = rec.Observe
+	return mesh, rec
+}
+
+func setup(t *testing.T) (*loihi.Mesh, *loihi.Population, *Recorder) {
+	t.Helper()
+	p := loihi.NewPopulation("p", loihi.PopulationConfig{N: 3, Theta: 4, VMin: -4})
+	mesh, rec := board(t, p, 10)
+	return mesh, p, rec
 }
 
 func TestRecorderCaptures(t *testing.T) {
-	chip, p, rec := setup(t)
+	mesh, p, rec := setup(t)
 	p.SetBiases([]int32{4, 2, 0}) // rates 1, 0.5, 0
-	rec.Run(chip, 8)
+	mesh.Run(8)
 	if rec.Steps() != 8 {
 		t.Fatalf("steps = %d", rec.Steps())
 	}
@@ -36,9 +48,9 @@ func TestRecorderCaptures(t *testing.T) {
 }
 
 func TestRenderShape(t *testing.T) {
-	chip, p, rec := setup(t)
+	mesh, p, rec := setup(t)
 	p.SetBiases([]int32{4, 0, 0})
-	rec.Run(chip, 5)
+	mesh.Run(5)
 	out := rec.String()
 	if !strings.Contains(out, "p (3 neurons, 5 spikes)") {
 		t.Errorf("header missing:\n%s", out)
@@ -52,14 +64,9 @@ func TestRenderShape(t *testing.T) {
 }
 
 func TestRenderElision(t *testing.T) {
-	chip := loihi.New(loihi.DefaultHardware())
 	p := loihi.NewPopulation("big", loihi.PopulationConfig{N: 20, Theta: 4, VMin: -4})
-	if err := chip.AddPopulation(p, 0, 30); err != nil {
-		t.Fatal(err)
-	}
-	rec := NewRecorder()
-	rec.Tap("big", p)
-	rec.Run(chip, 3)
+	mesh, rec := board(t, p, 30)
+	mesh.Run(3)
 	var sb strings.Builder
 	rec.Render(&sb, 5, 0)
 	if !strings.Contains(sb.String(), "15 more neurons elided") {
@@ -68,14 +75,14 @@ func TestRenderElision(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	chip, p, rec := setup(t)
+	mesh, p, rec := setup(t)
 	p.SetBiases([]int32{4, 4, 4})
-	rec.Run(chip, 4)
+	mesh.Run(4)
 	rec.Reset()
 	if rec.Steps() != 0 {
 		t.Error("reset did not clear trains")
 	}
-	rec.Run(chip, 2)
+	mesh.Run(2)
 	if rec.Steps() != 2 {
 		t.Error("recorder unusable after reset")
 	}
