@@ -383,29 +383,6 @@ func BenchmarkParallelEvaluate_Workers1(b *testing.B) { benchParallelEvaluate(b,
 func BenchmarkParallelEvaluate_Workers2(b *testing.B) { benchParallelEvaluate(b, 2) }
 func BenchmarkParallelEvaluate_Workers4(b *testing.B) { benchParallelEvaluate(b, 4) }
 
-// benchBatchedTrain measures the replica-parallel mini-batch training
-// path (batch=8) at a given pool width.
-func benchBatchedTrain(b *testing.B, workers int) {
-	m, err := core.Build(core.Options{
-		Dataset: dataset.MNIST, Backend: core.FP,
-		TrainSamples: 200, TestSamples: 50, PretrainEpochs: 1,
-		Workers: workers, Batch: 8, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TrainEpoch()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(len(m.TrainFeatures()))*float64(b.N)/b.Elapsed().Seconds(), "samples/s")
-	b.ReportMetric(m.Evaluate().Accuracy()*100, "acc%")
-}
-
-func BenchmarkBatchedTrain_Workers1(b *testing.B) { benchBatchedTrain(b, 1) }
-func BenchmarkBatchedTrain_Workers4(b *testing.B) { benchBatchedTrain(b, 4) }
-
 // BenchmarkParallelTable1Grid runs a reduced Table I grid through the
 // experiment-level pool (cells sharded across workers).
 func BenchmarkParallelTable1Grid(b *testing.B) {

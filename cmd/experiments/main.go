@@ -13,9 +13,9 @@
 // a populated directory computes only what changed.
 //
 // Observability: -trace out.json records every layer (pool workers,
-// pipeline slots, orchestrator stages, mesh phases) as a
-// Chrome/Perfetto trace; -pprof addr serves net/http/pprof plus the
-// live counters snapshot while the run is in flight.
+// orchestrator stages, mesh phases) as a Chrome/Perfetto trace; -pprof
+// addr serves net/http/pprof plus the live counters snapshot while the
+// run is in flight.
 package main
 
 import (
@@ -59,8 +59,6 @@ func main() {
 	scale := flag.String("scale", "quick", "run scale: quick or full")
 	seed := flag.Uint64("seed", 1, "experiment seed")
 	workers := flag.Int("workers", 1, "engine pool width for sweep grids (1 = sequential, -1 = GOMAXPROCS)")
-	batch := flag.Int("batch", 1, "training mini-batch size (1 = the paper's online protocol)")
-	pipeline := flag.Int("pipeline", 0, "two-phase training pipeline depth (0/1 = strictly online; D>=2 overlaps D samples at update lag D-1)")
 	chips := flag.String("chips", "1", "comma-separated die counts the fig3 grid sweeps (e.g. 1,2,4)")
 	partition := flag.String("partition", "population", "multi-die sharding strategy: population, range or traffic")
 	topology := flag.String("topology", "line", "multi-die NoC topology: line, mesh or torus")
@@ -81,8 +79,6 @@ func main() {
 		os.Exit(2)
 	}
 	sc.Workers = *workers
-	sc.Batch = *batch
-	sc.Pipeline = *pipeline
 	dieCounts, err := parseChips(*chips)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -82,7 +82,7 @@ func packageTests(live map[string][]string, pattern string) []string {
 }
 
 // repoDirRef matches a cmd/, internal/ or examples/ path in prose: a
-// plain path (internal/engine/pipeline.go) or a brace list
+// plain path (internal/engine/pool.go) or a brace list
 // (cmd/{emstdp, serve}). A path that continues another one
 // (perfbench/cmd/x) does not match.
 var repoDirRef = regexp.MustCompile(`(?:^|[^\w/.-])(?:\./)?((?:cmd|internal|examples)/(?:\{[^}]*\}|[\w-]+(?:/[\w.-]+)*))`)

@@ -44,7 +44,8 @@ type Config struct {
 	// LayerSizes lists the dense trainable stack [featureIn, hidden..., out].
 	LayerSizes []int
 	// T is the phase length; must be a power of two (the integer
-	// learning-rate shift folds T² into a right-shift).
+	// learning-rate shift folds T² into a right-shift) no larger than
+	// Theta (input and label biases are multiples of Theta/T).
 	T int
 	// Mode selects FA or DFA feedback.
 	Mode emstdp.FeedbackMode
@@ -237,6 +238,11 @@ func newCommon(cfg Config) (*Network, error) {
 	}
 	if cfg.Theta <= 0 || cfg.Theta&(cfg.Theta-1) != 0 {
 		return nil, fmt.Errorf("chipnet: Theta=%d must be a positive power of two", cfg.Theta)
+	}
+	if cfg.T > int(cfg.Theta) {
+		// Input and label biases are whole multiples of the unit Theta/T,
+		// which integer division makes 0 here: nothing would ever fire.
+		return nil, fmt.Errorf("chipnet: phase length T=%d exceeds Theta=%d", cfg.T, cfg.Theta)
 	}
 	if cfg.Chips < 0 {
 		return nil, fmt.Errorf("chipnet: Chips=%d must be non-negative", cfg.Chips)

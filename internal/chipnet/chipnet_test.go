@@ -386,3 +386,31 @@ func TestChipConfigValidation(t *testing.T) {
 		t.Error("expected error for non-power-of-two Theta")
 	}
 }
+
+// TestChipRejectsPhaseLongerThanTheta pins the T ≤ Theta bound: input
+// and label biases are whole multiples of Theta/T, which is 0 once T
+// exceeds Theta, so such a network could never fire. It must fail to
+// build, while T = Theta still builds and fires.
+func TestChipRejectsPhaseLongerThanTheta(t *testing.T) {
+	cfg := DefaultConfig(20, 10, 2)
+	cfg.T = 2 * int(cfg.Theta)
+	if _, err := New(cfg); err == nil {
+		t.Fatalf("T=%d with Theta=%d built, want an error", cfg.T, cfg.Theta)
+	}
+	cfg.T = int(cfg.Theta)
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatalf("T = Theta = %d: %v", cfg.T, err)
+	}
+	x := make([]float64, 20)
+	for i := range x {
+		x[i] = 0.9
+	}
+	total := 0
+	for _, c := range n.Counts(x) {
+		total += c
+	}
+	if total == 0 {
+		t.Fatal("T = Theta: no output spikes for a strong input")
+	}
+}

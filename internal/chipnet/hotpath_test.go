@@ -74,8 +74,8 @@ func TestChipTrainingBitIdenticalAcrossDelivery(t *testing.T) {
 // TestChipTrainSampleAndPredictAllocateNothing mirrors the FP backend's
 // zero-allocation guarantee on the cycle-level simulator: after warm-up
 // the two-phase schedule and inference must not allocate per sample —
-// on one die or a 4-die mesh, on a Clone()d replica capturing its
-// update, or through the event-input schedule.
+// on one die or a 4-die mesh, on a Clone()d replica's inference, or
+// through the event-input schedule.
 func TestChipTrainSampleAndPredictAllocateNothing(t *testing.T) {
 	cfg := DefaultConfig(40, 30, 10)
 	net, err := New(cfg)
@@ -115,21 +115,18 @@ func TestChipTrainSampleAndPredictAllocateNothing(t *testing.T) {
 		t.Errorf("4-die mesh TrainSample allocates %.1f objects per call, want 0", avg)
 	}
 
-	// A replica's pass, as the engine's workers run it: the drive tape
-	// and the update snapshot are built up front, never per sample.
+	// A replica's inference, as the evaluation and snapshot replicas run
+	// it: a Clone()d network's staging is built at clone time, never per
+	// sample.
 	replica, err := net.Clone()
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := replica.CaptureUpdate()
-	replica.ProgramSample(xs[2], ys[2])
-	replica.RunPhases(true)
+	replica.Predict(xs[2])
 	if avg := testing.AllocsPerRun(20, func() {
-		replica.ProgramSample(xs[2], ys[2])
-		replica.RunPhases(true)
-		u = replica.CaptureUpdateInto(u)
+		replica.Predict(xs[2])
 	}); avg != 0 {
-		t.Errorf("Clone()d replica ProgramSample→RunPhases→CaptureUpdateInto allocates %.1f objects per call, want 0", avg)
+		t.Errorf("Clone()d replica Predict allocates %.1f objects per call, want 0", avg)
 	}
 
 	// Event input: the same boundary and step loop with per-step spike

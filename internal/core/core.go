@@ -28,7 +28,6 @@ import (
 	"emstdp/internal/mapping"
 	"emstdp/internal/metrics"
 	"emstdp/internal/rng"
-	"emstdp/internal/stream"
 	"emstdp/internal/tensor"
 	"emstdp/internal/trace"
 )
@@ -97,40 +96,21 @@ type Options struct {
 	// equivalent, runtime much lower, so experiments that only need the
 	// dense part's learning behaviour use false.
 	ConvOnChip bool
-	// Workers is the engine worker-pool width for Train and Evaluate.
-	// 0 or 1 (the default) is fully sequential; negative selects
-	// GOMAXPROCS. Results are bit-identical across widths at a fixed
-	// seed: evaluation is sharded over weight-synchronised replicas, and
-	// batched training applies replica-computed updates on the master in
-	// sample order.
+	// Workers is the engine worker-pool width for Evaluate. 0 or 1 (the
+	// default) is fully sequential; negative selects GOMAXPROCS.
+	// Training is the paper's online protocol and always runs on the
+	// master. Results are bit-identical across widths at a fixed seed:
+	// evaluation is sharded over weight-synchronised replicas.
 	Workers int
-	// Batch is the training mini-batch size. 1 (the default) is the
-	// paper's online protocol (§IV-A) and runs sequentially regardless
-	// of Workers. Batch > 1 computes each batch member's update from the
-	// batch-start weights on pool replicas — a different (data-parallel)
-	// protocol whose results depend on Batch but not on Workers.
-	Batch int
-	// Pipeline is the two-phase training pipeline depth. 0 or 1 (the
-	// default) trains strictly online; a depth D >= 2 keeps D samples in
-	// flight across D replicas (engine.Group.TrainPipelined), each
-	// sample's two-phase pass running against one consistent weight
-	// version that lags the online schedule by exactly D-1 updates.
-	// Unlike Batch, every update is still computed from a single sample
-	// and applied in sample order — bounded-lag batch-1 — and the
-	// realized schedule depends on D alone, never on Workers. D = 2
-	// overlaps phase 1 of sample k+1 with phase 2 of sample k for ~2×
-	// online-training throughput. Takes precedence over Batch.
-	Pipeline int
 	// Seed drives every random choice (default 1).
 	Seed uint64
 	// Trace, when set, records the run's timeline onto the shared
-	// tracer: engine pool-worker chunk spans, pipeline slot/coordinator
-	// spans and the chip mesh's per-step sub-phase spans all land on its
-	// tracks (export with trace.Tracer.WriteChromeTrace). Purely
-	// observational — results are bit-identical with and without a
-	// tracer attached — and excluded from stage canonicalisation, so
-	// attaching one never invalidates sweep caches. Nil (the default)
-	// records nothing.
+	// tracer: engine pool-worker chunk spans and the chip mesh's
+	// per-step sub-phase spans land on its tracks (export with
+	// trace.Tracer.WriteChromeTrace). Purely observational — results are
+	// bit-identical with and without a tracer attached — and excluded
+	// from stage canonicalisation, so attaching one never invalidates
+	// sweep caches. Nil (the default) records nothing.
 	Trace *trace.Tracer
 }
 
@@ -160,9 +140,6 @@ func (o Options) withDefaults() Options {
 		o.Workers = 1
 	} else if o.Workers < 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Batch <= 0 {
-		o.Batch = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -311,8 +288,8 @@ func (m *Model) Runner() engine.Runner {
 	return m.chip
 }
 
-// Group returns the engine replica group driving Train and Evaluate,
-// building it (and its worker pool) on first use.
+// Group returns the engine replica group driving Evaluate and weight
+// snapshots, building it (and its worker pool) on first use.
 func (m *Model) Group() *engine.Group {
 	if m.grp == nil {
 		m.grp = engine.NewGroup(m.Runner(), engine.NewPool(m.Opts.Workers))
@@ -323,11 +300,10 @@ func (m *Model) Group() *engine.Group {
 	return m.grp
 }
 
-// Close releases the background resources a model may hold — the
-// released snapshot replicas and the pipelined training path's
-// persistent stage workers. Safe (and a no-op) on a model that never
-// went parallel; sweep harnesses and the serving layer's tenant-delete
-// path must close each model when done with it.
+// Close releases the released snapshot replicas a model may hold. Safe
+// (and a no-op) on a model that never cut a snapshot; sweep harnesses
+// and the serving layer's tenant-delete path close each model when done
+// with it.
 func (m *Model) Close() {
 	if m.grp != nil {
 		m.grp.Close()
@@ -354,36 +330,12 @@ func (m *Model) backendSamples(train bool) []metrics.Sample {
 }
 
 // TrainEpoch trains on the whole training split once, in a fresh random
-// order. With the default Batch=1 this is the paper's online protocol
-// (batch size 1, no augmentation — §IV-A), executed sequentially on the
-// backend. Batch > 1 shards each mini-batch's two-phase passes across
-// the worker pool's replicas and applies the updates in sample order.
-// Pipeline > 1 instead runs the bounded-lag two-phase pipeline: updates
-// stay per-sample and in order, but each pass reads weights lagging
-// exactly Pipeline-1 updates, so Pipeline passes overlap across
-// replicas.
+// order: the paper's online protocol (batch size 1, no augmentation —
+// §IV-A), one TrainSample per sample on the backend.
 func (m *Model) TrainEpoch() {
-	// The realised order copies sample headers, not sample data.
 	samples := m.backendSamples(true)
-	ordered := make([]metrics.Sample, len(samples))
-	for i, idx := range m.shuffler.Perm(len(samples)) {
-		ordered[i] = samples[idx]
-	}
-	src := stream.NewSliceSource(ordered)
-	var err error
-	if m.Opts.Pipeline > 1 {
-		err = m.Group().TrainPipelined(src, m.Opts.Pipeline)
-	} else {
-		_, err = m.Group().TrainStream(src, m.Opts.Batch)
-	}
-	if err != nil {
-		// Replica construction can only fail on backend config errors
-		// that Build would already have surfaced. Every sample the
-		// engine pulled is trained, so finish the epoch online from the
-		// same source rather than dropping or repeating any of it.
-		for s, ok := src.Next(); ok; s, ok = src.Next() {
-			m.TrainSample(s.X, s.Y)
-		}
+	for _, idx := range m.shuffler.Perm(len(samples)) {
+		m.TrainSample(samples[idx].X, samples[idx].Y)
 	}
 }
 

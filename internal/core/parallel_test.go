@@ -7,7 +7,7 @@ import (
 )
 
 // buildParallel constructs a small model with the given engine options.
-func buildParallel(t *testing.T, backend Backend, workers, batch int) *Model {
+func buildParallel(t *testing.T, backend Backend, workers int) *Model {
 	t.Helper()
 	m, err := Build(Options{
 		Dataset:        dataset.MNIST,
@@ -16,7 +16,6 @@ func buildParallel(t *testing.T, backend Backend, workers, batch int) *Model {
 		TestSamples:    60,
 		PretrainEpochs: 1,
 		Workers:        workers,
-		Batch:          batch,
 		Seed:           1,
 	})
 	if err != nil {
@@ -26,15 +25,15 @@ func buildParallel(t *testing.T, backend Backend, workers, batch int) *Model {
 }
 
 // TestModelParallelismIsBitIdentical is the end-to-end determinism
-// check: the same model options with 1 vs 4 workers (same batch) must
-// produce identical weights and an identical confusion matrix.
+// check: the same model options with 1 vs 4 workers must produce
+// identical weights and an identical confusion matrix.
 func TestModelParallelismIsBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
 	for _, backend := range []Backend{FP, Chip} {
-		m1 := buildParallel(t, backend, 1, 4)
-		m4 := buildParallel(t, backend, 4, 4)
+		m1 := buildParallel(t, backend, 1)
+		m4 := buildParallel(t, backend, 4)
 		m1.Train(1)
 		m4.Train(1)
 
@@ -72,14 +71,14 @@ func TestModelParallelismIsBitIdentical(t *testing.T) {
 }
 
 // TestParallelEvaluateMatchesSequentialAfterOnlineTraining checks the
-// Workers knob alone (Batch=1, the paper's protocol): evaluation through
-// replicas must reproduce the sequential confusion matrix exactly.
+// Workers knob alone: evaluation through replicas must reproduce the
+// sequential confusion matrix exactly.
 func TestParallelEvaluateMatchesSequentialAfterOnlineTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	seq := buildParallel(t, FP, 1, 1)
-	par := buildParallel(t, FP, 4, 1)
+	seq := buildParallel(t, FP, 1)
+	par := buildParallel(t, FP, 4)
 	seq.Train(1)
 	par.Train(1)
 	cmS, cmP := seq.Evaluate(), par.Evaluate()

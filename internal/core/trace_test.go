@@ -23,14 +23,14 @@ func assertSamePredictions(t *testing.T, label string, a, b *Model) {
 }
 
 // TestTraceDoesNotPerturbTraining pins the whole-stack observational
-// contract: a model trained with a live tracer (pipelined FP path —
-// pool and pipeline slots active) is bit-identical to an untraced one.
+// contract: an FP model trained and evaluated with a live tracer (pool
+// workers active) is bit-identical to an untraced one.
 func TestTraceDoesNotPerturbTraining(t *testing.T) {
 	build := func(tr *trace.Tracer) *Model {
 		opts := smallOpts(FP)
 		opts.TrainSamples = 120
 		opts.TestSamples = 60
-		opts.Pipeline = 2
+		opts.Workers = 2
 		opts.Trace = tr
 		m, err := Build(opts)
 		if err != nil {
@@ -45,14 +45,14 @@ func TestTraceDoesNotPerturbTraining(t *testing.T) {
 	defer plain.Close()
 	defer traced.Close()
 
-	assertSamePredictions(t, "fp pipeline", plain, traced)
+	assertSamePredictions(t, "fp workers=2", plain, traced)
 
 	events := 0
 	for _, tk := range tr.Tracks() {
 		events += tk.Len() + int(tk.Dropped())
 	}
 	if events == 0 {
-		t.Fatal("live tracer recorded nothing across a full training run")
+		t.Fatal("live tracer recorded nothing across a training and evaluation run")
 	}
 }
 

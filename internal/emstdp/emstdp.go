@@ -203,15 +203,14 @@ type Network struct {
 	// Reusable per-sample scratch, so the TrainSample/Predict hot loop
 	// allocates nothing after construction (enforced by AllocsPerRun
 	// tests): input and label-neuron levels, the output-gate mask,
-	// per-hidden-bank direction gates (latched at the phase boundary),
-	// and the counter views ApplyUpdate hands to applyFrom.
-	levels             []int
-	labelLevels        []int
-	gateOut            []bool
-	gatePosBuf         [][]bool
-	gateNegBuf         [][]bool
-	applyH1V, applyH2V [][]int
-	// clip and qstep are applyFrom's per-layer weight bound and
+	// and per-hidden-bank direction gates (latched at the phase
+	// boundary).
+	levels      []int
+	labelLevels []int
+	gateOut     []bool
+	gatePosBuf  [][]bool
+	gateNegBuf  [][]bool
+	// clip and qstep are apply's per-layer weight bound and
 	// quantization grid step, hoisted out of the per-output update loop
 	// (bit-identical: the loop used to recompute the same float64 values
 	// per output neuron).
@@ -249,7 +248,7 @@ func New(cfg Config) *Network {
 		if step := layerStep(cfg, layerClip(cfg, fanIn)); step > 0 && cfg.QuantPow2 {
 			// Snap the initial weights onto the power-of-two grid so the
 			// layer holds mantissa×step weights from the first step.
-			// Every later update lands back on the grid (applyFrom
+			// Every later update lands back on the grid (apply
 			// rounds to the same step).
 			for k, w := range l.W {
 				m := int64(w/step + 0.5)
@@ -318,12 +317,6 @@ func (n *Network) initScratch() {
 	for i, e := range n.errHidden {
 		n.gatePosBuf[i] = make([]bool, e.Len())
 		n.gateNegBuf[i] = make([]bool, e.Len())
-	}
-	n.applyH1V = make([][]int, len(n.h1))
-	n.applyH2V = make([][]int, len(n.h2))
-	for i := range n.h1 {
-		n.applyH1V[i] = n.h1[i].Counts
-		n.applyH2V[i] = n.h2[i].Counts
 	}
 	n.clip = make([]float64, len(n.layers))
 	n.qstep = make([]float64, len(n.layers))
@@ -808,24 +801,19 @@ func (n *Network) gateHi() int {
 	return n.cfg.T / 2
 }
 
-// applyFrom performs eq (7): Δw = η·(ĥ−h)/T · h_pre/T for every
-// trainable layer, from the given phase counters (encoder phase-2
-// counts, then per-layer phase-1 and phase-2 counts). Counters may come
-// from this network's own RunPhases or from a replica's captured update;
-// either way the stochastic-rounding bits are drawn from THIS network's
-// quantRNG, which keeps replica-computed training bit-identical to the
-// sequential walk.
-func (n *Network) applyFrom(enc []int, h1, h2 [][]int) {
+// apply performs eq (7): Δw = η·(ĥ−h)/T · h_pre/T for every trainable
+// layer, from the phase counters the last RunPhases(true) left behind
+// (encoder phase-2 counts, then per-layer phase-1 and phase-2 counts),
+// drawing stochastic-rounding bits from quantRNG.
+func (n *Network) apply() {
 	T := float64(n.cfg.T)
 	for li, layer := range n.layers {
-		var pre []int
-		if li == 0 {
-			pre = enc
-		} else {
-			pre = h2[li-1]
+		pre := n.encCount.Counts
+		if li > 0 {
+			pre = n.h2[li-1].Counts
 		}
-		post1 := h1[li]
-		post2 := h2[li]
+		post1 := n.h1[li].Counts
+		post2 := n.h2[li].Counts
 		isOutput := li == len(n.layers)-1
 		clip := n.clip[li]
 		step := n.qstep[li]

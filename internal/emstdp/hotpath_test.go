@@ -147,8 +147,8 @@ func TestCountsMatchPredictPath(t *testing.T) {
 // TestTrainSampleAndPredictAllocateNothing enforces the zero-allocation
 // guarantee of the per-sample hot loop: after warm-up, neither the full
 // two-phase training pass nor inference may allocate — on the network
-// itself, on a Clone()d replica capturing its update, or on a
-// two-hidden-layer FA network. A regression here reintroduces GC
+// itself, on a Clone()d replica's inference, or on a two-hidden-layer
+// FA network. A regression here reintroduces GC
 // pressure on the path that runs hundreds of times per second.
 func TestTrainSampleAndPredictAllocateNothing(t *testing.T) {
 	cfg := DefaultConfig(50, 30, 10)
@@ -169,18 +169,15 @@ func TestTrainSampleAndPredictAllocateNothing(t *testing.T) {
 		t.Errorf("Predict allocates %.1f objects per call, want 0", avg)
 	}
 
-	// A replica's pass, as the engine's workers run it: the replay buffer
-	// and the update snapshot are built up front, never per sample.
+	// A replica's inference, as the evaluation and snapshot replicas run
+	// it: a Clone()d network's scratch is built at clone time, never per
+	// sample.
 	replica := net.Clone()
-	u := replica.CaptureUpdate()
-	replica.ProgramSample(xs[2], ys[2])
-	replica.RunPhases(true)
+	replica.Predict(xs[2])
 	if avg := testing.AllocsPerRun(50, func() {
-		replica.ProgramSample(xs[2], ys[2])
-		replica.RunPhases(true)
-		u = replica.CaptureUpdateInto(u)
+		replica.Predict(xs[2])
 	}); avg != 0 {
-		t.Errorf("Clone()d replica ProgramSample→RunPhases→CaptureUpdateInto allocates %.1f objects per call, want 0", avg)
+		t.Errorf("Clone()d replica Predict allocates %.1f objects per call, want 0", avg)
 	}
 
 	// Two hidden layers under FA: the relay and the chained error banks.

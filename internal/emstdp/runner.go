@@ -9,19 +9,11 @@ import (
 )
 
 // This file implements the engine.Runner contract: the full-precision
-// network is one of the two backends the execution layer shards work
-// across. ProgramSample and RunPhases live in emstdp.go next to the
-// dynamics they stage.
+// network is one of the two backends the execution layer shards
+// evaluation across. ProgramSample and RunPhases live in emstdp.go next
+// to the dynamics they stage.
 
 var _ engine.Runner = (*Network)(nil)
-
-// fpUpdate is the full-precision backend's captured learning state: the
-// phase spike counters eq (7) consumes.
-type fpUpdate struct {
-	enc []int
-	h1  [][]int
-	h2  [][]int
-}
 
 // ReadCounts returns a copy of the output layer's phase-1 spike counts
 // from the most recent RunPhases.
@@ -31,58 +23,13 @@ func (n *Network) ReadCounts() []int {
 	return out
 }
 
-// CaptureUpdate snapshots the counters RunPhases(true) left behind so
-// the update can be applied on another replica (the master) later.
-func (n *Network) CaptureUpdate() engine.Update {
-	u := &fpUpdate{
-		enc: append([]int(nil), n.encCount.Counts...),
-		h1:  make([][]int, len(n.h1)),
-		h2:  make([][]int, len(n.h2)),
-	}
-	for i := range n.h1 {
-		u.h1[i] = append([]int(nil), n.h1[i].Counts...)
-		u.h2[i] = append([]int(nil), n.h2[i].Counts...)
-	}
-	return u
-}
-
-// CaptureUpdateInto is CaptureUpdate recycling a previously captured
-// snapshot's storage — the engine pipeline's zero-allocation steady
-// state. A u of foreign type or shape (only possible across topologies,
-// which replicas never mix) is discarded for a fresh snapshot.
-func (n *Network) CaptureUpdateInto(u engine.Update) engine.Update {
-	fu, ok := u.(*fpUpdate)
-	if !ok || len(fu.enc) != len(n.encCount.Counts) || len(fu.h1) != len(n.h1) {
-		return n.CaptureUpdate()
-	}
-	for i := range n.h1 {
-		if len(fu.h1[i]) != len(n.h1[i].Counts) || len(fu.h2[i]) != len(n.h2[i].Counts) {
-			return n.CaptureUpdate()
-		}
-	}
-	copy(fu.enc, n.encCount.Counts)
-	for i := range n.h1 {
-		copy(fu.h1[i], n.h1[i].Counts)
-		copy(fu.h2[i], n.h2[i].Counts)
-	}
-	return fu
-}
-
-// ApplyUpdate applies eq (7) from a captured snapshot, or from this
-// network's own post-RunPhases counters when u is nil (the
-// allocation-free sequential path).
+// ApplyUpdate applies eq (7) from this network's own post-RunPhases
+// counters. u must be nil (see engine.Runner).
 func (n *Network) ApplyUpdate(u engine.Update) {
-	if u == nil {
-		// applyH1V/applyH2V are prebuilt views over the live counters, so
-		// the sequential path allocates nothing.
-		n.applyFrom(n.encCount.Counts, n.applyH1V, n.applyH2V)
-		return
+	if u != nil {
+		panic(fmt.Sprintf("emstdp: ApplyUpdate takes nil only, got %T", u))
 	}
-	fu, ok := u.(*fpUpdate)
-	if !ok {
-		panic(fmt.Sprintf("emstdp: foreign update type %T", u))
-	}
-	n.applyFrom(fu.enc, fu.h1, fu.h2)
+	n.apply()
 }
 
 // Clone returns a replica: same configuration, a copy of the current

@@ -19,9 +19,8 @@ import (
 // and a pass is a pure function of (weights, input), so spreading the
 // same passes across replicas only relocates increments between chips —
 // the reduced totals, and therefore Analyze's time/power/energy, are
-// invariant. The training half of the pin — pipelined training against
-// the sequential walk of the same schedule — lives beside that
-// schedule's reference in the engine's pipeline conformance suite.
+// invariant. Training runs on the master alone, so it needs no such
+// pin.
 
 // samplesFor draws the deterministic workload both runs measure.
 func samplesFor(n, in, classes int) []metrics.Sample {

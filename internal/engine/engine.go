@@ -2,41 +2,22 @@
 // EMSTDP backends. It defines the Runner contract that both the
 // full-precision reference (emstdp.Network) and the on-chip
 // implementation (chipnet.Network) satisfy, and provides a worker Pool
-// plus a replica Group that shard evaluation and mini-batch training
-// across goroutines.
+// plus a replica Group that shard evaluation across goroutines.
 //
-// The paper's evaluation is embarrassingly parallel — independent test
-// samples, independent sweep cells — but EMSTDP training is an online,
-// order-dependent protocol. The engine reconciles the two with a
-// replica scheme whose results are bit-identical to the sequential path
-// at a fixed seed, for any worker count:
-//
-//   - Evaluation: each worker owns a replica with the master's weights;
-//     a prediction depends only on weights and input (all per-sample
-//     state is reset), so sharding samples across replicas and
-//     collecting predictions by index reproduces the sequential pass
-//     exactly.
-//   - Training: samples are grouped into mini-batches. Every batch
-//     member's two-phase pass runs on a replica holding the batch-start
-//     weights; the resulting updates are captured and applied to the
-//     master in sample order, consuming the master's stochastic-rounding
-//     streams exactly as a sequential batch walk would. The division of
-//     a batch among workers therefore cannot affect the result — only
-//     the batch size can (Batch=1 is the paper's online protocol and
-//     runs directly on the master).
-//
-// Training has two entry points, both pulling samples from a
-// stream.Source: Group.TrainStream (online or mini-batch) and
-// Group.TrainPipelined (the bounded-lag two-phase pipeline). Background
-// evaluation classifies a Group.Snapshot on its own goroutine.
+// EMSTDP training is the paper's online protocol (§IV-A): one sample at
+// a time, each update applied before the next sample runs, so it runs
+// on the master alone (core.Model.TrainEpoch). Evaluation is
+// embarrassingly parallel: each worker owns a replica with the master's
+// weights, a prediction depends only on weights and input (all
+// per-sample state is reset), so sharding samples across replicas and
+// collecting predictions by index reproduces the sequential pass
+// exactly, for any worker count. Background evaluation classifies a
+// Group.Snapshot on its own goroutine.
 package engine
 
-// Update is an opaque, backend-specific snapshot of the learning state a
-// replica produced with RunPhases(train=true): for the full-precision
-// backend the phase spike counters, for the chip backend the synaptic
-// traces and tags the learning engine consumes. Updates are captured on
-// replicas and applied on the master, in sample order, so the master's
-// stochastic-rounding RNG streams advance exactly as in a sequential run.
+// Update is the argument type of Runner.ApplyUpdate. Both backends
+// accept only nil, meaning "the update the runner's own last
+// RunPhases(true) left behind".
 type Update interface{}
 
 // Runner is the per-network execution contract. A Runner owns one
@@ -54,21 +35,11 @@ type Runner interface {
 	// ReadCounts returns a copy of the output layer's phase-1 spike
 	// counts from the most recent RunPhases.
 	ReadCounts() []int
-	// CaptureUpdate snapshots the learning state left by
-	// RunPhases(true) so the update can be applied later, possibly on a
-	// different replica of the same network.
-	CaptureUpdate() Update
-	// CaptureUpdateInto behaves like CaptureUpdate but may reuse u's
-	// storage when u was captured from a runner of the same topology,
-	// returning the snapshot (u recycled, or a fresh one). The
-	// pipeline's steady state allocates nothing through it.
-	CaptureUpdateInto(u Update) Update
-	// ApplyUpdate applies a weight update: from the captured snapshot u,
-	// or from the runner's own post-RunPhases state when u is nil (the
-	// allocation-free sequential path). Stochastic-rounding random bits
-	// are always drawn from this runner's streams, which is what makes
-	// replica-computed, master-applied training bit-identical to the
-	// sequential walk.
+	// ApplyUpdate applies the weight update the runner's own last
+	// RunPhases(true) left behind, drawing stochastic-rounding bits from
+	// the runner's own streams. u must be nil: both backends panic
+	// otherwise. The parameter remains only because the perfbench
+	// module calls ApplyUpdate(nil) through this interface.
 	ApplyUpdate(u Update)
 	// Predict classifies x with a full inference pass (program + phase 1
 	// + argmax with membrane tie-breaking).

@@ -1,7 +1,8 @@
-// Determinism tests for the execution engine: at a fixed seed, training
-// and evaluation through the Pool must be bit-identical for any worker
-// count, on both backends. This is the property that lets the
-// experiments scale across cores without giving up reproducibility.
+// Determinism tests for the execution engine: at a fixed seed,
+// evaluation through the Pool must be bit-identical for any worker
+// count, on both backends, and replicas must carry exactly the master's
+// weights and training masks. This is the property that lets evaluation
+// scale across cores without giving up reproducibility.
 package engine_test
 
 import (
@@ -10,10 +11,8 @@ import (
 	"emstdp/internal/chipnet"
 	"emstdp/internal/emstdp"
 	"emstdp/internal/engine"
-	"emstdp/internal/loihi"
 	"emstdp/internal/metrics"
 	"emstdp/internal/rng"
-	"emstdp/internal/stream"
 )
 
 // synthSamples draws a deterministic labelled toy set.
@@ -74,88 +73,38 @@ func chipWeights(n *chipnet.Network) []int8 {
 	return w
 }
 
-func trainThrough(t *testing.T, r engine.Runner, workers, batch int, samples []metrics.Sample) {
-	t.Helper()
-	g := engine.NewGroup(r, engine.NewPool(workers))
-	if _, err := g.TrainStream(stream.NewSliceSource(samples), batch); err != nil {
-		t.Fatal(err)
+// trainOn walks the first n samples of the cyclic sequence samples[0],
+// samples[1], … through the paper's online protocol on r: one
+// ProgramSample → RunPhases(true) → ApplyUpdate(nil) per sample.
+func trainOn(r engine.Runner, samples []metrics.Sample, n int) {
+	for i := 0; i < n; i++ {
+		s := samples[i%len(samples)]
+		r.ProgramSample(s.X, s.Y)
+		r.RunPhases(true)
+		r.ApplyUpdate(nil)
 	}
 }
 
-// reducedCounters sums the activity counters of the given runners in
-// argument order — the reduction Group.Counters performs over the
-// runners a group owns, applied to runners a reference walk drove
-// outside any group. ok is false when none of them accrues counters.
-func reducedCounters(rs ...engine.Runner) (total loihi.Counters, ok bool) {
-	for _, r := range rs {
-		if cr, is := r.(engine.CounterRunner); is {
-			total.Add(cr.Counters())
-			ok = true
-		}
-	}
-	return total, ok
-}
-
-func TestFPTrainBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	samples := synthSamples(32, 20, 4, 3)
-	n1 := fpNet(t)
-	trainThrough(t, n1, 1, 4, samples)
-	n4 := fpNet(t)
-	trainThrough(t, n4, 4, 4, samples)
-
-	w1, w4 := fpWeights(n1), fpWeights(n4)
-	for i := range w1 {
-		if w1[i] != w4[i] {
-			t.Fatalf("weight %d diverged: 1 worker %v vs 4 workers %v", i, w1[i], w4[i])
-		}
+// runnersUnderTest enumerates the two backends every group contract
+// must hold on.
+func runnersUnderTest() map[string]func(*testing.T) engine.Runner {
+	return map[string]func(*testing.T) engine.Runner{
+		"fp":   func(t *testing.T) engine.Runner { return fpNet(t) },
+		"chip": func(t *testing.T) engine.Runner { return chipNet(t) },
 	}
 }
 
-func TestChipTrainBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	samples := synthSamples(24, 20, 4, 3)
-	n1 := chipNet(t)
-	trainThrough(t, n1, 1, 4, samples)
-	n4 := chipNet(t)
-	trainThrough(t, n4, 4, 4, samples)
+// mockRunner is a Runner with no network behind it, for group
+// lifecycle tests that never run a pass.
+type mockRunner struct{}
 
-	w1, w4 := chipWeights(n1), chipWeights(n4)
-	for i := range w1 {
-		if w1[i] != w4[i] {
-			t.Fatalf("mantissa %d diverged: 1 worker %v vs 4 workers %v", i, w1[i], w4[i])
-		}
-	}
-}
-
-func TestBatch1MatchesDirectSequentialTraining(t *testing.T) {
-	samples := synthSamples(24, 20, 4, 5)
-
-	seq := fpNet(t)
-	for _, s := range samples {
-		seq.TrainSample(s.X, s.Y)
-	}
-	eng := fpNet(t)
-	trainThrough(t, eng, 4, 1, samples) // batch=1: pool width must not matter
-
-	ws, we := fpWeights(seq), fpWeights(eng)
-	for i := range ws {
-		if ws[i] != we[i] {
-			t.Fatalf("weight %d: sequential %v vs engine batch=1 %v", i, ws[i], we[i])
-		}
-	}
-
-	cseq := chipNet(t)
-	for _, s := range samples {
-		cseq.TrainSample(s.X, s.Y)
-	}
-	ceng := chipNet(t)
-	trainThrough(t, ceng, 4, 1, samples)
-	cs, ce := chipWeights(cseq), chipWeights(ceng)
-	for i := range cs {
-		if cs[i] != ce[i] {
-			t.Fatalf("mantissa %d: sequential %v vs engine batch=1 %v", i, cs[i], ce[i])
-		}
-	}
-}
+func (mockRunner) ProgramSample(x []float64, label int) {}
+func (mockRunner) RunPhases(train bool)                 {}
+func (mockRunner) ReadCounts() []int                    { return nil }
+func (mockRunner) ApplyUpdate(engine.Update)            {}
+func (mockRunner) Predict(x []float64) int              { return 0 }
+func (mockRunner) CloneRunner() (engine.Runner, error)  { return mockRunner{}, nil }
+func (mockRunner) SyncWeights(src engine.Runner) error  { return nil }
 
 func TestParallelPredictMatchesSequential(t *testing.T) {
 	train := synthSamples(16, 20, 4, 11)
@@ -166,7 +115,7 @@ func TestParallelPredictMatchesSequential(t *testing.T) {
 		"chip": func(t *testing.T) engine.Runner { return chipNet(t) },
 	} {
 		n := build(t)
-		trainThrough(t, n, 1, 1, train)
+		trainOn(n, train, len(train))
 
 		want := make([]int, len(test))
 		for i, s := range test {
@@ -189,7 +138,7 @@ func TestGroupEvaluateAccumulatesInSampleOrder(t *testing.T) {
 	train := synthSamples(16, 20, 4, 11)
 	test := synthSamples(30, 20, 4, 17)
 	n := fpNet(t)
-	trainThrough(t, n, 1, 1, train)
+	trainOn(n, train, len(train))
 
 	g1 := engine.NewGroup(fpCopy(t, n, train), engine.NewPool(1))
 	g4 := engine.NewGroup(n, engine.NewPool(4))
@@ -213,7 +162,7 @@ func TestGroupEvaluateAccumulatesInSampleOrder(t *testing.T) {
 func fpCopy(t *testing.T, _ *emstdp.Network, train []metrics.Sample) *emstdp.Network {
 	t.Helper()
 	n := fpNet(t)
-	trainThrough(t, n, 1, 1, train)
+	trainOn(n, train, len(train))
 	return n
 }
 
@@ -258,7 +207,7 @@ func TestChipSyncWeightsCarriesTrainingMasks(t *testing.T) {
 func TestCloneRunnerIsIndependentReplica(t *testing.T) {
 	samples := synthSamples(8, 20, 4, 19)
 	n := fpNet(t)
-	trainThrough(t, n, 1, 1, samples)
+	trainOn(n, samples, len(samples))
 
 	r, err := n.CloneRunner()
 	if err != nil {
@@ -292,5 +241,46 @@ func TestCloneRunnerIsIndependentReplica(t *testing.T) {
 		if wa[i] != wb[i] {
 			t.Fatalf("post-sync weight %d differs", i)
 		}
+	}
+}
+
+// TestGroupCountersMatchSequentialEvaluation pins the counter-reduction
+// contract on evaluation: after ResetCounters, the activity counters a
+// 4-wide group reduces over its master and replicas equal the counters
+// of one chip classifying the same samples sequentially, including
+// replicas the measured call itself builds. The FP backend accrues no
+// counters and reports ok=false.
+func TestGroupCountersMatchSequentialEvaluation(t *testing.T) {
+	train := synthSamples(12, 20, 4, 29)
+	test := synthSamples(30, 20, 4, 31)
+
+	ref := chipNet(t)
+	trainOn(ref, train, len(train))
+	ref.ResetCounters()
+	for _, s := range test {
+		ref.Predict(s.X)
+	}
+	want := ref.Counters()
+	if want.Spikes == 0 {
+		t.Fatal("sequential evaluation recorded no spikes: the comparison proves nothing")
+	}
+
+	master := chipNet(t)
+	trainOn(master, train, len(train))
+	g := engine.NewGroup(master, engine.NewPool(4))
+	g.ResetCounters()
+	if _, err := g.Predict(test); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := g.Counters()
+	if !ok {
+		t.Fatal("chip group reports no counters")
+	}
+	if got != want {
+		t.Fatalf("reduced counters differ from the sequential pass:\ngroup      %+v\nsequential %+v", got, want)
+	}
+
+	if _, ok := engine.NewGroup(fpNet(t), engine.NewPool(4)).Counters(); ok {
+		t.Fatal("FP group reports counters")
 	}
 }

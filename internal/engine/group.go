@@ -9,19 +9,14 @@ import (
 )
 
 // Group binds a master Runner to a set of lazily-built replicas so
-// evaluation and mini-batch training can be sharded across a Pool while
-// staying bit-identical to the sequential path. The master holds the
-// authoritative weights; replicas are synchronised from it before every
-// parallel region.
+// evaluation can be sharded across a Pool while staying bit-identical
+// to the sequential path. The master holds the authoritative weights;
+// replicas are synchronised from it before every parallel region.
 type Group struct {
 	pool   *Pool
 	master Runner
 	// replicas[0] is the master itself; higher slots are clones.
 	replicas []Runner
-	// pipe is the persistent two-phase pipeline state (stage workers,
-	// reusable update buffers) built by the first TrainPipelined call;
-	// see pipeline.go.
-	pipe *pipeline
 	// snapVersion and snapFree implement the versioned-weights API
 	// (snapshot.go): snapVersion is the monotonic counter stamped on
 	// every Snapshot, snapFree the released replica groups waiting to be
@@ -31,9 +26,6 @@ type Group struct {
 	snapMu      sync.Mutex
 	snapVersion uint64
 	snapFree    []*Group
-	// tracer feeds the pool's worker tracks and the pipeline's slot and
-	// coordinator tracks; nil means tracing off (the default).
-	tracer *trace.Tracer
 }
 
 // NewGroup wraps master for execution through pool.
@@ -44,38 +36,24 @@ func NewGroup(master Runner, pool *Pool) *Group {
 	return &Group{pool: pool, master: master, replicas: []Runner{master}}
 }
 
-// SetTracer attaches tr to the group: pool workers record chunk spans
-// and any (re)built pipeline records slot pass spans plus coordinator
-// retire/apply/sync spans. Nil detaches. Call between training calls,
-// not during one; an existing pipeline is closed so its stage workers
-// relaunch with tracks on the next TrainPipelined.
+// SetTracer attaches tr to the group: pool workers record chunk spans.
+// Nil detaches. Call between group calls, not during one.
 func (g *Group) SetTracer(tr *trace.Tracer) {
-	g.tracer = tr
 	g.pool.SetTracer(tr)
-	g.ClosePipeline()
 }
 
-// Master returns the authoritative runner.
-func (g *Group) Master() Runner { return g.master }
-
-// Close releases the group's background resources: it drops the
-// released snapshot groups and stops the pipelined-training stage
-// workers. Idempotent and safe on a group that never pipelined.
-// Long-lived embedders — sweep harnesses, the serving layer's
-// tenant-delete path — must Close each group they retire or they leak
-// the stage workers and their replicas.
+// Close drops the released snapshot replica groups so they can be
+// collected. Idempotent. Long-lived embedders — sweep harnesses, the
+// serving layer's tenant-delete path — Close each group they retire.
 func (g *Group) Close() {
 	g.snapMu.Lock()
 	g.snapFree = nil
 	g.snapMu.Unlock()
-	g.ClosePipeline()
 }
 
-// Pool returns the group's worker pool.
-func (g *Group) Pool() *Pool { return g.pool }
-
 // ensureReplicas grows the replica set to at least w runners and
-// synchronises every clone's weights with the master.
+// synchronises the weights of replicas 1..w-1 with the master
+// (replicas[0] is the master itself).
 func (g *Group) ensureReplicas(w int) error {
 	for len(g.replicas) < w {
 		r, err := g.master.CloneRunner()
@@ -84,13 +62,7 @@ func (g *Group) ensureReplicas(w int) error {
 		}
 		g.replicas = append(g.replicas, r)
 	}
-	return g.sync(w)
-}
-
-// sync refreshes the first w replicas' weights from the master
-// (replicas[0] is the master and needs no copy).
-func (g *Group) sync(w int) error {
-	for i := 1; i < w && i < len(g.replicas); i++ {
+	for i := 1; i < w; i++ {
 		if err := g.replicas[i].SyncWeights(g.master); err != nil {
 			return fmt.Errorf("engine: syncing replica %d: %w", i, err)
 		}

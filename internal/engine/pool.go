@@ -5,12 +5,11 @@ import (
 	"runtime"
 	"sync"
 
-	"emstdp/internal/rng"
 	"emstdp/internal/trace"
 )
 
 // Pool is a fixed-width worker pool for sharding independent work items
-// (test samples, batch members, sweep cells) across goroutines. Work is
+// (test samples, sweep cells) across goroutines. Work is
 // partitioned into contiguous index ranges, one per worker, so the
 // worker→item assignment is a pure function of (n, Workers) and results
 // accumulated by index are deterministic.
@@ -109,24 +108,4 @@ func (p *Pool) Map(n int, fn func(worker, i int)) {
 		}(k, lo, hi)
 	}
 	wg.Wait()
-}
-
-// MapSeeded is Map with a deterministic per-worker random stream: worker
-// w receives the w-th child split of rng.New(seed). Child streams are
-// decorrelated through SplitMix64 reseeding, so stochastic work done by
-// one worker is independent of the others — but note that which items a
-// worker handles depends on the pool width, so MapSeeded results are
-// deterministic for a fixed (seed, Workers, n) triple, not across
-// widths. Work needing width-independent determinism should derive its
-// randomness from the item index instead.
-func (p *Pool) MapSeeded(seed uint64, n int, fn func(worker int, r *rng.Source, i int)) {
-	w := p.effective(n)
-	parent := rng.New(seed)
-	streams := make([]*rng.Source, w)
-	for k := range streams {
-		streams[k] = parent.Split()
-	}
-	p.Map(n, func(worker, i int) {
-		fn(worker, streams[worker], i)
-	})
 }

@@ -3,8 +3,6 @@ package engine
 import (
 	"sync"
 	"testing"
-
-	"emstdp/internal/rng"
 )
 
 func TestPoolMapCoversEveryIndexOnce(t *testing.T) {
@@ -53,43 +51,5 @@ func TestPoolChunkingIsContiguousAndDeterministic(t *testing.T) {
 func TestPoolZeroWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	if p := NewPool(0); p.Workers < 1 {
 		t.Fatalf("NewPool(0).Workers = %d", p.Workers)
-	}
-}
-
-func TestMapSeededStreamsAreDeterministicAndPerWorker(t *testing.T) {
-	p := NewPool(4)
-	const n = 4 // one item per worker
-	run := func() [][]uint64 {
-		out := make([][]uint64, n)
-		p.MapSeeded(99, n, func(_ int, r *rng.Source, i int) {
-			vals := make([]uint64, 8)
-			for k := range vals {
-				vals[k] = r.Uint64()
-			}
-			out[i] = vals
-		})
-		return out
-	}
-	a, b := run(), run()
-	for i := range a {
-		for k := range a[i] {
-			if a[i][k] != b[i][k] {
-				t.Fatalf("stream %d not deterministic at draw %d", i, k)
-			}
-		}
-	}
-	// Distinct workers must see decorrelated streams.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			same := 0
-			for k := range a[i] {
-				if a[i][k] == a[j][k] {
-					same++
-				}
-			}
-			if same == len(a[i]) {
-				t.Fatalf("workers %d and %d share a stream", i, j)
-			}
-		}
 	}
 }

@@ -5,21 +5,7 @@ import (
 
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
-	"emstdp/internal/stream"
 )
-
-// trainOn runs n online updates on the group's master, advancing the
-// weights so consecutive snapshots differ.
-func trainOn(t *testing.T, g *engine.Group, samples []metrics.Sample, n int) {
-	t.Helper()
-	seq := make([]metrics.Sample, n)
-	for i := range seq {
-		seq[i] = samples[i%len(samples)]
-	}
-	if _, err := g.TrainStream(stream.NewSliceSource(seq), 1); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestSnapshotVersionConformance pins the versioned-weights contract on
 // both backends: classifying on version N is bit-identical to the
@@ -44,7 +30,7 @@ func TestSnapshotVersionConformance(t *testing.T) {
 			versions := make([]*engine.WeightVersion, cuts)
 			want := make([][]int, cuts)
 			for c := 0; c < cuts; c++ {
-				trainOn(t, g, train, 8)
+				trainOn(tc.runner, train, 8)
 				v, err := g.Snapshot()
 				if err != nil {
 					t.Fatal(err)
@@ -90,7 +76,7 @@ func TestSnapshotVersionConformance(t *testing.T) {
 			// keeps the monotonic numbering, and still conforms, while the
 			// released handle refuses to serve stale weights.
 			versions[0].Release()
-			trainOn(t, g, train, 4)
+			trainOn(tc.runner, train, 4)
 			v4, err := g.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -136,8 +122,9 @@ func TestSnapshotEvaluateConcurrentWithTraining(t *testing.T) {
 		err error
 	}
 	for name, build := range runnersUnderTest() {
-		g := engine.NewGroup(build(t), engine.NewPool(2))
-		trainOn(t, g, train, len(train))
+		r := build(t)
+		g := engine.NewGroup(r, engine.NewPool(2))
+		trainOn(r, train, len(train))
 		for round := 0; round < 2; round++ {
 			// Synchronous reference at the cut…
 			want, err := g.Evaluate(test, 4)
@@ -155,7 +142,7 @@ func TestSnapshotEvaluateConcurrentWithTraining(t *testing.T) {
 				cm, err := v.Evaluate(test, 4)
 				done <- result{cm, err}
 			}()
-			trainOn(t, g, more, len(more))
+			trainOn(r, more, len(more))
 			got := <-done
 			v.Release()
 			if got.err != nil {
@@ -173,10 +160,9 @@ func TestSnapshotEvaluateConcurrentWithTraining(t *testing.T) {
 }
 
 // TestGroupCloseNoAsync pins that Close is idempotent and a no-op on a
-// group that never pipelined or cut a snapshot — the common
-// sweep-harness case.
+// group that never cut a snapshot — the common sweep-harness case.
 func TestGroupCloseNoAsync(t *testing.T) {
-	g := engine.NewGroup(&mockRunner{}, engine.NewPool(1))
+	g := engine.NewGroup(mockRunner{}, engine.NewPool(1))
 	g.Close()
 	g.Close()
 }

@@ -7,7 +7,6 @@ import (
 	"emstdp/internal/core"
 	"emstdp/internal/dataset"
 	"emstdp/internal/rng"
-	"emstdp/internal/stream"
 )
 
 // AdaptationResult measures the §I claim that in-hardware learning
@@ -81,8 +80,8 @@ func Adaptation(sc Scale, driftSD float64, seed uint64, progress io.Writer) (*Ad
 	// Recovery stream: the same online data, one epoch in storage order.
 	// The frozen model only observes (inference); the adapted model
 	// trains.
-	if _, err := adapted.Group().TrainStream(stream.NewSliceSource(adapted.TrainFeatures()), 1); err != nil {
-		return nil, fmt.Errorf("adaptation recovery stream: %w", err)
+	for _, s := range adapted.TrainFeatures() {
+		adapted.TrainSample(s.X, s.Y)
 	}
 	res.FrozenAfterStream = frozen.Evaluate().Accuracy()
 	res.AdaptedAfterStream = adapted.Evaluate().Accuracy()

@@ -41,15 +41,6 @@ type Scale struct {
 	// sequentially; negative selects GOMAXPROCS. Results are
 	// independent of the width.
 	Workers int
-	// Batch is the training mini-batch size forwarded to core.Options:
-	// 1 (default) is the paper's online protocol, larger values trade
-	// protocol fidelity for replica parallelism inside each cell.
-	Batch int
-	// Pipeline is the two-phase training pipeline depth forwarded to
-	// core.Options: 0/1 trains strictly online, D >= 2 keeps D samples
-	// in flight per cell at an update lag of exactly D-1 (bounded-lag
-	// batch-1 — see core.Options.Pipeline).
-	Pipeline int
 	// Chips lists the die counts the Fig-3 grid sweeps (nil or empty =
 	// {1}, the paper's single-die study). Multi-die cells shard the
 	// netlist across a lock-step mesh and report inter-die traffic.

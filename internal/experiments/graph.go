@@ -91,8 +91,6 @@ func table1Options(sc Scale, seed uint64, c table1Cell) core.Options {
 		TrainSamples:   sc.TrainSamples,
 		TestSamples:    sc.TestSamples,
 		PretrainEpochs: sc.PretrainEpochs,
-		Batch:          sc.Batch,
-		Pipeline:       sc.Pipeline,
 		Seed:           seed,
 		Trace:          sc.Trace,
 	}
@@ -107,8 +105,6 @@ func cellCanon(opts core.Options, epochs int) *orchestrator.Canon {
 		Int("mode", int64(opts.Mode)).
 		Ints("hidden", opts.Hidden).
 		Int("T", int64(opts.T)).
-		Int("batch", int64(opts.Batch)).
-		Int("pipeline", int64(opts.Pipeline)).
 		Int("epochs", int64(epochs))
 }
 

@@ -353,11 +353,9 @@ func (g *SynapseGroup) applyEpochRange(lo, hi int) int64 {
 // LearnState is a snapshot of the learning-engine inputs of one plastic
 // group at the end of phase 2: the presynaptic trace, the per-row tag,
 // and the postsynaptic population's trace. Together these are everything
-// applyEpochRange reads besides the weights themselves, so a snapshot
-// captured on a replica chip can be restored onto another chip with the
-// same netlist and applied there — the mechanism the execution engine
-// uses to run batch members on replicas while the master chip applies
-// the updates in sample order.
+// applyEpochRange reads besides the weights themselves, so comparing two
+// groups' snapshots checks that their next learning epochs see the same
+// inputs.
 type LearnState struct {
 	PreTrace  []uint8
 	Tag       []int32
@@ -372,33 +370,6 @@ func (g *SynapseGroup) CaptureLearnState() LearnState {
 		Tag:       append([]int32(nil), g.tag...),
 		PostTrace: append([]uint8(nil), g.Post.postTrace...),
 	}
-}
-
-// CaptureLearnStateInto copies the group's current learning state into
-// dst, reusing dst's slices when their shapes match (the execution
-// engine recycles snapshots so its pipelined steady state allocates
-// nothing). A dst of foreign shape is replaced with a fresh snapshot.
-func (g *SynapseGroup) CaptureLearnStateInto(dst *LearnState) {
-	if len(dst.PreTrace) != len(g.preTrace) || len(dst.Tag) != len(g.tag) ||
-		len(dst.PostTrace) != len(g.Post.postTrace) {
-		*dst = g.CaptureLearnState()
-		return
-	}
-	copy(dst.PreTrace, g.preTrace)
-	copy(dst.Tag, g.tag)
-	copy(dst.PostTrace, g.Post.postTrace)
-}
-
-// RestoreLearnState loads a captured snapshot into the group (and its
-// postsynaptic population's trace), overwriting whatever the last run
-// left behind. The stochastic-rounding stream is NOT part of the
-// snapshot: the applying chip draws from its own lrnRNG, which is what
-// keeps replica-computed training bit-identical to a sequential walk on
-// the applying chip.
-func (g *SynapseGroup) RestoreLearnState(s LearnState) {
-	copy(g.preTrace, s.PreTrace)
-	copy(g.tag, s.Tag)
-	copy(g.Post.postTrace, s.PostTrace)
 }
 
 // CopyWeightsFrom copies another group's weight mantissas and exponent

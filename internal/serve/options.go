@@ -92,9 +92,8 @@ func parseBackend(name string) (core.Backend, error) {
 
 // coreOptions translates the tenant request into the core.Options the
 // model is built from. Knobs TenantOptions does not expose (feedback
-// mode, batch/pipeline/stream training schedules, kernel overrides)
-// stay at their core defaults: serving trains online, one sample at a
-// time, so the offline schedule machinery never engages.
+// mode, partition strategy, topology, conv on chip) stay at their core
+// defaults. Training is online, one sample at a time, as everywhere.
 func (o TenantOptions) coreOptions() (core.Options, error) {
 	ds, err := parseDataset(o.Dataset)
 	if err != nil {

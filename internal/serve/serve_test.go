@@ -473,6 +473,10 @@ func TestCreateValidation(t *testing.T) {
 		{"unknown backend", "/v1/tenants/b", map[string]any{"backend": "tpu"}, http.StatusBadRequest},
 		{"unknown knob", "/v1/tenants/b", map[string]any{"hiden": []int{3}}, http.StatusBadRequest},
 		{"retired batch window", "/v1/tenants/b", map[string]any{"batch_window_us": 2000}, http.StatusBadRequest},
+		// T above the chip's Theta (256) would zero every input bias.
+		{"chip T over Theta", "/v1/tenants/b", map[string]any{
+			"backend": "chip", "t": 512, "hidden": []int{10}, "train_samples": 40,
+			"test_samples": 16, "pretrain_epochs": 1, "seed": 51}, http.StatusBadRequest},
 	} {
 		resp, body := doJSON(t, http.MethodPut, ts.URL+tc.path, tc.body)
 		if resp.StatusCode != tc.status {

@@ -29,6 +29,29 @@ func drain(src Source) []int {
 	}
 }
 
+// SliceSource replays a materialised slice in order: the upstream
+// Source the Channel tests pump.
+type SliceSource struct {
+	samples []metrics.Sample
+	i       int
+}
+
+// NewSliceSource wraps samples; the slice is not copied and must not be
+// mutated while the source is live.
+func NewSliceSource(samples []metrics.Sample) *SliceSource {
+	return &SliceSource{samples: samples}
+}
+
+// Next returns the next sample in slice order.
+func (s *SliceSource) Next() (metrics.Sample, bool) {
+	if s.i >= len(s.samples) {
+		return metrics.Sample{}, false
+	}
+	out := s.samples[s.i]
+	s.i++
+	return out, true
+}
+
 func TestSliceSourceReplay(t *testing.T) {
 	got := drain(NewSliceSource(tagged(5)))
 	if len(got) != 5 {
