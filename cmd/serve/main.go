@@ -1,8 +1,8 @@
 // Command serve hosts the EMSTDP engine as a multi-tenant HTTP/JSON
 // service: named model instances are created and deleted at runtime,
 // each classifying on frozen weight-version snapshots while fine-tuning
-// online from a watermark-gated training stream (429 + Retry-After
-// when the stream is full).
+// online, one sample at a time, from a bounded admission queue (429 +
+// Retry-After while its gate is closed).
 //
 // Usage:
 //

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"emstdp/internal/trace"
@@ -22,9 +24,12 @@ func assertSamePredictions(t *testing.T, label string, a, b *Model) {
 	}
 }
 
-// TestTraceDoesNotPerturbTraining pins the whole-stack observational
-// contract: an FP model trained and evaluated with a live tracer (pool
-// workers active) is bit-identical to an untraced one.
+// TestTraceDoesNotPerturbTraining pins the observational contract on
+// the FP path: a model trained with a live tracer ends with every layer
+// weight bit-identical to an untraced one's, and the two then evaluate
+// and predict identically with two pool workers. FP online training
+// records no span, so the events the tracer must hold are Evaluate's
+// chunk spans on the pool-worker-* tracks, and only those.
 func TestTraceDoesNotPerturbTraining(t *testing.T) {
 	build := func(tr *trace.Tracer) *Model {
 		opts := smallOpts(FP)
@@ -45,14 +50,27 @@ func TestTraceDoesNotPerturbTraining(t *testing.T) {
 	defer plain.Close()
 	defer traced.Close()
 
+	pn, tn := plain.FPNetwork(), traced.FPNetwork()
+	for l := 0; l < pn.NumLayers(); l++ {
+		pw, tw := pn.Layer(l).W, tn.Layer(l).W
+		for i := range pw {
+			if math.Float64bits(pw[i]) != math.Float64bits(tw[i]) {
+				t.Fatalf("layer %d weight %d diverged under tracing: %v vs %v", l, i, pw[i], tw[i])
+			}
+		}
+	}
 	assertSamePredictions(t, "fp workers=2", plain, traced)
 
 	events := 0
 	for _, tk := range tr.Tracks() {
-		events += tk.Len() + int(tk.Dropped())
+		n := tk.Len() + int(tk.Dropped())
+		if n > 0 && !strings.HasPrefix(tk.Name(), "pool-worker-") {
+			t.Fatalf("FP training and evaluation recorded %d events on track %q, want pool-worker-* tracks only", n, tk.Name())
+		}
+		events += n
 	}
 	if events == 0 {
-		t.Fatal("live tracer recorded nothing across a training and evaluation run")
+		t.Fatal("live tracer recorded no pool chunk spans across an evaluation with two workers")
 	}
 }
 

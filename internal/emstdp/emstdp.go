@@ -294,15 +294,15 @@ func New(cfg Config) *Network {
 }
 
 // newEncoders builds the input encoder, whose table holds the T+1
-// quantization levels of an input rate, and the label encoder, whose
-// table holds the two target rates (entry 0 TargetLow, entry 1
-// TargetHigh). Both biases are the rate times θ, as the paper writes them.
+// quantization levels of an input rate (level k fires exactly k times,
+// as on the chip), and the label encoder, whose table holds the two
+// target rates (entry 0 TargetLow, entry 1 TargetHigh) as biases of the
+// rate times θ, as the paper writes them.
 func newEncoders(cfg Config) (enc, label *spike.BiasEncoder) {
 	in := cfg.LayerSizes[0]
 	out := cfg.LayerSizes[len(cfg.LayerSizes)-1]
 	targets := []float64{cfg.TargetLow * cfg.Theta, cfg.TargetHigh * cfg.Theta}
-	return spike.NewBiasEncoder(in, cfg.T, cfg.Theta, spike.PhaseBiases(cfg.T, cfg.Theta)),
-		spike.NewBiasEncoder(out, cfg.T, cfg.Theta, targets)
+	return spike.NewLevelEncoder(in, cfg.T), spike.NewBiasEncoder(out, cfg.T, cfg.Theta, targets)
 }
 
 // initScratch builds the reusable hot-loop buffers (New and Clone).

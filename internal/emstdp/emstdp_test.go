@@ -313,3 +313,41 @@ func TestOneHiddenFAEqualsDFA(t *testing.T) {
 		t.Fatal("no weight moved: the comparison proves nothing")
 	}
 }
+
+// TestInputEncoderFiresEveryLevelExactly pins the FP input code at phase
+// lengths that are not powers of two, which Config.T accepts: input
+// level k of T+1 fires exactly k times, at the steps t with
+// ⌊(t+1)k/T⌋ > ⌊tk/T⌋ where the chip's integer bias fires. A float
+// running sum of k/T·θ left 24 of 51 levels one spike short at T=50 and
+// 46 of 101 at T=100.
+func TestInputEncoderFiresEveryLevelExactly(t *testing.T) {
+	for _, T := range []int{50, 100} {
+		cfg := DefaultConfig(T+1, 2)
+		cfg.T = T
+		enc, _ := newEncoders(cfg)
+		levels := make([]int, T+1)
+		for k := range levels {
+			levels[k] = k
+		}
+		enc.SetLevels(levels)
+		enc.Reset()
+		fired := make([]int, T+1)
+		for step := 0; step < T; step++ {
+			row := enc.Step()
+			for k := range levels {
+				want := (step+1)*k/T > step*k/T
+				if row.Get(k) != want {
+					t.Fatalf("T=%d level %d step %d: fired %v, chip schedule %v", T, k, step, row.Get(k), want)
+				}
+				if want {
+					fired[k]++
+				}
+			}
+		}
+		for k, c := range enc.Counts() {
+			if c != k || fired[k] != k {
+				t.Fatalf("T=%d level %d: count %d, stepped %d, want %d", T, k, c, fired[k], k)
+			}
+		}
+	}
+}

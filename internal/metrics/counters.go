@@ -8,9 +8,9 @@ import (
 )
 
 // Counters is a named-counter registry: the single place runtime
-// subsystems (stream channels, the sweep orchestrator) publish their
-// observability counters so issue-depth and backpressure decisions can
-// be read off one snapshot instead of per-component accessors. All
+// subsystems (the sweep orchestrator, each serving tenant) publish
+// their observability counters, so a run's issue depth and backpressure
+// can be read off one snapshot instead of per-component accessors. All
 // methods are safe for concurrent use.
 type Counters struct {
 	mu sync.Mutex

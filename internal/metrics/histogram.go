@@ -14,8 +14,8 @@ import (
 // range needs exactly 64 buckets (MaxInt64 has bit length 63). The
 // fixed shape is the point: Observe is one bits.Len64 plus one atomic
 // add — allocation-free, lock-free and safe for concurrent use — so
-// hot paths (channel stalls, window occupancy, span latencies) can
-// feed it directly. The zero value is ready to use; a nil receiver
+// hot paths (a serving tenant's classify and per-sample train
+// latencies) can feed it directly. The zero value is ready to use; a nil receiver
 // no-ops like Counters, so publishers need no guards.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Int64

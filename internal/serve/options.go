@@ -6,14 +6,13 @@ import (
 
 	"emstdp/internal/core"
 	"emstdp/internal/dataset"
-	"emstdp/internal/stream"
 )
 
 // Serving-knob defaults: a micro-batch holds at most 64 feature
 // vectors, enough to keep every pool worker busy without letting one
 // large batch delay the requests parked behind it; the admission band
-// mirrors the training channel's double-buffering hysteresis at request
-// scale.
+// lets the trainer fall 32 samples behind and reopens the gate once it
+// is back within 8.
 const (
 	defaultMaxBatch  = 64
 	defaultAdmitLow  = 8
@@ -51,10 +50,10 @@ type TenantOptions struct {
 	// MaxBatch caps the feature vectors coalesced into one pool
 	// dispatch (default 64).
 	MaxBatch int `json:"max_batch,omitempty"`
-	// AdmitLow / AdmitHigh are the training stream's watermarks
-	// (defaults 8 / 32): at AdmitHigh buffered samples the tenant
-	// answers train requests with 429 until the trainer drains back to
-	// AdmitLow.
+	// AdmitLow / AdmitHigh are the training queue's watermarks
+	// (defaults 8 / 32): at AdmitHigh queued samples the tenant answers
+	// train requests with 429 until the trainer drains back to
+	// AdmitLow. AdmitHigh bounds the admitted samples.
 	AdmitLow  int `json:"admit_low,omitempty"`
 	AdmitHigh int `json:"admit_high,omitempty"`
 	// Trace enables a per-tenant Chrome/Perfetto trace, exported on
@@ -126,12 +125,13 @@ func (o TenantOptions) batchCap() int {
 	return o.MaxBatch
 }
 
-// watermarks returns the training stream's admission band with its
-// defaults (stream.Watermarks normalisation still applies on top).
-func (o TenantOptions) watermarks() stream.Watermarks {
-	wm := stream.Watermarks{Low: o.AdmitLow, High: o.AdmitHigh}
-	if wm.High == 0 {
-		wm = stream.Watermarks{Low: defaultAdmitLow, High: defaultAdmitHigh}
+// watermarks returns the training queue's admission band: the
+// defaults when AdmitHigh is unset or below 1, and AdmitLow clamped
+// into [0, high).
+func (o TenantOptions) watermarks() (low, high int) {
+	low, high = o.AdmitLow, o.AdmitHigh
+	if high < 1 {
+		low, high = defaultAdmitLow, defaultAdmitHigh
 	}
-	return wm.Normalised()
+	return min(max(low, 0), high-1), high
 }

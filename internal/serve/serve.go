@@ -4,9 +4,9 @@
 // core.Model built from per-tenant options; classify requests are
 // coalesced into micro-batches and answered from frozen, monotonically
 // numbered weight versions (engine.Group.Snapshot) while the tenant's
-// master trains online from a watermark-gated stream — the
-// stream.Channel hysteresis doubles as admission control, surfacing
-// backpressure to clients as 429 + Retry-After instead of hung POSTs.
+// master trains online, one sample at a time in submission order, from
+// a bounded admission queue whose watermark gate surfaces backpressure
+// to clients as 429 + Retry-After instead of hung POSTs.
 //
 // API (all bodies JSON):
 //
@@ -297,7 +297,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	accepted, err := t.submitTrain(samples)
+	accepted, err := t.adm.submit(samples)
 	switch {
 	case errors.Is(err, errClosed):
 		writeError(w, http.StatusGone, "tenant is shutting down")
@@ -305,7 +305,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", strconv.Itoa(t.retryAfter()))
 		writeJSON(w, http.StatusTooManyRequests, map[string]any{
 			"accepted": accepted,
-			"error":    "training stream at high watermark; retry after the trainer drains",
+			"error":    "training queue at high watermark; retry after the trainer drains",
 		})
 	default:
 		writeJSON(w, http.StatusAccepted, map[string]any{"accepted": accepted})

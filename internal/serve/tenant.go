@@ -8,25 +8,16 @@ import (
 	"emstdp/internal/core"
 	"emstdp/internal/engine"
 	"emstdp/internal/metrics"
-	"emstdp/internal/stream"
 	"emstdp/internal/trace"
 )
 
 var (
-	// errGated is returned by submitTrain when the training stream is
-	// at its high watermark; handlers translate it to 429 + Retry-After.
+	// errGated is returned by admission.submit while the training
+	// queue's gate is closed; handlers translate it to 429 + Retry-After.
 	errGated = errors.New("serve: training admission gated")
 	// errClosed is returned once the tenant has been deleted.
 	errClosed = errors.New("serve: tenant closed")
 )
-
-// pushSource adapts the handler-push world onto the stream.Source pull
-// contract: Next blocks on the submission channel until a handler
-// pushes a sample or the tenant closes the channel — the watermark
-// hysteresis is the part of the Channel contract serving leans on.
-type pushSource struct{ ch chan metrics.Sample }
-
-func (p pushSource) Next() (metrics.Sample, bool) { s, ok := <-p.ch; return s, ok }
 
 // versionRef refcounts one published WeightVersion: the tenant's
 // current pointer holds one reference, every in-flight classify or
@@ -40,7 +31,7 @@ type versionRef struct {
 }
 
 // tenant is one hosted model instance: a core.Model whose master
-// trains online from a watermark-gated stream while classify traffic
+// trains online from its admission queue while classify traffic
 // is answered from refcounted weight-version snapshots, plus the
 // tenant's private observability (counters, latency histograms,
 // optional tracer).
@@ -54,17 +45,9 @@ type tenant struct {
 	verMu sync.Mutex
 	cur   *versionRef
 
-	bat *batcher
-
-	// trainMu guards closed and the push channel: submissions hold the
-	// read side so close (write side) cannot close the channel under a
-	// send in flight.
-	trainMu   sync.RWMutex
-	closed    bool
-	trainSrc  chan metrics.Sample
-	trainCh   *stream.Channel
+	bat       *batcher
+	adm       *admission
 	trainDone chan struct{}
-	wm        stream.Watermarks
 
 	ctr         *metrics.Counters
 	classifyLat *metrics.Histogram
@@ -94,7 +77,6 @@ func newTenant(name string, topts TenantOptions) (*tenant, error) {
 		topts:       topts,
 		model:       m,
 		grp:         m.Group(),
-		wm:          topts.watermarks(),
 		ctr:         metrics.NewCounters(),
 		classifyLat: &metrics.Histogram{},
 		trainLat:    &metrics.Histogram{},
@@ -106,11 +88,8 @@ func newTenant(name string, topts TenantOptions) (*tenant, error) {
 		return nil, err
 	}
 	t.cur = &versionRef{v: v, refs: 1}
-	t.trainSrc = make(chan metrics.Sample, t.wm.High)
-	t.trainCh = stream.NewChannelObserved(pushSource{t.trainSrc}, t.wm, stream.Instrumentation{
-		Tracer: tr,
-		Name:   "train-admission",
-	})
+	low, high := topts.watermarks()
+	t.adm = newAdmission(low, high, t.ctr, tr)
 	t.bat = newBatcher(topts.batchCap())
 	go t.bat.run(t.serveBatch)
 	t.trainDone = make(chan struct{})
@@ -119,14 +98,14 @@ func newTenant(name string, topts TenantOptions) (*tenant, error) {
 }
 
 // trainLoop is the tenant's single training goroutine: it pulls
-// admitted samples off the watermark-gated channel, applies each to
+// admitted samples off the admission queue, applies each to
 // the master online, then cuts and publishes a fresh weight version —
 // so every published version corresponds to an exact number of applied
 // updates and classify never reads half-applied weights.
 func (t *tenant) trainLoop() {
 	defer close(t.trainDone)
 	for {
-		s, ok := t.trainCh.Next()
+		s, ok := t.adm.next()
 		if !ok {
 			return
 		}
@@ -191,36 +170,6 @@ func (t *tenant) version() uint64 {
 	return t.cur.v.Version()
 }
 
-// submitTrain pushes samples onto the training stream. The channel's
-// watermark hysteresis is the admission decision: a gated stream (or a
-// full buffer) rejects with errGated, and the accepted count reports
-// how much of a partially-admitted batch got in. Never blocks — the
-// backpressure is surfaced to the client as 429, not as a hung POST.
-func (t *tenant) submitTrain(samples []metrics.Sample) (int, error) {
-	t.trainMu.RLock()
-	defer t.trainMu.RUnlock()
-	if t.closed {
-		return 0, errClosed
-	}
-	if t.trainCh.Gated() {
-		t.ctr.Add("train.rejected", int64(len(samples)))
-		return 0, errGated
-	}
-	accepted := 0
-	for _, s := range samples {
-		select {
-		case t.trainSrc <- s:
-			accepted++
-		default:
-			t.ctr.Add("train.accepted", int64(accepted))
-			t.ctr.Add("train.rejected", int64(len(samples)-accepted))
-			return accepted, errGated
-		}
-	}
-	t.ctr.Add("train.accepted", int64(accepted))
-	return accepted, nil
-}
-
 // retryAfter estimates the 429 Retry-After seconds: the time for the
 // trainer to drain the admission band at the observed per-sample
 // training latency (p50), rounded up and clamped to [1, 30].
@@ -229,7 +178,7 @@ func (t *tenant) retryAfter() int {
 	if p50 <= 0 {
 		return 1
 	}
-	drain := int64(t.wm.High - t.wm.Low + cap(t.trainSrc))
+	drain := int64(t.adm.high - t.adm.low)
 	sec := (p50*drain + int64(time.Second) - 1) / int64(time.Second)
 	if sec < 1 {
 		sec = 1
@@ -283,35 +232,25 @@ func (t *tenant) serveBatch(batch []classifyReq, size int) {
 	}
 }
 
-// counters publishes the histograms and stream stats into the registry
-// and returns a snapshot — the payload of the counters endpoints.
+// counters publishes the histograms into the registry and returns a
+// snapshot — the payload of the counters endpoints.
 func (t *tenant) counters() map[string]int64 {
 	t.classifyLat.Publish(t.ctr, "classify.latency_ns")
 	t.trainLat.Publish(t.ctr, "train.latency_ns")
-	t.trainCh.Publish(t.ctr, "train.channel")
 	t.ctr.Set("version", int64(t.version()))
 	return t.ctr.Snapshot()
 }
 
 // close tears the tenant down gracefully: no new train submissions,
-// every already-admitted sample still trains (the producer drains the
-// push channel into the stream, the trainLoop consumes to the end),
-// then the batcher stops, the current version is dropped and the model
-// is closed — which joins any in-flight background evaluation (the
-// Group.Close contract this PR fixed). Idempotent.
+// every already-admitted sample still trains (the trainLoop drains the
+// admission queue to the end), then the batcher stops, the current
+// version is dropped and the model is closed. Idempotent.
 func (t *tenant) close() {
-	t.trainMu.Lock()
-	if t.closed {
-		t.trainMu.Unlock()
+	if !t.adm.close() {
 		return
 	}
-	t.closed = true
-	close(t.trainSrc)
-	t.trainMu.Unlock()
-
-	<-t.trainDone    // trainLoop saw end-of-stream: all admitted samples applied
-	t.trainCh.Stop() // producer goroutine joined
-	t.bat.close()    // in-flight classifies answered, dispatcher joined
+	<-t.trainDone // trainLoop saw the queue end: all admitted samples applied
+	t.bat.close() // in-flight classifies answered, dispatcher joined
 
 	t.verMu.Lock()
 	cur := t.cur

@@ -51,7 +51,7 @@ func TestActiveListGatherMatchesDense(t *testing.T) {
 // step sets a bit past Len.
 func TestBiasEncoderCountsMatchSteps(t *testing.T) {
 	const n, T = 70, 40
-	e := NewBiasEncoder(n, T, 1.0, PhaseBiases(T, 1.0))
+	e := NewLevelEncoder(n, T)
 	r := rng.New(7)
 	levels := make([]int, n)
 	for i := range levels {

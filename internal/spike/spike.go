@@ -7,7 +7,8 @@
 // bias write per sample: the input neuron integrates its bias i every
 // step, U(t) = U(t-1) + i, and fires whenever U crosses θ. Over a phase of
 // T steps it emits floor(i·T/θ) spikes — a rate linearly proportional to
-// the input with one host transaction instead of O(T).
+// the input with one host transaction instead of O(T). An input quantized
+// to level k of T+1 takes the bias k·θ/T and fires exactly k times.
 //
 // Because the bias is written once and inputs are quantized to T+1
 // levels, each input's spike train is fixed before the phase starts.
@@ -49,10 +50,10 @@ func (a *ActiveList) Reset() { a.idx = a.idx[:0] }
 // BiasEncoder is a bank of bias-driven integrate-and-fire input neurons
 // over a phase of T steps. A neuron's spike train over the phase depends
 // on its bias alone, and every neuron takes its bias from one fixed
-// table — the T+1 quantization levels of an input rate (PhaseBiases), or
-// the two target rates of the label neurons. So the encoder runs the
-// recurrence once per table entry at construction and keeps each entry's
-// train as bits. Programming a sample (the single bias write of §III-D)
+// table — the T+1 quantization levels of an input rate (NewLevelEncoder),
+// or the two target rates of the label neurons (NewBiasEncoder). So the
+// encoder builds each table entry's train once, at construction, and
+// keeps it as bits. Programming a sample (the single bias write of §III-D)
 // lays the chosen trains out as T step bitsets, and each Step hands out
 // the next one: no neuron is integrated while a phase runs.
 type BiasEncoder struct {
@@ -73,23 +74,14 @@ type BiasEncoder struct {
 	t      int    // the next step
 }
 
-// NewBiasEncoder returns an encoder for n input neurons with threshold
-// theta over phases of T steps, whose neurons take their biases from the
-// given table. Each entry's train is the recurrence u += bias, fire when
+// NewBiasEncoder returns an encoder for n neurons with threshold theta
+// over phases of T steps, whose neurons take their biases from the given
+// table. Each entry's train is the float recurrence u += bias, fire when
 // u ≥ θ, then u −= θ, run from u = 0.
 func NewBiasEncoder(n, T int, theta float64, biases []float64) *BiasEncoder {
-	e := &BiasEncoder{
-		n: n, steps: T,
-		tw:     (T + 63) >> 6,
-		nw:     (n + 63) >> 6,
-		counts: make([]int, len(biases)),
-		count:  make([]int, n),
-	}
-	e.trains = make([]uint64, len(biases)*e.tw)
-	e.raster = make([]uint64, T*e.nw)
-	e.row = Bitset{n: n, words: e.raster[:e.nw]}
+	e := newBiasEncoder(n, T, len(biases))
 	for k, bias := range biases {
-		train := e.trains[k*e.tw : (k+1)*e.tw]
+		train := e.train(k)
 		u := 0.0
 		for t := 0; t < T; t++ {
 			u += bias
@@ -98,23 +90,58 @@ func NewBiasEncoder(n, T int, theta float64, biases []float64) *BiasEncoder {
 				train[t>>6] |= 1 << (uint(t) & 63)
 			}
 		}
-		for _, w := range train {
-			e.counts[k] += bits.OnesCount64(w)
-		}
 	}
+	e.countTrains()
 	return e
 }
 
-// PhaseBiases returns the bias of every quantization level of a phase of
-// T steps (PhaseLevel): level k's bias is k/T·θ. Its neuron fires k times
-// over the phase when T and θ are powers of two; otherwise the float
-// running sum can land just under kθ and leave it one spike short.
-func PhaseBiases(T int, theta float64) []float64 {
-	b := make([]float64, T+1)
-	for k := range b {
-		b[k] = float64(k) / float64(T) * theta
+// NewLevelEncoder returns the input encoder for n neurons over phases of
+// T steps, whose table holds the T+1 quantization levels of PhaseLevel.
+// Level k fires at step t iff ⌊(t+1)k/T⌋ > ⌊tk/T⌋: the chip's schedule
+// for a bias of k·θ/T with reset by subtraction, computed in integers,
+// so every level fires exactly k times at any T and θ. (A float running
+// sum of k/T·θ can land just under kθ and leave level k one spike short
+// unless T and θ are powers of two, where the two schedules agree.)
+func NewLevelEncoder(n, T int) *BiasEncoder {
+	e := newBiasEncoder(n, T, T+1)
+	for k := 0; k <= T; k++ {
+		train := e.train(k)
+		for t := 0; t < T; t++ {
+			if (t+1)*k/T > t*k/T {
+				train[t>>6] |= 1 << (uint(t) & 63)
+			}
+		}
 	}
-	return b
+	e.countTrains()
+	return e
+}
+
+// newBiasEncoder allocates an encoder with an empty table of the given
+// number of entries.
+func newBiasEncoder(n, T, entries int) *BiasEncoder {
+	e := &BiasEncoder{
+		n: n, steps: T,
+		tw:     (T + 63) >> 6,
+		nw:     (n + 63) >> 6,
+		counts: make([]int, entries),
+		count:  make([]int, n),
+	}
+	e.trains = make([]uint64, entries*e.tw)
+	e.raster = make([]uint64, T*e.nw)
+	e.row = Bitset{n: n, words: e.raster[:e.nw]}
+	return e
+}
+
+// train returns table entry k's train words.
+func (e *BiasEncoder) train(k int) []uint64 { return e.trains[k*e.tw : (k+1)*e.tw] }
+
+// countTrains fills every entry's spike count from its train.
+func (e *BiasEncoder) countTrains() {
+	for k := range e.counts {
+		for _, w := range e.train(k) {
+			e.counts[k] += bits.OnesCount64(w)
+		}
+	}
 }
 
 // Len returns the number of input neurons.
@@ -131,7 +158,7 @@ func (e *BiasEncoder) SetLevels(levels []int) {
 	for i, lv := range levels {
 		e.count[i] = e.counts[lv]
 		bit, col := uint64(1)<<(uint(i)&63), i>>6
-		for wi, w := range e.trains[lv*e.tw : (lv+1)*e.tw] {
+		for wi, w := range e.train(lv) {
 			for w != 0 {
 				t := wi<<6 + bits.TrailingZeros64(w)
 				w &= w - 1

@@ -105,7 +105,7 @@ func TestSetLevelsValidates(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewBiasEncoder(2, 8, 1, PhaseBiases(8, 1)).SetLevels([]int{1})
+	NewLevelEncoder(2, 8).SetLevels([]int{1})
 }
 
 func TestBiasEncoderStepPastPhasePanics(t *testing.T) {
@@ -121,45 +121,58 @@ func TestBiasEncoderStepPastPhasePanics(t *testing.T) {
 	enc.Step()
 }
 
-// TestBiasEncoderRasterMatchesRecurrence is the property the raster
-// rests on: for every quantization level, at phase lengths spanning one
-// and two words per train and thresholds above, at and below 1, the
-// precomputed train equals a step-by-step run of the float recurrence
-// u += k/T·θ; fire when u ≥ θ; u −= θ, and the encoder's count equals
-// that run's spike count. Neuron i takes level i mod (T+1), so trains
-// land in several raster words.
+// TestBiasEncoderRasterMatchesRecurrence is the property the input
+// raster rests on: for every quantization level k, at phase lengths
+// spanning one and two words per train, the level encoder's train equals
+// a step-by-step run of the chip's integer schedule (fire at step t iff
+// ⌊(t+1)k/T⌋ > ⌊tk/T⌋) and its count is k. At the power-of-two phase
+// lengths every experiment runs, with θ ∈ {1, 256}, the float recurrence
+// u += k/T·θ; fire when u ≥ θ; u −= θ of a bias encoder over the same
+// levels gives the same trains, which is why building the input table in
+// integers left every training trajectory as it was. Neuron i takes
+// level i mod (T+1), so trains land in several raster words.
 func TestBiasEncoderRasterMatchesRecurrence(t *testing.T) {
 	for _, T := range []int{16, 50, 64, 100, 128} {
-		for _, theta := range []float64{1, 0.3, 256} {
-			n := T + 70
-			enc := NewBiasEncoder(n, T, theta, PhaseBiases(T, theta))
-			levels := make([]int, n)
-			for i := range levels {
-				levels[i] = i % (T + 1)
-			}
-			enc.SetLevels(levels)
-			enc.Reset()
-			u := make([]float64, n)
-			want := make([]int, n)
-			for step := 0; step < T; step++ {
-				row := enc.Step()
-				for i, k := range levels {
-					u[i] += float64(k) / float64(T) * theta
-					fired := u[i] >= theta
-					if fired {
-						u[i] -= theta
-						want[i]++
-					}
-					if row.Get(i) != fired {
-						t.Fatalf("T=%d θ=%v neuron %d (level %d) step %d: raster %v, recurrence %v",
-							T, theta, i, k, step, row.Get(i), fired)
-					}
+		n := T + 70
+		levels := make([]int, n)
+		for i := range levels {
+			levels[i] = i % (T + 1)
+		}
+		enc := NewLevelEncoder(n, T)
+		enc.SetLevels(levels)
+		enc.Reset()
+		for step := 0; step < T; step++ {
+			row := enc.Step()
+			for i, k := range levels {
+				if fired := (step+1)*k/T > step*k/T; row.Get(i) != fired {
+					t.Fatalf("T=%d neuron %d (level %d) step %d: raster %v, schedule %v",
+						T, i, k, step, row.Get(i), fired)
 				}
 			}
-			for i, c := range enc.Counts() {
-				if c != want[i] {
-					t.Fatalf("T=%d θ=%v neuron %d (level %d): count %d, recurrence %d",
-						T, theta, i, levels[i], c, want[i])
+		}
+		for i, c := range enc.Counts() {
+			if c != levels[i] {
+				t.Fatalf("T=%d neuron %d: count %d, want its level %d", T, i, c, levels[i])
+			}
+		}
+		if T&(T-1) != 0 {
+			continue
+		}
+		for _, theta := range []float64{1, 256} {
+			biases := make([]float64, T+1)
+			for k := range biases {
+				biases[k] = float64(k) / float64(T) * theta
+			}
+			float := NewBiasEncoder(n, T, theta, biases)
+			float.SetLevels(levels)
+			enc.Reset()
+			for step := 0; step < T; step++ {
+				a, b := enc.Step(), float.Step()
+				for i := range levels {
+					if a.Get(i) != b.Get(i) {
+						t.Fatalf("T=%d θ=%v neuron %d (level %d) step %d: integer schedule %v, float recurrence %v",
+							T, theta, i, levels[i], step, a.Get(i), b.Get(i))
+					}
 				}
 			}
 		}
@@ -213,7 +226,7 @@ func TestQuantizeToPhaseBins(t *testing.T) {
 func TestQuantizeEncodeRoundTrip(t *testing.T) {
 	const T = 64
 	for _, v := range []float64{0.1, 0.33, 0.71, 0.99} {
-		enc := NewBiasEncoder(1, T, 1, PhaseBiases(T, 1))
+		enc := NewLevelEncoder(1, T)
 		enc.SetLevels([]int{PhaseLevel(v, T)})
 		count := phaseCount(enc, 0)
 		wantBin := int(v*T + 0.5)
