@@ -40,19 +40,12 @@ func main() {
 		ConvOnChip:     *convOnChip,
 		Seed:           *seed,
 	}
-	switch *dsName {
-	case "mnist":
-		opts.Dataset = dataset.MNIST
-	case "fashion":
-		opts.Dataset = dataset.FashionMNIST
-	case "cifar10":
-		opts.Dataset = dataset.CIFAR10
-	case "mstar":
-		opts.Dataset = dataset.MSTAR
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dsName)
+	kind, err := dataset.ParseKind(*dsName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	opts.Dataset = kind
 	switch *backend {
 	case "chip":
 		opts.Backend = core.Chip

@@ -1,50 +1,62 @@
 // Command loihi-info reports how an EMSTDP network maps onto the
-// simulated chip: the Operation Flow 1 plan (per-layer adjacency-derived
-// fan-ins and core assignment), the realised core occupancy, and the
-// host-I/O cost of the bias-driven input coding versus direct spike
-// insertion (§III-D).
+// simulated chip: the placement the chip runs (Operation Flow 1: each
+// population's size, packing, die and cores, in netlist build order),
+// the realised core occupancy, and the host-I/O cost of the
+// bias-driven input coding versus direct spike insertion (§III-D).
 //
 //	loihi-info -dataset mnist -mode dfa -neurons-per-core 10
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"emstdp/internal/core"
 	"emstdp/internal/dataset"
 	"emstdp/internal/emstdp"
 	"emstdp/internal/loihi"
-	"emstdp/internal/mapping"
 	"emstdp/internal/raster"
 )
 
-func main() {
-	dsName := flag.String("dataset", "mnist", "dataset: mnist, fashion, cifar10, mstar")
-	mode := flag.String("mode", "dfa", "feedback mode: fa or dfa")
-	perCore := flag.Int("neurons-per-core", 10, "dense-part packing")
-	hidden := flag.Int("hidden", 100, "hidden layer width")
-	showRaster := flag.Bool("raster", false, "print a spike raster of one two-phase training sample")
-	flag.Parse()
+// usageError is a bad flag value; main exits 2 on it, as flag does.
+type usageError struct{ error }
 
-	var kind dataset.Kind
-	switch *dsName {
-	case "mnist":
-		kind = dataset.MNIST
-	case "fashion":
-		kind = dataset.FashionMNIST
-	case "cifar10":
-		kind = dataset.CIFAR10
-	case "mstar":
-		kind = dataset.MSTAR
-	default:
-		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dsName)
-		os.Exit(2)
+func main() {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if errors.As(err, &usageError{}) {
+			os.Exit(2)
+		}
+		os.Exit(1)
 	}
-	fbMode := emstdp.DFA
-	if *mode == "fa" {
+}
+
+// run parses args, builds the conv-on-chip network and writes the
+// report to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("loihi-info", flag.ExitOnError)
+	dsName := fs.String("dataset", "mnist", "dataset: mnist, fashion, cifar10, mstar")
+	mode := fs.String("mode", "dfa", "feedback mode: fa or dfa")
+	perCore := fs.Int("neurons-per-core", 10, "dense-part packing")
+	hidden := fs.Int("hidden", 100, "hidden layer width")
+	showRaster := fs.Bool("raster", false, "print a spike raster of one two-phase training sample")
+	fs.Parse(args)
+
+	kind, err := dataset.ParseKind(*dsName)
+	if err != nil {
+		return usageError{err}
+	}
+	var fbMode emstdp.FeedbackMode
+	switch *mode {
+	case "fa":
 		fbMode = emstdp.FA
+	case "dfa":
+		fbMode = emstdp.DFA
+	default:
+		return usageError{fmt.Errorf("unknown mode %q (want fa or dfa)", *mode)}
 	}
 
 	m, err := core.Build(core.Options{
@@ -59,53 +71,34 @@ func main() {
 		PretrainEpochs: 1,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "build: %v\n", err)
-		os.Exit(1)
+		return fmt.Errorf("build: %w", err)
 	}
 	net := m.ChipNetwork()
 	hw := loihi.DefaultHardware()
 
-	c, h, w := dataset.Shape(kind)
-	fmt.Printf("network: %dx%dx%d - 5x5k16c2s - 3x3k8c2s - %dd - %dd (%v feedback)\n",
-		w, h, c, *hidden, m.DS.NumClasses, fbMode)
-	fmt.Printf("chip: %d cores, %d compartments/core, %d synapses/core\n\n",
+	c, h, wd := dataset.Shape(kind)
+	fmt.Fprintf(w, "network: %dx%dx%d - 5x5k16c2s - 3x3k8c2s - %dd - %dd (%v feedback)\n",
+		wd, h, c, *hidden, m.DS.NumClasses, fbMode)
+	fmt.Fprintf(w, "chip: %d cores, %d compartments/core, %d synapses/core\n\n",
 		hw.NumCores, hw.MaxCompartmentsPerCore, hw.MaxSynapsesPerCore)
 
-	// The Operation Flow 1 plan for the forward path.
-	adj1 := mapping.NewConvAdjacency(c, h, w, 16, 5, 5, 2)
-	o1h, o1w := (h-5)/2+1, (w-5)/2+1
-	adj2 := mapping.NewConvAdjacency(16, o1h, o1w, 8, 3, 3, 2)
-	layers := []mapping.LayerSpec{
-		mapping.ConvSpec("conv1", c, 5, 5, 16, o1h, o1w, adj2.MaxFanIn()),
-		mapping.ConvSpec("conv2", 16, 3, 3, 8, (o1h-3)/2+1, (o1w-3)/2+1, *hidden),
-		mapping.DenseSpec("dense1", m.Conv.OutSize(), *hidden, m.DS.NumClasses),
-		mapping.DenseSpec("output", *hidden, m.DS.NumClasses, 0),
-	}
-	fmt.Println("Operation Flow 1 plan (forward path):")
-	fmt.Printf("  %-8s %-9s %-8s %-9s %-7s %s\n", "layer", "neurons", "fan-in", "synapses", "n/core", "cores")
-	for i, spec := range layers {
-		per := mapping.NeuronsPerCoreFor(hw, spec, *perCore)
-		if spec.Kind == mapping.Conv {
-			per = mapping.NeuronsPerCoreFor(hw, spec, 512)
+	// The Operation Flow 1 placement the chip runs, one row per shard.
+	fmt.Fprintln(w, "placement (netlist build order):")
+	fmt.Fprintf(w, "  %-10s %-8s %-7s %-4s %-11s %s\n", "population", "neurons", "n/core", "die", "first core", "cores")
+	for _, pl := range net.PartitionPlan().Pops {
+		for _, s := range pl.Shards {
+			fmt.Fprintf(w, "  %-10s %-8d %-7d %-4d %-11d %d\n", pl.Name, s.Hi-s.Lo, s.PerCore, s.Die, s.FirstCore, s.Cores)
 		}
-		cores := (spec.Neurons + per - 1) / per
-		syn := spec.Neurons * spec.FanIn
-		if i == 0 {
-			syn = adj1.Synapses()
-		} else if i == 1 {
-			syn = adj2.Synapses()
-		}
-		fmt.Printf("  %-8s %-9d %-8d %-9d %-7d %d\n", spec.Name, spec.Neurons, spec.FanIn, syn, per, cores)
 	}
 
-	fmt.Printf("\nrealised deployment (forward + error paths):\n")
-	fmt.Printf("  cores used:            %d\n", net.CoresUsed())
-	fmt.Printf("  busiest core:          %d compartments\n", net.MaxNeuronsPerCore())
-	fmt.Printf("  busiest plastic core:  %d compartments\n", net.MaxPlasticNeuronsPerCore())
-	fmt.Printf("  plastic synapses:      %d\n", net.NumPlasticSynapses())
+	fmt.Fprintf(w, "\nrealised deployment (forward + error paths):\n")
+	fmt.Fprintf(w, "  cores used:            %d\n", net.CoresUsed())
+	fmt.Fprintf(w, "  busiest core:          %d compartments\n", net.MaxNeuronsPerCore())
+	fmt.Fprintf(w, "  busiest plastic core:  %d compartments\n", net.MaxPlasticNeuronsPerCore())
+	fmt.Fprintf(w, "  plastic synapses:      %d\n", net.NumPlasticSynapses())
 
 	occ := net.Mesh().Die(0).CoreOccupancy()
-	fmt.Printf("  occupancy histogram (compartments per core):\n")
+	fmt.Fprintf(w, "  occupancy histogram (compartments per core):\n")
 	buckets := map[string]int{}
 	for _, n := range occ {
 		switch {
@@ -120,7 +113,7 @@ func main() {
 	}
 	for _, k := range []string{"  1-16", " 17-128", ">128"} {
 		if buckets[k] > 0 {
-			fmt.Printf("    %s: %d cores\n", k, buckets[k])
+			fmt.Fprintf(w, "    %s: %d cores\n", k, buckets[k])
 		}
 	}
 
@@ -136,9 +129,9 @@ func main() {
 		}
 	}
 	directIO := activePix * 64 / 2 // one insertion per input spike, mean rate ~x/2
-	fmt.Printf("\nhost I/O per training sample (§III-D):\n")
-	fmt.Printf("  bias-driven input coding: %d transactions\n", biasIO)
-	fmt.Printf("  direct spike insertion:   ~%d transactions (%d active pixels x rate x T)\n",
+	fmt.Fprintf(w, "\nhost I/O per training sample (§III-D):\n")
+	fmt.Fprintf(w, "  bias-driven input coding: %d transactions\n", biasIO)
+	fmt.Fprintf(w, "  direct spike insertion:   ~%d transactions (%d active pixels x rate x T)\n",
 		directIO, activePix)
 
 	if *showRaster {
@@ -153,8 +146,9 @@ func main() {
 		net.Mesh().OnStep = rec.Observe
 		net.TrainSample(s.Image.Data, s.Label)
 		net.Mesh().OnStep = nil
-		fmt.Printf("\nspike raster of one training sample (label %d; steps 0..%d phase 1, then phase 2):\n",
+		fmt.Fprintf(w, "\nspike raster of one training sample (label %d; steps 0..%d phase 1, then phase 2):\n",
 			s.Label, 63)
-		fmt.Print(rec.String())
+		fmt.Fprint(w, rec.String())
 	}
+	return nil
 }

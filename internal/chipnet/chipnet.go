@@ -269,16 +269,7 @@ func newCommon(cfg Config) (*Network, error) {
 // one is heavily connected to, which only the traffic-aware partition
 // strategy reads.
 func (n *Network) place(p *loihi.Population, perCore int, peers ...string) error {
-	// The partitioner would clamp an over-limit packing silently; a
-	// packing the hardware cannot hold is a configuration error.
-	if perCore <= 0 {
-		return fmt.Errorf("loihi: perCore must be positive, got %d", perCore)
-	}
-	if perCore > n.cfg.HW.MaxCompartmentsPerCore {
-		return fmt.Errorf("loihi: perCore %d exceeds compartments/core limit %d",
-			perCore, n.cfg.HW.MaxCompartmentsPerCore)
-	}
-	pl, err := n.part.AssignConnected(p.Name, p.N, perCore, 0, peers)
+	pl, err := n.part.Assign(p.Name, p.N, perCore, peers)
 	if err != nil {
 		return err
 	}

@@ -251,6 +251,20 @@ func TestChipPackingTradeoff(t *testing.T) {
 	}
 }
 
+// A packing the hardware cannot hold is a configuration error, not a
+// silent clamp: New must refuse NeuronsPerCore outside [1, the
+// compartments-per-core limit].
+func TestChipRejectsOutOfRangePacking(t *testing.T) {
+	limit := DefaultConfig(8, 2).HW.MaxCompartmentsPerCore
+	for _, per := range []int{0, limit + 1} {
+		cfg := DefaultConfig(8, 2)
+		cfg.NeuronsPerCore = per
+		if _, err := New(cfg); err == nil {
+			t.Errorf("NeuronsPerCore %d: New succeeded, want an error", per)
+		}
+	}
+}
+
 // Host I/O is O(1) transactions per sample (§III-D): 2 for inference
 // (input+—), 3 for training (input, label, phase switch).
 func TestChipHostTransactionsPerSample(t *testing.T) {

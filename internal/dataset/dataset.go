@@ -14,6 +14,7 @@ package dataset
 
 import (
 	"fmt"
+	"strings"
 
 	"emstdp/internal/rng"
 	"emstdp/internal/tensor"
@@ -43,6 +44,23 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+}
+
+// ParseKind resolves a dataset name as the CLIs and the serve API spell
+// it, case-insensitively: mnist (also the empty name), fashion
+// (fashion-mnist, fashionmnist), cifar10 (cifar-10) or mstar.
+func ParseKind(name string) (Kind, error) {
+	switch strings.ToLower(name) {
+	case "", "mnist":
+		return MNIST, nil
+	case "fashion", "fashion-mnist", "fashionmnist":
+		return FashionMNIST, nil
+	case "cifar10", "cifar-10":
+		return CIFAR10, nil
+	case "mstar":
+		return MSTAR, nil
+	}
+	return 0, fmt.Errorf("unknown dataset %q (want mnist, fashion, cifar10 or mstar)", name)
 }
 
 // Sample is one labelled image. Image is C×H×W with values in [0, 1].

@@ -224,3 +224,28 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind should still stringify")
 	}
 }
+
+func TestParseKind(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Kind
+	}{
+		{"", MNIST},
+		{"mnist", MNIST},
+		{"MNIST", MNIST},
+		{"fashion", FashionMNIST},
+		{"Fashion-MNIST", FashionMNIST},
+		{"fashionmnist", FashionMNIST},
+		{"cifar10", CIFAR10},
+		{"cifar-10", CIFAR10},
+		{"mstar", MSTAR},
+	} {
+		got, err := ParseKind(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ParseKind("imagenet"); err == nil {
+		t.Error(`ParseKind("imagenet"): expected an error`)
+	}
+}

@@ -1,3 +1,20 @@
+// Package mapping implements the paper's core-mapping algorithm
+// (§III-C, Operation Flow 1): neurons are mapped incrementally onto
+// cores a layer at a time, perCore neurons to a core. Packing more
+// neurons per core uses fewer cores (less active power, idle cores are
+// power-gated) but serialises more work per core per step (longer
+// execution time), the trade-off of Fig 3.
+//
+// A Partition places the populations of a netlist on a board of one or
+// more dies: whole when they fit and as contiguous per-core-aligned
+// neuron ranges when they must (or when the strategy deliberately
+// spreads them). The partitioner is an online algorithm, populations
+// arriving one at a time in netlist build order, and is fully
+// deterministic: the same sequence of Assign calls always yields the
+// same placement, which is what lets a replica rebuild the identical
+// sharded netlist from the configuration alone. Synapse memory and
+// fan-in are not placement decisions; the chip checks them when a
+// synapse group connects.
 package mapping
 
 import (
@@ -6,16 +23,6 @@ import (
 
 	"emstdp/internal/loihi"
 )
-
-// This file generalises the single-die core mapping (Operation Flow 1,
-// mapping.Map) to a board of several dies: a Partition assigns each
-// population of a netlist to one or more chips, whole when it fits and
-// as contiguous per-core-aligned neuron ranges when it must (or when the
-// strategy deliberately spreads it). The partitioner is an online
-// algorithm — populations arrive one at a time in netlist build order —
-// and is fully deterministic: the same sequence of Assign calls always
-// yields the same placement, which is what lets a replica rebuild the
-// identical sharded netlist from the configuration alone.
 
 // Strategy selects how populations are spread over dies.
 type Strategy int
@@ -35,7 +42,7 @@ const (
 	// StrategyTraffic keeps each population whole like
 	// StrategyPopulation, but chooses the die greedily by connectivity:
 	// the die already hosting the most neurons of the population's
-	// declared peers (AssignConnected), ties to the least-loaded then
+	// declared peers (Assign), ties to the least-loaded then
 	// lowest index. Co-locating heavily-connected populations cuts
 	// cross-die spikes; with no peers declared it degrades to the
 	// least-loaded choice, and it spills across dies ascending exactly
@@ -82,25 +89,21 @@ type Shard struct {
 type PopPlacement struct {
 	Name string
 	N    int
-	// PerCore is the constraint-clamped packing actually used.
+	// PerCore is the packing: neurons per core.
 	PerCore int
-	// FanIn is the per-neuron synaptic fan-in the caller declared (0 =
-	// unknown; synaptic-memory clamping is then skipped, and validation
-	// happens at connect time like the single-die path).
-	FanIn  int
-	Shards []Shard
+	Shards  []Shard
 }
 
-// Partition is a deterministic multi-die placement under per-core
-// compartment/synapse/fan-in capacity constraints.
+// Partition is a deterministic multi-die placement under the per-core
+// compartment budget.
 type Partition struct {
 	HW       loihi.HardwareConfig
 	Dies     int
 	Strategy Strategy
 	Pops     []PopPlacement
 
-	// nextCore is the per-die allocation cursor (cores are handed out
-	// contiguously per die, like the single-die mapper).
+	// nextCore is the per-die allocation cursor: cores are handed out
+	// contiguously per die, layer after layer.
 	nextCore []int
 }
 
@@ -119,50 +122,26 @@ func NewPartition(hw loihi.HardwareConfig, dies int, strategy Strategy) (*Partit
 // CoresUsed returns the occupied core count of one die.
 func (pt *Partition) CoresUsed(die int) int { return pt.nextCore[die] }
 
-// TotalCores returns the occupied core count across all dies.
-func (pt *Partition) TotalCores() int {
-	n := 0
-	for _, c := range pt.nextCore {
-		n += c
-	}
-	return n
-}
-
-// clampPerCore reduces the requested packing until the compartment
-// budget and (when fanIn is known) the per-core synaptic memory hold —
-// the multi-die reading of "Compute lm, optimal number of neurons per
-// core".
-func (pt *Partition) clampPerCore(perCore, fanIn int) int {
-	return NeuronsPerCoreFor(pt.HW, LayerSpec{FanIn: fanIn}, perCore)
-}
-
 // Assign places the next population (netlist build order) and returns
-// its placement. n is the population size, perCore the requested
-// packing, fanIn the declared per-neuron fan-in (0 = unknown). Returns
-// an error when the board runs out of cores or fanIn exceeds the
-// compartment limit.
-func (pt *Partition) Assign(name string, n, perCore, fanIn int) (*PopPlacement, error) {
-	return pt.AssignConnected(name, n, perCore, fanIn, nil)
-}
-
-// AssignConnected is Assign with a declared adjacency: peers names the
+// its placement. n is the population size and perCore its packing,
+// which must lie in [1, MaxCompartmentsPerCore]. peers names the
 // already-assigned populations this one is heavily connected to (fan-in
-// sources, injection targets). Only StrategyTraffic reads it — the
-// other strategies place identically with or without peers. A failed
-// call leaves the partition untouched: shards are staged against a
-// cursor copy and committed only on success, so no cores leak.
-func (pt *Partition) AssignConnected(name string, n, perCore, fanIn int, peers []string) (*PopPlacement, error) {
+// sources, injection targets); only StrategyTraffic reads it, the other
+// strategies place identically with or without peers. Returns an error
+// when the board runs out of cores. A failed call leaves the partition
+// untouched: shards are staged against a cursor copy and committed only
+// on success, so no cores leak.
+func (pt *Partition) Assign(name string, n, perCore int, peers []string) (*PopPlacement, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mapping: population %q needs positive size, got %d", name, n)
 	}
-	if fanIn > pt.HW.MaxFanInPerCompartment {
-		return nil, fmt.Errorf("mapping: population %q fan-in %d exceeds compartment limit %d",
-			name, fanIn, pt.HW.MaxFanInPerCompartment)
+	if perCore < 1 || perCore > pt.HW.MaxCompartmentsPerCore {
+		return nil, fmt.Errorf("mapping: population %q perCore %d outside [1,%d]",
+			name, perCore, pt.HW.MaxCompartmentsPerCore)
 	}
-	per := pt.clampPerCore(perCore, fanIn)
-	cores := (n + per - 1) / per
+	cores := (n + perCore - 1) / perCore
 
-	pl := PopPlacement{Name: name, N: n, PerCore: per, FanIn: fanIn}
+	pl := PopPlacement{Name: name, N: n, PerCore: perCore}
 	cursor := append([]int(nil), pt.nextCore...)
 	var err error
 	switch pt.Strategy {
@@ -313,9 +292,10 @@ func (pt *Partition) assignRange(pl *PopPlacement, cores int, cursor []int) erro
 //  1. every neuron of every population is assigned to exactly one shard
 //     (shards tile [0,N) without gaps or overlaps);
 //  2. no core is assigned more compartments than the hardware allows,
-//     and no die more cores than it has;
-//  3. per-core synaptic memory (PerCore × FanIn, when fan-in is
-//     declared) and the per-compartment fan-in limit hold.
+//     and no die more cores than it has.
+//
+// Synapse memory and fan-in are checked when a synapse group connects,
+// not here.
 func (pt *Partition) Validate() error {
 	occ := make([][]int, pt.Dies) // per die, per core compartment counts
 	for d := range occ {
@@ -324,16 +304,6 @@ func (pt *Partition) Validate() error {
 	for _, pl := range pt.Pops {
 		if pl.PerCore < 1 || pl.PerCore > pt.HW.MaxCompartmentsPerCore {
 			return fmt.Errorf("%q: perCore %d outside [1,%d]", pl.Name, pl.PerCore, pt.HW.MaxCompartmentsPerCore)
-		}
-		if pl.FanIn > 0 {
-			if pl.FanIn > pt.HW.MaxFanInPerCompartment {
-				return fmt.Errorf("%q: fan-in %d exceeds compartment limit %d",
-					pl.Name, pl.FanIn, pt.HW.MaxFanInPerCompartment)
-			}
-			if pl.PerCore*pl.FanIn > pt.HW.MaxSynapsesPerCore {
-				return fmt.Errorf("%q: perCore %d × fan-in %d exceeds core synapse memory %d",
-					pl.Name, pl.PerCore, pl.FanIn, pt.HW.MaxSynapsesPerCore)
-			}
 		}
 		next := 0
 		for si, s := range pl.Shards {

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"strings"
 	"testing"
 
 	"emstdp/internal/loihi"
@@ -9,7 +10,7 @@ import (
 
 // assignAll feeds a deterministic pseudo-random netlist shape into a
 // fresh partition and returns it (or the first error).
-func assignAll(t testing.TB, dies int, strategy Strategy, pops [][3]int) (*Partition, error) {
+func assignAll(t testing.TB, dies int, strategy Strategy, pops [][2]int) (*Partition, error) {
 	t.Helper()
 	pt, err := NewPartition(loihi.DefaultHardware(), dies, strategy)
 	if err != nil {
@@ -22,7 +23,7 @@ func assignAll(t testing.TB, dies int, strategy Strategy, pops [][3]int) (*Parti
 		if strategy == StrategyTraffic && i > 0 {
 			peers = []string{popName(i - 1)}
 		}
-		if _, err := pt.AssignConnected(popName(i), p[0], p[1], p[2], peers); err != nil {
+		if _, err := pt.Assign(popName(i), p[0], p[1], peers); err != nil {
 			return pt, err
 		}
 	}
@@ -33,15 +34,14 @@ func popName(i int) string {
 	return string(rune('a' + i%26))
 }
 
-// randomPops draws population shapes (size, requested perCore, fanIn)
-// from a seeded stream.
-func randomPops(r *rng.Source, n int) [][3]int {
-	pops := make([][3]int, n)
+// randomPops draws population shapes (size, perCore) from a seeded
+// stream.
+func randomPops(r *rng.Source, n int) [][2]int {
+	pops := make([][2]int, n)
 	for i := range pops {
-		pops[i] = [3]int{
-			1 + r.Intn(2000),         // size
-			1 + r.Intn(64),           // requested perCore
-			r.Intn(3) * r.Intn(2048), // fan-in, often 0 (unknown)
+		pops[i] = [2]int{
+			1 + r.Intn(2000), // size
+			1 + r.Intn(64),   // perCore
 		}
 	}
 	return pops
@@ -50,7 +50,7 @@ func randomPops(r *rng.Source, n int) [][3]int {
 // TestPartitionInvariantsRandomized is the randomized table harness:
 // many seeded netlist shapes, all three strategies, several die counts —
 // every accepted partition must satisfy the full invariant set
-// (exactly-once assignment, core/compartment/synapse capacities), and
+// (exactly-once assignment, core and compartment capacities), and
 // replaying the same sequence must reproduce the identical partition.
 func TestPartitionInvariantsRandomized(t *testing.T) {
 	for _, dies := range []int{1, 2, 3, 4, 8} {
@@ -112,11 +112,11 @@ func TestPartitionStrategyShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := pt.Assign("a", 100, 10, 0)
+	a, _ := pt.Assign("a", 100, 10, nil)
 	if len(a.Shards) != 1 || a.Shards[0].Die != 0 {
 		t.Fatalf("first pop should land whole on die 0: %+v", a.Shards)
 	}
-	b, _ := pt.Assign("b", 100, 10, 0)
+	b, _ := pt.Assign("b", 100, 10, nil)
 	if len(b.Shards) != 1 || b.Shards[0].Die != 1 {
 		t.Fatalf("second pop should balance onto die 1: %+v", b.Shards)
 	}
@@ -127,7 +127,7 @@ func TestPartitionStrategyShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := pt2.Assign("c", 256, 10, 0)
+	c, err := pt2.Assign("c", 256, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestPartitionStrategyShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := pt3.Assign("d", 100, 10, 0) // needs 10 cores, dies have 4
+	d, err := pt3.Assign("d", 100, 10, nil) // needs 10 cores, dies have 4
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,16 +164,17 @@ func TestPartitionStrategyShapes(t *testing.T) {
 	}
 
 	// Capacity exhaustion errors out rather than overcommitting.
-	if _, err := pt3.Assign("e", 100, 10, 0); err == nil {
+	if _, err := pt3.Assign("e", 100, 10, nil); err == nil {
 		t.Fatal("expected out-of-cores error")
 	}
 }
 
 // TestPartitionAssignAtomic is the regression test for the staged-cursor
-// commit: a failed Assign — here the spill path running out of cores
-// after provisionally carving shards off several dies — must leave the
-// partition exactly as it was: no placement recorded, no cores leaked,
-// and subsequent placements land as if the failed call never happened.
+// commit: a failed Assign must leave the partition exactly as it was:
+// no placement recorded, no cores leaked, and subsequent placements
+// land as if the failed call never happened. The failures are the spill
+// path running out of cores after provisionally carving shards off
+// several dies, and a packing or size Assign rejects up front.
 func TestPartitionAssignAtomic(t *testing.T) {
 	small := loihi.DefaultHardware()
 	small.NumCores = 4
@@ -181,30 +182,41 @@ func TestPartitionAssignAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pt.Assign("a", 30, 10, 0); err != nil { // 3 cores on die 0
+	if _, err := pt.Assign("a", 30, 10, nil); err != nil { // 3 cores on die 0
 		t.Fatal(err)
 	}
 	before := []int{pt.CoresUsed(0), pt.CoresUsed(1)}
 	pops := len(pt.Pops)
 
-	// 100 neurons at 10/core need 10 cores; the board has 5 free. The
-	// spill walks die 0 then die 1 before discovering it cannot finish.
-	if _, err := pt.Assign("b", 100, 10, 0); err == nil {
-		t.Fatal("expected out-of-cores error")
-	}
-	if got := []int{pt.CoresUsed(0), pt.CoresUsed(1)}; got[0] != before[0] || got[1] != before[1] {
-		t.Fatalf("failed Assign leaked cores: %v, want %v", got, before)
-	}
-	if len(pt.Pops) != pops {
-		t.Fatalf("failed Assign recorded a placement: %d pops, want %d", len(pt.Pops), pops)
-	}
-	if err := pt.Validate(); err != nil {
-		t.Fatalf("partition invalid after failed Assign: %v", err)
+	for _, tc := range []struct {
+		name       string
+		n, perCore int
+	}{
+		// 100 neurons at 10/core need 10 cores; the board has 5 free.
+		// The spill walks die 0 then die 1 before discovering it cannot
+		// finish.
+		{"out of cores", 100, 10},
+		{"perCore 0", 10, 0},
+		{"perCore over limit", 10, small.MaxCompartmentsPerCore + 1},
+		{"empty population", 0, 10},
+	} {
+		if _, err := pt.Assign("b", tc.n, tc.perCore, nil); err == nil {
+			t.Fatalf("%s: expected an error", tc.name)
+		}
+		if got := []int{pt.CoresUsed(0), pt.CoresUsed(1)}; got[0] != before[0] || got[1] != before[1] {
+			t.Fatalf("%s: failed Assign leaked cores: %v, want %v", tc.name, got, before)
+		}
+		if len(pt.Pops) != pops {
+			t.Fatalf("%s: failed Assign recorded a placement: %d pops, want %d", tc.name, len(pt.Pops), pops)
+		}
+		if err := pt.Validate(); err != nil {
+			t.Fatalf("%s: partition invalid after failed Assign: %v", tc.name, err)
+		}
 	}
 
 	// The next valid placement must be unaffected: 40 neurons fit die 1
 	// whole (die 0 has only 1 core free).
-	c, err := pt.Assign("c", 40, 10, 0)
+	c, err := pt.Assign("c", 40, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,23 +239,23 @@ func TestPartitionTrafficAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := pt.AssignConnected("a", 100, 10, 0, nil)
+	a, err := pt.Assign("a", 100, 10, nil)
 	if err != nil || a.Shards[0].Die != 0 {
 		t.Fatalf("first pop should land on die 0: %+v, %v", a.Shards, err)
 	}
 	// b declares a as a peer: co-locates on die 0 despite dies 1 and 2
 	// being empty.
-	b, err := pt.AssignConnected("b", 100, 10, 0, []string{"a"})
+	b, err := pt.Assign("b", 100, 10, []string{"a"})
 	if err != nil || len(b.Shards) != 1 || b.Shards[0].Die != 0 {
 		t.Fatalf("peer-connected pop should co-locate on die 0: %+v, %v", b.Shards, err)
 	}
 	// c has no peers: least-loaded die (1).
-	c, err := pt.AssignConnected("c", 50, 10, 0, nil)
+	c, err := pt.Assign("c", 50, 10, nil)
 	if err != nil || c.Shards[0].Die != 1 {
 		t.Fatalf("peerless pop should take the least-loaded die: %+v, %v", c.Shards, err)
 	}
 	// d is pulled to c's die over the empty die 2.
-	d, err := pt.AssignConnected("d", 50, 10, 0, []string{"c"})
+	d, err := pt.Assign("d", 50, 10, []string{"c"})
 	if err != nil || d.Shards[0].Die != 1 {
 		t.Fatalf("peer-connected pop should follow its peer: %+v, %v", d.Shards, err)
 	}
@@ -259,10 +271,10 @@ func TestPartitionTrafficAffinity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pt2.AssignConnected("a", 30, 10, 0, nil); err != nil { // 3 of 4 cores on die 0
+	if _, err := pt2.Assign("a", 30, 10, nil); err != nil { // 3 of 4 cores on die 0
 		t.Fatal(err)
 	}
-	e, err := pt2.AssignConnected("e", 20, 10, 0, []string{"a"}) // needs 2 cores
+	e, err := pt2.Assign("e", 20, 10, []string{"a"}) // needs 2 cores
 	if err != nil || e.Shards[0].Die != 1 {
 		t.Fatalf("full affine die should be skipped: %+v, %v", e.Shards, err)
 	}
@@ -271,28 +283,127 @@ func TestPartitionTrafficAffinity(t *testing.T) {
 	}
 }
 
-// TestPartitionCapacityClamping pins the constraint arithmetic: fan-in
-// over the compartment limit is rejected, and synaptic memory clamps
-// the packing.
+// TestPartitionCapacityClamping pins the packing bounds: Assign places
+// at exactly perCore neurons per core anywhere in [1,
+// MaxCompartmentsPerCore] and rejects a packing outside that range
+// instead of clamping it.
 func TestPartitionCapacityClamping(t *testing.T) {
 	hw := loihi.DefaultHardware()
 	pt, err := NewPartition(hw, 2, StrategyRange)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pt.Assign("big", 10, 10, hw.MaxFanInPerCompartment+1); err == nil {
-		t.Fatal("expected fan-in rejection")
+	for _, per := range []int{-1, 0, hw.MaxCompartmentsPerCore + 1} {
+		if _, err := pt.Assign("bad", 10, per, nil); err == nil {
+			t.Fatalf("perCore %d: expected rejection", per)
+		}
 	}
-	// fanIn 4096 → at most 128K/4096 = 32 neurons per core.
-	pl, err := pt.Assign("clamped", 500, 1000, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pl.PerCore != hw.MaxSynapsesPerCore/4096 {
-		t.Fatalf("perCore clamped to %d, want %d", pl.PerCore, hw.MaxSynapsesPerCore/4096)
+	for _, per := range []int{1, 7, hw.MaxCompartmentsPerCore} {
+		pl, err := pt.Assign("ok", 100, per, nil)
+		if err != nil {
+			t.Fatalf("perCore %d: %v", per, err)
+		}
+		if pl.PerCore != per {
+			t.Fatalf("perCore %d placed at %d", per, pl.PerCore)
+		}
+		for _, s := range pl.Shards {
+			if s.PerCore != per {
+				t.Fatalf("perCore %d: shard packed at %d", per, s.PerCore)
+			}
+		}
 	}
 	if err := pt.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPartitionValidateRejects hand-builds one corrupt partition per
+// invariant Validate checks and requires each to be reported.
+func TestPartitionValidateRejects(t *testing.T) {
+	hw := loihi.DefaultHardware()
+	hw.NumCores = 4
+	limit := hw.MaxCompartmentsPerCore
+	pop := func(name string, n, per int, shards ...Shard) PopPlacement {
+		return PopPlacement{Name: name, N: n, PerCore: per, Shards: shards}
+	}
+	for _, tc := range []struct {
+		name string
+		pops []PopPlacement
+		want string
+	}{
+		{"perCore 0", []PopPlacement{pop("a", 10, 0)}, "perCore 0 outside"},
+		{"perCore over limit", []PopPlacement{pop("a", 10, limit+1)}, "outside [1,"},
+		{"gap", []PopPlacement{pop("a", 20, 10,
+			Shard{Die: 0, Lo: 0, Hi: 10, Cores: 1, PerCore: 10},
+			Shard{Die: 1, Lo: 12, Hi: 20, Cores: 1, PerCore: 10})}, "gap or overlap"},
+		{"empty shard", []PopPlacement{pop("a", 10, 10,
+			Shard{Die: 0, Lo: 0, Hi: 0, Cores: 0, PerCore: 10})}, "empty range"},
+		{"die off board", []PopPlacement{pop("a", 10, 10,
+			Shard{Die: 2, Lo: 0, Hi: 10, Cores: 1, PerCore: 10})}, "outside board"},
+		{"cores off die", []PopPlacement{pop("a", 20, 10,
+			Shard{Die: 0, Lo: 0, Hi: 20, FirstCore: 3, Cores: 2, PerCore: 10})}, "outside die"},
+		{"core count", []PopPlacement{pop("a", 20, 10,
+			Shard{Die: 0, Lo: 0, Hi: 20, Cores: 1, PerCore: 10})}, "need 2 cores, recorded 1"},
+		{"short cover", []PopPlacement{pop("a", 20, 10,
+			Shard{Die: 0, Lo: 0, Hi: 10, Cores: 1, PerCore: 10})}, "cover [0,10) of 20"},
+		{"core overfull", []PopPlacement{
+			pop("a", limit, limit, Shard{Die: 0, Lo: 0, Hi: limit, Cores: 1, PerCore: limit}),
+			pop("b", 1, 1, Shard{Die: 0, Lo: 0, Hi: 1, Cores: 1, PerCore: 1}),
+		}, "compartments > limit"},
+	} {
+		pt, err := NewPartition(hw, 2, StrategyPopulation)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt.Pops = tc.pops
+		err = pt.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestNewPartitionRejects pins the constructor's argument checks.
+func TestNewPartitionRejects(t *testing.T) {
+	hw := loihi.DefaultHardware()
+	if _, err := NewPartition(hw, 0, StrategyPopulation); err == nil {
+		t.Error("0 dies: expected an error")
+	}
+	if _, err := NewPartition(hw, 1, Strategy(99)); err == nil {
+		t.Error("unknown strategy: expected an error")
+	}
+}
+
+// TestStrategyNames pins the strategy names and their aliases, both
+// ways: every name String prints parses back to its strategy.
+func TestStrategyNames(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Strategy
+	}{
+		{"", StrategyPopulation},
+		{"population", StrategyPopulation},
+		{" Pop ", StrategyPopulation},
+		{"range", StrategyRange},
+		{"SPLIT", StrategyRange},
+		{"traffic", StrategyTraffic},
+		{"affinity", StrategyTraffic},
+	} {
+		got, err := ParseStrategy(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ParseStrategy("round-robin"); err == nil {
+		t.Error(`ParseStrategy("round-robin"): expected an error`)
+	}
+	for _, s := range []Strategy{StrategyPopulation, StrategyRange, StrategyTraffic} {
+		if back, err := ParseStrategy(s.String()); err != nil || back != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", s.String(), back, err, s)
+		}
+	}
+	if got := Strategy(7).String(); got != "Strategy(7)" {
+		t.Errorf("Strategy(7).String() = %q", got)
 	}
 }
 

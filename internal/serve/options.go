@@ -61,22 +61,6 @@ type TenantOptions struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// parseDataset maps the JSON dataset names onto dataset.Kind.
-func parseDataset(name string) (dataset.Kind, error) {
-	switch strings.ToLower(name) {
-	case "", "mnist":
-		return dataset.MNIST, nil
-	case "fashion", "fashion-mnist", "fashionmnist":
-		return dataset.FashionMNIST, nil
-	case "cifar10", "cifar-10":
-		return dataset.CIFAR10, nil
-	case "mstar":
-		return dataset.MSTAR, nil
-	default:
-		return 0, fmt.Errorf("unknown dataset %q (want mnist, fashion, cifar10 or mstar)", name)
-	}
-}
-
 // parseBackend maps the JSON backend names onto core.Backend.
 func parseBackend(name string) (core.Backend, error) {
 	switch strings.ToLower(name) {
@@ -94,7 +78,7 @@ func parseBackend(name string) (core.Backend, error) {
 // mode, partition strategy, topology, conv on chip) stay at their core
 // defaults. Training is online, one sample at a time, as everywhere.
 func (o TenantOptions) coreOptions() (core.Options, error) {
-	ds, err := parseDataset(o.Dataset)
+	ds, err := dataset.ParseKind(o.Dataset)
 	if err != nil {
 		return core.Options{}, err
 	}

@@ -21,7 +21,6 @@ import (
 	"math/bits"
 
 	"emstdp/internal/fixed"
-	"emstdp/internal/rng"
 )
 
 // ActiveList is the index view of a step's spikes: the ascending
@@ -211,48 +210,6 @@ func QuantizeToPhase(x []float64, T int) []float64 {
 		q[i] = float64(PhaseLevel(v, T)) / float64(T)
 	}
 	return q
-}
-
-// PoissonEncoder is the stochastic alternative to BiasEncoder: each
-// neuron fires independently with per-step probability equal to its
-// rate. Classic SNN work rate-codes inputs this way; the paper's
-// deterministic bias integration produces the same mean rate with zero
-// count variance, which is worth about a point of accuracy at T=64 (see
-// the input-coding ablation).
-type PoissonEncoder struct {
-	rates  []float64
-	spikes []bool
-	rng    *rng.Source
-}
-
-// NewPoissonEncoder returns an encoder over n neurons.
-func NewPoissonEncoder(n int, seed uint64) *PoissonEncoder {
-	return &PoissonEncoder{
-		rates:  make([]float64, n),
-		spikes: make([]bool, n),
-		rng:    rng.New(seed),
-	}
-}
-
-// Len returns the number of input neurons.
-func (e *PoissonEncoder) Len() int { return len(e.rates) }
-
-// SetRates programs per-neuron firing probabilities (clamped to [0,1]).
-func (e *PoissonEncoder) SetRates(r []float64) {
-	if len(r) != len(e.rates) {
-		panic("spike: rate length mismatch")
-	}
-	for i, v := range r {
-		e.rates[i] = fixed.ClampF(v, 0, 1)
-	}
-}
-
-// Step draws one timestep of spikes.
-func (e *PoissonEncoder) Step() []bool {
-	for i, r := range e.rates {
-		e.spikes[i] = e.rng.Bernoulli(r)
-	}
-	return e.spikes
 }
 
 // Counter accumulates spike counts per neuron over a window.

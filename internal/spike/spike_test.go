@@ -287,65 +287,3 @@ func TestTraceDecay(t *testing.T) {
 		t.Error("reset failed")
 	}
 }
-
-func TestPoissonEncoderRate(t *testing.T) {
-	enc := NewPoissonEncoder(2, 7)
-	enc.SetRates([]float64{0.3, 1.5}) // second clamps to 1
-	c0, c1 := 0, 0
-	const n = 10000
-	for i := 0; i < n; i++ {
-		s := enc.Step()
-		if s[0] {
-			c0++
-		}
-		if s[1] {
-			c1++
-		}
-	}
-	if got := float64(c0) / n; got < 0.27 || got > 0.33 {
-		t.Errorf("poisson rate %.3f, want ~0.3", got)
-	}
-	if c1 != n {
-		t.Errorf("clamped rate-1 neuron fired %d/%d", c1, n)
-	}
-}
-
-// The §III-D trade: over one phase, the deterministic bias encoder's
-// count is exact while the Poisson encoder's varies — same mean, strictly
-// more variance.
-func TestPoissonVsBiasVariance(t *testing.T) {
-	const T = 64
-	const rate = 0.4
-	pe := NewPoissonEncoder(1, 9)
-	pe.SetRates([]float64{rate})
-	var sum, sumSq float64
-	const trials = 300
-	for tr := 0; tr < trials; tr++ {
-		c := 0
-		for i := 0; i < T; i++ {
-			if pe.Step()[0] {
-				c++
-			}
-		}
-		sum += float64(c)
-		sumSq += float64(c) * float64(c)
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	if mean < rate*T-2 || mean > rate*T+2 {
-		t.Errorf("poisson mean count %.1f, want ~%.1f", mean, rate*T)
-	}
-	// Binomial variance T·p·(1-p) ≈ 15.4; deterministic coding has 0.
-	if variance < 8 {
-		t.Errorf("poisson count variance %.1f suspiciously low", variance)
-	}
-}
-
-func TestPoissonSetRatesValidates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	NewPoissonEncoder(2, 1).SetRates([]float64{0.5})
-}
