@@ -283,20 +283,32 @@ func TestPartitionTrafficAffinity(t *testing.T) {
 	}
 }
 
-// TestPartitionCapacityClamping pins the packing bounds: Assign places
-// at exactly perCore neurons per core anywhere in [1,
-// MaxCompartmentsPerCore] and rejects a packing outside that range
-// instead of clamping it.
-func TestPartitionCapacityClamping(t *testing.T) {
+// TestNeuronsPerCoreBounds pins the packing range: Assign rejects a
+// perCore outside [1, MaxCompartmentsPerCore] instead of clamping it.
+func TestNeuronsPerCoreBounds(t *testing.T) {
 	hw := loihi.DefaultHardware()
 	pt, err := NewPartition(hw, 2, StrategyRange)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, per := range []int{-1, 0, hw.MaxCompartmentsPerCore + 1} {
+	for _, per := range []int{-1, 0, hw.MaxCompartmentsPerCore + 1, 1 << 20} {
 		if _, err := pt.Assign("bad", 10, per, nil); err == nil {
 			t.Fatalf("perCore %d: expected rejection", per)
 		}
+	}
+	if len(pt.Pops) != 0 {
+		t.Fatalf("rejected packings placed %d populations", len(pt.Pops))
+	}
+}
+
+// TestPartitionCapacityClamping pins exact packing: Assign places at
+// exactly perCore neurons per core anywhere in [1,
+// MaxCompartmentsPerCore], on the population and on every shard.
+func TestPartitionCapacityClamping(t *testing.T) {
+	hw := loihi.DefaultHardware()
+	pt, err := NewPartition(hw, 2, StrategyRange)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, per := range []int{1, 7, hw.MaxCompartmentsPerCore} {
 		pl, err := pt.Assign("ok", 100, per, nil)
