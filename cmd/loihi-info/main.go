@@ -49,14 +49,9 @@ func run(w io.Writer, args []string) error {
 	if err != nil {
 		return usageError{err}
 	}
-	var fbMode emstdp.FeedbackMode
-	switch *mode {
-	case "fa":
-		fbMode = emstdp.FA
-	case "dfa":
-		fbMode = emstdp.DFA
-	default:
-		return usageError{fmt.Errorf("unknown mode %q (want fa or dfa)", *mode)}
+	fbMode, err := emstdp.ParseFeedbackMode(*mode)
+	if err != nil {
+		return usageError{err}
 	}
 
 	m, err := core.Build(core.Options{

@@ -121,11 +121,6 @@ type PretrainConfig struct {
 	Seed   uint64
 }
 
-// DefaultPretrain returns the configuration used by the experiments.
-func DefaultPretrain() PretrainConfig {
-	return PretrainConfig{Epochs: 3, LR: 0.01, Seed: 1}
-}
-
 // Pretrain trains a conv stack plus a throwaway dense head on the dataset
 // with softmax cross-entropy, then discards the head — mirroring the
 // paper's offline conv pretraining. Returns the frozen stack and the final

@@ -155,7 +155,6 @@ type Network struct {
 	errHidPos []*loihi.Population // per hidden layer, both modes
 	errHidNeg []*loihi.Population
 
-	perCoreOf map[*loihi.Population]int
 	phaseOn   []int32
 	phaseOff  []int32
 	zeroLabel []int32
@@ -257,7 +256,7 @@ func newCommon(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	mesh.SetTracer(cfg.Trace)
-	n := &Network{cfg: cfg, mesh: mesh, part: part, perCoreOf: map[*loihi.Population]int{}, pendingLabel: -1}
+	n := &Network{cfg: cfg, mesh: mesh, part: part, pendingLabel: -1}
 	n.phaseOn = []int32{16}
 	n.phaseOff = []int32{0}
 	n.zeroLabel = make([]int32, cfg.LayerSizes[len(cfg.LayerSizes)-1])
@@ -278,7 +277,6 @@ func (n *Network) place(p *loihi.Population, perCore int, peers ...string) error
 			return err
 		}
 	}
-	n.perCoreOf[p] = pl.PerCore
 	return nil
 }
 
@@ -568,20 +566,19 @@ func (n *Network) CoresUsed() int { return n.mesh.ActiveCores() }
 func (n *Network) MaxNeuronsPerCore() int { return n.mesh.MaxCompartmentsOnACore() }
 
 // MaxPlasticNeuronsPerCore returns the busiest core occupancy among the
-// populations that hold plastic synapses (the forward dense layers).
-// These cores pace the barrier-synchronised step: the microcode learning
-// engine services each plastic compartment's synapses serially, which is
-// why Fig 3's execution time grows with the neurons-per-core knob while
-// the fixed conv cores do not contribute.
+// populations that hold plastic synapses (the forward dense layers), as
+// the partition packed them. These cores pace the barrier-synchronised
+// step: the microcode learning engine services each plastic
+// compartment's synapses serially, which is why Fig 3's execution time
+// grows with the neurons-per-core knob while the fixed conv cores do not
+// contribute.
 func (n *Network) MaxPlasticNeuronsPerCore() int {
 	m := 0
-	for _, p := range n.fwd {
-		per := n.perCoreOf[p]
-		if p.N < per {
-			per = p.N
-		}
-		if per > m {
-			m = per
+	for _, pl := range n.part.Pops {
+		for _, p := range n.fwd {
+			if pl.Name == p.Name {
+				m = max(m, min(pl.N, pl.PerCore))
+			}
 		}
 	}
 	return m

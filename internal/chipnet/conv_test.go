@@ -97,6 +97,43 @@ func TestChipWithConvLearnsDigits(t *testing.T) {
 	}
 }
 
+// Transfer on frozen foreign features (§IV-A): a conv stack pretrained
+// offline on Fashion-MNIST garments, only calibrated on digits, must
+// still let the on-chip dense layers learn the digits online well above
+// chance.
+func TestChipLearnsOnForeignConvFeatures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	source := dataset.Generate(dataset.FashionMNIST, 300, 0, 7)
+	cs, _ := ann.Pretrain(source, ann.PretrainConfig{Epochs: 2, LR: 0.01, Seed: 1})
+	target := dataset.Generate(dataset.MNIST, 300, 100, 8)
+	calib := make([]*tensor.Tensor, 0, 50)
+	for _, s := range target.Train[:50] {
+		calib = append(calib, s.Image)
+	}
+	cs.Calibrate(calib)
+
+	net, err := NewWithConv(DefaultConfig(cs.OutSize(), 60, 10), cs, 1, 28, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range rng.New(3).Perm(len(target.Train)) {
+		net.TrainSample(target.Train[idx].Image.Data, target.Train[idx].Label)
+	}
+	correct := 0
+	for _, s := range target.Test {
+		if net.Predict(s.Image.Data) == s.Label {
+			correct++
+		}
+	}
+	acc := float64(correct) / float64(len(target.Test))
+	t.Logf("chip digits accuracy on garment features: %.3f", acc)
+	if acc < 0.5 {
+		t.Errorf("transfer accuracy %.3f, want >= 0.5 (chance 0.1)", acc)
+	}
+}
+
 func TestNewWithConvValidatesSizes(t *testing.T) {
 	cs, _ := buildCalibratedStack(t, 10)
 	cfg := DefaultConfig(99, 10) // wrong feature count

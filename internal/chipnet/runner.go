@@ -8,18 +8,14 @@ import (
 )
 
 // This file implements the engine.Runner contract for the on-chip
-// backend. ProgramSample, RunPhases and ReadCounts live in run.go next
-// to the schedule they stage; here are the update and replica-building
-// halves.
+// backend. ProgramSample and RunPhases live in run.go next to the
+// schedule they stage; here are the update and replica-building halves.
 //
 // A replica is a full rebuild of the netlist from the retained
 // configuration (and frozen conv stack, shared read-only), followed by a
 // plastic-weight copy. Replicas only classify; training runs on the
 // master alone. Chip activity counters accrue on whichever chip ran the
-// phases; energy harnesses that spread evaluation across replicas read
-// the totals through the engine Group's deterministic replica-order
-// reduction (engine.Group.Counters), pinned equal to the sequential
-// single-chip run.
+// phases, so the energy harnesses measure one chip sequentially.
 
 var _ engine.Runner = (*Network)(nil)
 

@@ -18,6 +18,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 
 	"emstdp/internal/ann"
 	"emstdp/internal/chipnet"
@@ -28,7 +29,6 @@ import (
 	"emstdp/internal/mapping"
 	"emstdp/internal/metrics"
 	"emstdp/internal/rng"
-	"emstdp/internal/tensor"
 	"emstdp/internal/trace"
 )
 
@@ -51,6 +51,19 @@ func (b Backend) String() string {
 		return "Loihi"
 	}
 	return "Python (FP)"
+}
+
+// ParseBackend resolves a backend name as the CLIs and the serve API
+// spell it, case-insensitively: fp (also the empty name), or chip
+// (loihi).
+func ParseBackend(name string) (Backend, error) {
+	switch strings.ToLower(name) {
+	case "", "fp":
+		return FP, nil
+	case "chip", "loihi":
+		return Chip, nil
+	}
+	return 0, fmt.Errorf("unknown backend %q (want fp or chip)", name)
 }
 
 // Options configures a Model. Zero values select the paper's defaults.
@@ -228,11 +241,6 @@ func (m *Model) buildBackend() error {
 // featurize maps raw samples to normalised feature-rate samples.
 func (m *Model) featurize(in []dataset.Sample) []metrics.Sample {
 	return featurizeWith(m.Conv, in)
-}
-
-// Features returns the frozen normalised conv features for an image.
-func (m *Model) Features(img *tensor.Tensor) []float64 {
-	return m.Conv.NormalizedRates(img)
 }
 
 // TrainSample runs one online EMSTDP update (features in, label in).

@@ -136,3 +136,26 @@ func TestModeFlowsThrough(t *testing.T) {
 		t.Error("mode not propagated")
 	}
 }
+
+func TestParseBackend(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Backend
+	}{
+		{"", FP},
+		{"fp", FP},
+		{"FP", FP},
+		{"chip", Chip},
+		{"Chip", Chip},
+		{"loihi", Chip},
+		{"LOIHI", Chip},
+	} {
+		got, err := ParseBackend(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseBackend(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	if _, err := ParseBackend("tpu"); err == nil {
+		t.Error(`ParseBackend("tpu"): expected an error`)
+	}
+}

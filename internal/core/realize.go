@@ -22,8 +22,8 @@ import (
 //
 // A Realized handed to several models is shared read-only: BuildFrom
 // never re-runs the conv stack, and models built from it must not call
-// Features or RefreshFeatures concurrently (ConvStack.Forward uses
-// internal scratch).
+// RefreshFeatures concurrently (ConvStack.Forward uses internal
+// scratch).
 type Realized struct {
 	DS               *dataset.Dataset
 	Conv             *ann.ConvStack

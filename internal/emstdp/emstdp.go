@@ -43,6 +43,7 @@ package emstdp
 
 import (
 	"fmt"
+	"strings"
 
 	"emstdp/internal/fixed"
 	"emstdp/internal/rng"
@@ -70,6 +71,18 @@ func (m FeedbackMode) String() string {
 		return "DFA"
 	}
 	return "FA"
+}
+
+// ParseFeedbackMode resolves a feedback-mode name as the CLIs spell it,
+// case-insensitively: fa or dfa.
+func ParseFeedbackMode(name string) (FeedbackMode, error) {
+	switch strings.ToLower(name) {
+	case "fa":
+		return FA, nil
+	case "dfa":
+		return DFA, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want fa or dfa)", name)
 }
 
 // Config parameterises an EMSTDP network of dense trainable layers.
@@ -377,15 +390,6 @@ func sqrtF(n int) float64 {
 // Config returns the configuration the network was built with.
 func (n *Network) Config() Config { return n.cfg }
 
-// NumWeights returns the count of trainable forward weights.
-func (n *Network) NumWeights() int {
-	total := 0
-	for _, l := range n.layers {
-		total += len(l.W)
-	}
-	return total
-}
-
 // NumFeedbackWeights returns the count of fixed feedback weights — the
 // quantity DFA shrinks relative to FA (§III-A).
 func (n *Network) NumFeedbackWeights() int {
@@ -424,10 +428,6 @@ func (n *Network) SetKernel(k snn.Kernel) {
 
 // NumLayers returns the number of trainable layers.
 func (n *Network) NumLayers() int { return len(n.layers) }
-
-// SetEta overrides the learning rate (incremental learning lowers it
-// during the learn-new-classes step).
-func (n *Network) SetEta(eta float64) { n.eta = eta }
 
 // SetLRReduced toggles the reduced learning rate (η/4) used by the
 // incremental protocol's learn-new step.

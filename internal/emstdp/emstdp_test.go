@@ -351,3 +351,25 @@ func TestInputEncoderFiresEveryLevelExactly(t *testing.T) {
 		}
 	}
 }
+
+func TestParseFeedbackMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want FeedbackMode
+	}{
+		{"fa", FA},
+		{"FA", FA},
+		{"dfa", DFA},
+		{"DFA", DFA},
+	} {
+		got, err := ParseFeedbackMode(tc.in)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseFeedbackMode(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "bp"} {
+		if _, err := ParseFeedbackMode(bad); err == nil {
+			t.Errorf("ParseFeedbackMode(%q): expected an error", bad)
+		}
+	}
+}

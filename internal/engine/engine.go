@@ -32,9 +32,6 @@ type Runner interface {
 	// the phase boundary plus phase 2 (error-driven correction).
 	// Training requires a ProgramSample with label >= 0.
 	RunPhases(train bool)
-	// ReadCounts returns a copy of the output layer's phase-1 spike
-	// counts from the most recent RunPhases.
-	ReadCounts() []int
 	// ApplyUpdate applies the weight update the runner's own last
 	// RunPhases(true) left behind, drawing stochastic-rounding bits from
 	// the runner's own streams. u must be nil: both backends panic

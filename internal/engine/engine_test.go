@@ -100,7 +100,6 @@ type mockRunner struct{}
 
 func (mockRunner) ProgramSample(x []float64, label int) {}
 func (mockRunner) RunPhases(train bool)                 {}
-func (mockRunner) ReadCounts() []int                    { return nil }
 func (mockRunner) ApplyUpdate(engine.Update)            {}
 func (mockRunner) Predict(x []float64) int              { return 0 }
 func (mockRunner) CloneRunner() (engine.Runner, error)  { return mockRunner{}, nil }
@@ -241,46 +240,5 @@ func TestCloneRunnerIsIndependentReplica(t *testing.T) {
 		if wa[i] != wb[i] {
 			t.Fatalf("post-sync weight %d differs", i)
 		}
-	}
-}
-
-// TestGroupCountersMatchSequentialEvaluation pins the counter-reduction
-// contract on evaluation: after ResetCounters, the activity counters a
-// 4-wide group reduces over its master and replicas equal the counters
-// of one chip classifying the same samples sequentially, including
-// replicas the measured call itself builds. The FP backend accrues no
-// counters and reports ok=false.
-func TestGroupCountersMatchSequentialEvaluation(t *testing.T) {
-	train := synthSamples(12, 20, 4, 29)
-	test := synthSamples(30, 20, 4, 31)
-
-	ref := chipNet(t)
-	trainOn(ref, train, len(train))
-	ref.ResetCounters()
-	for _, s := range test {
-		ref.Predict(s.X)
-	}
-	want := ref.Counters()
-	if want.Spikes == 0 {
-		t.Fatal("sequential evaluation recorded no spikes: the comparison proves nothing")
-	}
-
-	master := chipNet(t)
-	trainOn(master, train, len(train))
-	g := engine.NewGroup(master, engine.NewPool(4))
-	g.ResetCounters()
-	if _, err := g.Predict(test); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := g.Counters()
-	if !ok {
-		t.Fatal("chip group reports no counters")
-	}
-	if got != want {
-		t.Fatalf("reduced counters differ from the sequential pass:\ngroup      %+v\nsequential %+v", got, want)
-	}
-
-	if _, ok := engine.NewGroup(fpNet(t), engine.NewPool(4)).Counters(); ok {
-		t.Fatal("FP group reports counters")
 	}
 }

@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
-
 	"emstdp/internal/core"
 	"emstdp/internal/dataset"
 )
@@ -61,18 +58,6 @@ type TenantOptions struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// parseBackend maps the JSON backend names onto core.Backend.
-func parseBackend(name string) (core.Backend, error) {
-	switch strings.ToLower(name) {
-	case "", "fp":
-		return core.FP, nil
-	case "chip", "loihi":
-		return core.Chip, nil
-	default:
-		return 0, fmt.Errorf("unknown backend %q (want fp or chip)", name)
-	}
-}
-
 // coreOptions translates the tenant request into the core.Options the
 // model is built from. Knobs TenantOptions does not expose (feedback
 // mode, partition strategy, topology, conv on chip) stay at their core
@@ -82,7 +67,7 @@ func (o TenantOptions) coreOptions() (core.Options, error) {
 	if err != nil {
 		return core.Options{}, err
 	}
-	be, err := parseBackend(o.Backend)
+	be, err := core.ParseBackend(o.Backend)
 	if err != nil {
 		return core.Options{}, err
 	}

@@ -3,7 +3,6 @@ package spike
 import (
 	"testing"
 
-	"emstdp/internal/fixed"
 	"emstdp/internal/rng"
 )
 
@@ -91,60 +90,4 @@ func TestCounterObserveActiveMatchesObserve(t *testing.T) {
 			t.Fatalf("count %d: Observe %d, ObserveActive %d", i, a.Counts[i], b.Counts[i])
 		}
 	}
-}
-
-// TestTraceFastPathMatchesReference runs the no-decay fast path, the
-// event-driven StepActive, and a reference implementation of the
-// original loop side by side.
-func TestTraceFastPathMatchesReference(t *testing.T) {
-	r := rng.New(21)
-	spikes := make([]bool, 24)
-	fast := NewTrace(24, 3)
-	activeT := NewTrace(24, 3)
-	ref := make([]int, 24)
-	for step := 0; step < 120; step++ {
-		for i := range spikes {
-			spikes[i] = r.Bernoulli(0.5)
-		}
-		fast.Step(spikes)
-		activeT.StepActive(activeOf(spikes))
-		for i, s := range spikes {
-			if s {
-				ref[i] += 3
-				if ref[i] > fixed.TraceMax {
-					ref[i] = fixed.TraceMax
-				}
-			}
-		}
-		for i := range ref {
-			if fast.Get(i) != ref[i] || activeT.Get(i) != ref[i] {
-				t.Fatalf("step %d trace %d: Step=%d StepActive=%d ref=%d",
-					step, i, fast.Get(i), activeT.Get(i), ref[i])
-			}
-		}
-	}
-}
-
-func TestTraceDecayPathStillDecays(t *testing.T) {
-	tr := NewTrace(2, 10)
-	tr.DecayNum, tr.DecayShift = 1, 1 // halve per step
-	tr.Step([]bool{true, false})
-	if tr.Get(0) != 10 {
-		t.Fatalf("impulse not applied: %d", tr.Get(0))
-	}
-	tr.Step([]bool{false, false})
-	if tr.Get(0) != 5 {
-		t.Fatalf("decay shift not applied: %d, want 5", tr.Get(0))
-	}
-}
-
-func TestStepActiveRejectsDecayConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StepActive with decay configured must panic")
-		}
-	}()
-	tr := NewTrace(4, 1)
-	tr.DecayShift = 2
-	tr.StepActive([]int32{0})
 }

@@ -1,7 +1,7 @@
 // Package spike provides the spike-domain primitives shared by the
 // full-precision reference network and the chip netlist: the bias-driven
-// input rate coder of §III-D, saturating trace counters matching Loihi's
-// pre/post synaptic traces, and spike-count bookkeeping.
+// input rate coder of §III-D, spike bitsets and active lists, and
+// spike-count bookkeeping.
 //
 // The paper's input coding replaces per-spike host→chip I/O with a single
 // bias write per sample: the input neuron integrates its bias i every
@@ -186,10 +186,10 @@ func (e *BiasEncoder) Counts() []int { return e.count }
 // kept).
 func (e *BiasEncoder) Reset() { e.t = 0 }
 
-// PhaseLevel returns the quantization level of rate v over a phase of T
-// steps, the bin index k of QuantizeToPhase: v is clamped to [0,1] and
-// rounded to the nearest k/T. NaN, which no clamp orders, maps to level
-// 0, the silent input.
+// PhaseLevel returns the quantization level k of rate v over a phase of
+// T steps, the paper's "Quantize x to T bins" step: v is clamped to
+// [0,1] and rounded to the nearest k/T. NaN, which no clamp orders, maps
+// to level 0, the silent input.
 func PhaseLevel(v float64, T int) int {
 	if v != v {
 		return 0
@@ -199,17 +199,6 @@ func PhaseLevel(v float64, T int) int {
 		k = T
 	}
 	return k
-}
-
-// QuantizeToPhase quantizes real-valued inputs in [0,1] to T bins, the
-// paper's "Quantize x to T bins" step: the returned values are k/T for
-// the integer level k = PhaseLevel(x, T).
-func QuantizeToPhase(x []float64, T int) []float64 {
-	q := make([]float64, len(x))
-	for i, v := range x {
-		q[i] = float64(PhaseLevel(v, T)) / float64(T)
-	}
-	return q
 }
 
 // Counter accumulates spike counts per neuron over a window.
@@ -251,69 +240,4 @@ func (c *Counter) Total() int {
 		t += v
 	}
 	return t
-}
-
-// Trace is a bank of Loihi-style saturating trace counters: on each
-// presynaptic/postsynaptic spike the trace is incremented by Impulse, and
-// every step it decays by the configured shift (tau=0 disables decay,
-// giving a plain saturating spike counter — the configuration EMSTDP uses,
-// where traces hold phase spike counts).
-type Trace struct {
-	Impulse    int
-	DecayNum   int // decay multiplier numerator; trace = trace*DecayNum>>DecayShift
-	DecayShift uint
-	vals       []int
-}
-
-// NewTrace returns a trace bank of n counters with the given impulse and
-// no decay.
-func NewTrace(n, impulse int) *Trace {
-	return &Trace{Impulse: impulse, DecayNum: 1, DecayShift: 0, vals: make([]int, n)}
-}
-
-// Step applies decay then adds impulses for the given spikes. The
-// no-decay configuration (DecayShift == 0, EMSTDP's setting) takes a
-// fast path that touches only the spiking entries instead of paying the
-// decay branch for every element every step.
-func (t *Trace) Step(spikes []bool) {
-	if t.DecayShift == 0 {
-		for i, s := range spikes {
-			if s {
-				t.vals[i] = int(fixed.SatTrace(int64(t.vals[i]) + int64(t.Impulse)))
-			}
-		}
-		return
-	}
-	for i := range t.vals {
-		t.vals[i] = (t.vals[i] * t.DecayNum) >> t.DecayShift
-		if spikes[i] {
-			t.vals[i] = int(fixed.SatTrace(int64(t.vals[i]) + int64(t.Impulse)))
-		}
-	}
-}
-
-// StepActive is the event-driven no-decay step: a plain saturating count
-// over the given active indices, O(spikes) per step. Only valid with
-// decay disabled — with decay every element changes every step, so a
-// sparse walk cannot be equivalent.
-func (t *Trace) StepActive(active []int32) {
-	if t.DecayShift != 0 {
-		panic("spike: StepActive requires the no-decay configuration")
-	}
-	for _, i := range active {
-		t.vals[i] = int(fixed.SatTrace(int64(t.vals[i]) + int64(t.Impulse)))
-	}
-}
-
-// Get returns the trace value for neuron i.
-func (t *Trace) Get(i int) int { return t.vals[i] }
-
-// Values returns the underlying trace values (not a copy).
-func (t *Trace) Values() []int { return t.vals }
-
-// Reset zeroes the trace bank.
-func (t *Trace) Reset() {
-	for i := range t.vals {
-		t.vals[i] = 0
-	}
 }

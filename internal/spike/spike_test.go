@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"emstdp/internal/fixed"
 )
 
 // phaseCount steps one encoder neuron through a whole phase and returns
@@ -179,43 +177,39 @@ func TestBiasEncoderRasterMatchesRecurrence(t *testing.T) {
 	}
 }
 
+// TestQuantizeToPhase pins the paper's "Quantize x to T bins" step,
+// PhaseLevel: in-range rates round to the nearest bin, out-of-range ones
+// clamp to [0, T], and NaN is the silent level 0.
 func TestQuantizeToPhase(t *testing.T) {
-	out := QuantizeToPhase([]float64{0, 0.5, 1, 1.5, -0.2, math.NaN(), math.Inf(1), math.Inf(-1)}, 64)
-	if out[0] != 0 {
-		t.Errorf("q(0) = %v", out[0])
-	}
-	if out[1] != 0.5 {
-		t.Errorf("q(0.5) = %v", out[1])
-	}
-	if out[2] != 1 {
-		t.Errorf("q(1) = %v", out[2])
-	}
-	if out[3] != 1 {
-		t.Errorf("q(1.5) should clamp to 1, got %v", out[3])
-	}
-	if out[4] != 0 {
-		t.Errorf("q(-0.2) should clamp to 0, got %v", out[4])
-	}
-	if out[5] != 0 {
-		t.Errorf("q(NaN) should map to level 0, got %v", out[5])
-	}
-	if out[6] != 1 {
-		t.Errorf("q(+Inf) should clamp to 1, got %v", out[6])
-	}
-	if out[7] != 0 {
-		t.Errorf("q(-Inf) should clamp to 0, got %v", out[7])
+	const T = 64
+	for _, tc := range []struct {
+		v    float64
+		want int
+	}{
+		{0, 0},
+		{0.5, T / 2},
+		{1, T},
+		{1.5, T},
+		{-0.2, 0},
+		{math.NaN(), 0},
+		{math.Inf(1), T},
+		{math.Inf(-1), 0},
+	} {
+		if got := PhaseLevel(tc.v, T); got != tc.want {
+			t.Errorf("PhaseLevel(%v, %d) = %d, want %d", tc.v, T, got, tc.want)
+		}
 	}
 }
 
-// Quantized values are exact multiples of 1/T — the spike count over T
-// steps is then exactly the bin index.
+// TestQuantizeToPhaseBins requires PhaseLevel to pick the bin nearest
+// v·T, within [0, T]: the spike count over T steps is then the rate
+// rounded to a multiple of 1/T.
 func TestQuantizeToPhaseBins(t *testing.T) {
 	f := func(raw uint8, tExp uint8) bool {
 		T := 8 << (tExp % 5) // 8..128
 		v := float64(raw) / 255
-		q := QuantizeToPhase([]float64{v}, T)[0]
-		k := q * float64(T)
-		return k == float64(int(k+0.5))
+		k := PhaseLevel(v, T)
+		return k >= 0 && k <= T && math.Abs(float64(k)-v*float64(T)) <= 0.5
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -248,42 +242,6 @@ func TestCounter(t *testing.T) {
 	}
 	c.Reset()
 	if c.Total() != 0 {
-		t.Error("reset failed")
-	}
-}
-
-func TestTraceCountsWithoutDecay(t *testing.T) {
-	tr := NewTrace(2, 1)
-	for i := 0; i < 5; i++ {
-		tr.Step([]bool{true, false})
-	}
-	if tr.Get(0) != 5 || tr.Get(1) != 0 {
-		t.Errorf("trace = %v", tr.Values())
-	}
-}
-
-func TestTraceSaturates(t *testing.T) {
-	tr := NewTrace(1, 10)
-	for i := 0; i < 100; i++ {
-		tr.Step([]bool{true})
-	}
-	if tr.Get(0) != fixed.TraceMax {
-		t.Errorf("trace = %d, want saturation at %d", tr.Get(0), fixed.TraceMax)
-	}
-}
-
-func TestTraceDecay(t *testing.T) {
-	tr := NewTrace(1, 64)
-	tr.DecayNum = 1
-	tr.DecayShift = 1      // halve each step
-	tr.Step([]bool{true})  // 64
-	tr.Step([]bool{false}) // 32
-	tr.Step([]bool{false}) // 16
-	if tr.Get(0) != 16 {
-		t.Errorf("decayed trace = %d, want 16", tr.Get(0))
-	}
-	tr.Reset()
-	if tr.Get(0) != 0 {
 		t.Error("reset failed")
 	}
 }
