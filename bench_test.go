@@ -408,7 +408,8 @@ func BenchmarkChipStep(b *testing.B) {
 	r := rng.New(1)
 	x := make([]float64, 200)
 	r.FillUniform(x, 0, 1)
-	net.Counts(x) // program biases, warm state
+	net.ProgramSample(x, -1) // program biases, warm state
+	net.RunPhases(false)
 	mesh := net.Mesh()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -434,13 +435,23 @@ func benchFPTrainSample(b *testing.B, k snn.Kernel) {
 	cfg := emstdp.DefaultConfig(200, 100, 10)
 	net := emstdp.New(cfg)
 	net.SetKernel(k)
-	r := rng.New(1)
-	x := make([]float64, 200)
-	r.FillUniform(x, 0, 1)
+	x := featureDensityRates(rng.New(1), 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.TrainSample(x, i%10)
 	}
+}
+
+// featureDensityRates draws an input rate vector at the density of the
+// real mnist conv features: 64 of every 200 inputs non-zero, with rates
+// from U(0, 0.857) summing to about 27.4 — about 27 input spikes per
+// step, where rates drawn from U(0, 1) give about 100.
+func featureDensityRates(r *rng.Source, in int) []float64 {
+	x := make([]float64, in)
+	for _, k := range r.Perm(in)[:in*64/200] {
+		x[k] = r.Uniform(0, 2*27.4/64)
+	}
+	return x
 }
 
 // BenchmarkExperimentHarness exercises the full Table 2 harness once per

@@ -94,10 +94,15 @@ func percentile(xs []float64, q float64) float64 {
 // [0,1] by the calibrated A2 — the input representation both the
 // full-precision EMSTDP reference and the chip's dense layers consume.
 func (cs *ConvStack) NormalizedRates(x *tensor.Tensor) []float64 {
+	return cs.Rates(cs.Extract(x))
+}
+
+// Rates scales features f that Extract returned to firing rates in [0,1]
+// by the calibrated A2.
+func (cs *ConvStack) Rates(f *tensor.Tensor) []float64 {
 	if cs.A2 == 0 {
 		panic("ann: ConvStack not calibrated")
 	}
-	f := cs.Extract(x)
 	out := make([]float64, f.Len())
 	for i, v := range f.Data {
 		r := v / cs.A2
@@ -123,9 +128,11 @@ type PretrainConfig struct {
 
 // Pretrain trains a conv stack plus a throwaway dense head on the dataset
 // with softmax cross-entropy, then discards the head — mirroring the
-// paper's offline conv pretraining. Returns the frozen stack and the final
-// training accuracy of the full offline model.
-func Pretrain(ds *dataset.Dataset, cfg PretrainConfig) (*ConvStack, float64) {
+// paper's offline conv pretraining. Returns the frozen stack, the final
+// training accuracy of the full offline model, and the stack's features
+// of every training image (ds.Train order), which the accuracy pass
+// extracts anyway: a caller needs no second pass over the split.
+func Pretrain(ds *dataset.Dataset, cfg PretrainConfig) (*ConvStack, float64, []*tensor.Tensor) {
 	r := rng.New(cfg.Seed)
 	cs := NewConvStack(r, ds.C, ds.H, ds.W)
 	head := NewDense(r, cs.OutSize(), ds.NumClasses)
@@ -144,8 +151,10 @@ func Pretrain(ds *dataset.Dataset, cfg PretrainConfig) (*ConvStack, float64) {
 	}
 
 	correct := 0
-	for _, s := range ds.Train {
-		if net.Predict(s.Image) == s.Label {
+	feats := make([]*tensor.Tensor, len(ds.Train))
+	for i, s := range ds.Train {
+		feats[i] = cs.Extract(s.Image)
+		if head.Forward(feats[i]).ArgMax() == s.Label {
 			correct++
 		}
 	}
@@ -153,5 +162,5 @@ func Pretrain(ds *dataset.Dataset, cfg PretrainConfig) (*ConvStack, float64) {
 	if len(ds.Train) > 0 {
 		acc = float64(correct) / float64(len(ds.Train))
 	}
-	return cs, acc
+	return cs, acc, feats
 }

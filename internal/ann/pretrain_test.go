@@ -1,6 +1,7 @@
 package ann
 
 import (
+	"slices"
 	"testing"
 
 	"emstdp/internal/dataset"
@@ -13,12 +14,21 @@ func TestPretrainLearnsDigits(t *testing.T) {
 		t.Skip("pretraining is slow")
 	}
 	ds := dataset.Generate(dataset.MNIST, 300, 0, 21)
-	cs, acc := Pretrain(ds, PretrainConfig{Epochs: 3, LR: 0.01, Seed: 5})
+	cs, acc, feats := Pretrain(ds, PretrainConfig{Epochs: 3, LR: 0.01, Seed: 5})
 	if acc < 0.7 {
 		t.Errorf("pretrain train accuracy %.3f, want >= 0.7", acc)
 	}
 	if cs.OutSize() != 200 {
 		t.Errorf("OutSize = %d", cs.OutSize())
+	}
+	// The returned features are the frozen stack's, image for image.
+	if len(feats) != len(ds.Train) {
+		t.Fatalf("%d features for %d training images", len(feats), len(ds.Train))
+	}
+	for i, s := range ds.Train {
+		if !slices.Equal(feats[i].Data, cs.Extract(s.Image).Data) {
+			t.Fatalf("training image %d: returned features differ from Extract", i)
+		}
 	}
 }
 
@@ -29,7 +39,7 @@ func TestPretrainedFeaturesDiscriminative(t *testing.T) {
 		t.Skip("pretraining is slow")
 	}
 	ds := dataset.Generate(dataset.MNIST, 300, 100, 22)
-	cs, _ := Pretrain(ds, PretrainConfig{Epochs: 2, LR: 0.01, Seed: 6})
+	cs, _, _ := Pretrain(ds, PretrainConfig{Epochs: 2, LR: 0.01, Seed: 6})
 
 	n := cs.OutSize()
 	cents := make([][]float64, 10)
@@ -76,7 +86,7 @@ func TestPretrainedFeaturesDiscriminative(t *testing.T) {
 
 func TestPretrainEmptyDataset(t *testing.T) {
 	ds := dataset.Generate(dataset.MNIST, 0, 0, 1)
-	cs, acc := Pretrain(ds, PretrainConfig{Epochs: 1, LR: 0.01, Seed: 1})
+	cs, acc, _ := Pretrain(ds, PretrainConfig{Epochs: 1, LR: 0.01, Seed: 1})
 	if cs == nil {
 		t.Fatal("nil stack")
 	}

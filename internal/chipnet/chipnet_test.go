@@ -110,7 +110,7 @@ func TestChipPhase2DrivesTowardTarget(t *testing.T) {
 	r := rng.New(1)
 	x := make([]float64, 10)
 	r.FillUniform(x, 0.2, 0.8)
-	h1 := net.Counts(x)
+	h1 := phase1Counts(net, x)
 	net.TrainSample(x, 0)
 	h2 := net.ReadCounts()
 	target := int(cfg.TargetHigh * float64(cfg.T))
@@ -120,6 +120,14 @@ func TestChipPhase2DrivesTowardTarget(t *testing.T) {
 	if gap2 > gap1 {
 		t.Errorf("phase 2 did not approach target: |%d-%d| -> |%d-%d|", h1[0], target, h2[0], target)
 	}
+}
+
+// phase1Counts classifies x with a phase-1-only pass (inference mode:
+// the error path stays gated off) and returns the output spike counts.
+func phase1Counts(n *Network, x []float64) []int {
+	n.ProgramSample(x, -1)
+	n.RunPhases(false)
+	return n.ReadCounts()
 }
 
 func iabs(v int) int {
@@ -146,19 +154,19 @@ func TestChipPhase1Undisturbed(t *testing.T) {
 	x := make([]float64, 12)
 	r.FillUniform(x, 0.1, 0.9)
 
-	inference := netA.Counts(x)
+	inference := phase1Counts(netA, x)
 
 	// Run a full training pass on netB and capture phase-1 counts by
 	// inspecting the network mid-flight: easiest faithful check is that
-	// an untrained Counts() equals another untrained network's Counts()
+	// an untrained phase1Counts equals another untrained network's
 	// and that training doesn't corrupt the first phase — the weights
 	// after one TrainSample must reflect phase-1 counts equal to
-	// inference counts. Here: if phase-1 were disturbed, Counts would
+	// inference counts. Here: if phase-1 were disturbed, the counts would
 	// differ between the two fresh networks after one had trained once.
 	netB.TrainSample(x, 0)
 	// Re-run inference on netA (still untrained) — must be identical to
 	// before (determinism) and unaffected by error machinery.
-	again := netA.Counts(x)
+	again := phase1Counts(netA, x)
 	for i := range inference {
 		if inference[i] != again[i] {
 			t.Fatalf("inference not deterministic: %v vs %v", inference, again)
@@ -421,7 +429,7 @@ func TestChipRejectsPhaseLongerThanTheta(t *testing.T) {
 		x[i] = 0.9
 	}
 	total := 0
-	for _, c := range n.Counts(x) {
+	for _, c := range phase1Counts(n, x) {
 		total += c
 	}
 	if total == 0 {

@@ -15,7 +15,7 @@ import (
 func buildCalibratedStack(t *testing.T, nTrain int) (*ann.ConvStack, *dataset.Dataset) {
 	t.Helper()
 	ds := dataset.Generate(dataset.MNIST, nTrain, 20, 33)
-	cs, _ := ann.Pretrain(ds, ann.PretrainConfig{Epochs: 1, LR: 0.01, Seed: 5})
+	cs, _, _ := ann.Pretrain(ds, ann.PretrainConfig{Epochs: 1, LR: 0.01, Seed: 5})
 	imgs := make([]*tensor.Tensor, 0, 30)
 	for i := 0; i < len(ds.Train) && i < 30; i++ {
 		imgs = append(imgs, ds.Train[i].Image)
@@ -106,7 +106,7 @@ func TestChipLearnsOnForeignConvFeatures(t *testing.T) {
 		t.Skip("slow")
 	}
 	source := dataset.Generate(dataset.FashionMNIST, 300, 0, 7)
-	cs, _ := ann.Pretrain(source, ann.PretrainConfig{Epochs: 2, LR: 0.01, Seed: 1})
+	cs, _, _ := ann.Pretrain(source, ann.PretrainConfig{Epochs: 2, LR: 0.01, Seed: 1})
 	target := dataset.Generate(dataset.MNIST, 300, 100, 8)
 	calib := make([]*tensor.Tensor, 0, 50)
 	for _, s := range target.Train[:50] {

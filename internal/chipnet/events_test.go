@@ -65,7 +65,7 @@ func TestEventInputMatchesBiasInput(t *testing.T) {
 	}
 
 	evtCounts := evtNet.CountsEvents(rateEvents(rates, evtNet.cfg.T))
-	biasCounts := biasNet.Counts(rates)
+	biasCounts := phase1Counts(biasNet, rates)
 	for i := range evtCounts {
 		d := evtCounts[i] - biasCounts[i]
 		if d < -2 || d > 2 {

@@ -54,7 +54,7 @@ func TestChipTrainingBitIdenticalAcrossDelivery(t *testing.T) {
 	}
 	probe, _ := chipStream(rng.New(8), 40, 10, 15)
 	for _, x := range probe {
-		cd, cs := dense.Counts(x), sparse.Counts(x)
+		cd, cs := phase1Counts(dense, x), phase1Counts(sparse, x)
 		for j := range cd {
 			if cd[j] != cs[j] {
 				t.Fatalf("output counts diverge: dense %v sparse %v", cd, cs)

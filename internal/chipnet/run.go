@@ -161,17 +161,9 @@ func (n *Network) ReadCounts() []int {
 	return counts
 }
 
-// Counts classifies x with a phase-1-only pass (inference mode: the
-// error path stays gated off) and returns output spike counts.
-func (n *Network) Counts(x []float64) []int {
-	n.ProgramSample(x, -1)
-	n.RunPhases(false)
-	return n.ReadCounts()
-}
-
 // Predict returns the argmax class for x, breaking spike-count ties with
 // residual membrane potential. Reads the output traces in place (no
-// per-call allocation, unlike Counts).
+// per-call allocation, unlike ReadCounts).
 func (n *Network) Predict(x []float64) int {
 	n.ProgramSample(x, -1)
 	n.RunPhases(false)

@@ -61,11 +61,15 @@ func RealizeDataset(opts Options) *dataset.Dataset {
 // PretrainFrom runs the second realization stage over an
 // already-generated dataset: pretrain the conv stack (Seed+1, the
 // PretrainEpochs subset of opts), calibrate it on the first 64 training
-// images, and featurise both splits.
+// images, and featurise both splits. The training split's features are
+// the ones pretraining extracted for its accuracy pass, scaled to rates
+// once calibration has fixed A2; only the test split runs the stack
+// again.
 func PretrainFrom(ds *dataset.Dataset, opts Options) *Realized {
 	opts = opts.withDefaults()
 	r := &Realized{DS: ds}
-	r.Conv, r.PretrainAccuracy = ann.Pretrain(ds, ann.PretrainConfig{
+	var trainF []*tensor.Tensor
+	r.Conv, r.PretrainAccuracy, trainF = ann.Pretrain(ds, ann.PretrainConfig{
 		Epochs: opts.PretrainEpochs, LR: 0.01, Seed: opts.Seed + 1,
 	})
 	calib := make([]*tensor.Tensor, 0, 64)
@@ -73,7 +77,10 @@ func PretrainFrom(ds *dataset.Dataset, opts Options) *Realized {
 		calib = append(calib, ds.Train[i].Image)
 	}
 	r.Conv.Calibrate(calib)
-	r.TrainFeat = featurizeWith(r.Conv, ds.Train)
+	r.TrainFeat = make([]metrics.Sample, len(ds.Train))
+	for i, s := range ds.Train {
+		r.TrainFeat[i] = metrics.Sample{X: r.Conv.Rates(trainF[i]), Y: s.Label}
+	}
 	r.TestFeat = featurizeWith(r.Conv, ds.Test)
 	return r
 }

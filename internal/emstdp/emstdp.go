@@ -549,7 +549,7 @@ func (n *Network) phase1(record bool) {
 
 // Predict classifies x (rates in [0,1]) with a phase-1 pass, breaking
 // count ties by residual membrane potential. Reads the phase counters in
-// place (no per-call allocation, unlike Counts).
+// place (no per-call allocation, unlike ReadCounts).
 func (n *Network) Predict(x []float64) int {
 	n.ProgramSample(x, -1)
 	n.RunPhases(false)
@@ -563,13 +563,6 @@ func (n *Network) Predict(x []float64) int {
 		}
 	}
 	return bi
-}
-
-// Counts runs a phase-1 pass and returns the output layer spike counts.
-func (n *Network) Counts(x []float64) []int {
-	n.ProgramSample(x, -1)
-	n.RunPhases(false)
-	return n.ReadCounts()
 }
 
 // HiddenCounts returns the phase-1 spike counts of trainable layer li
@@ -651,16 +644,16 @@ func (n *Network) correctStep() {
 	labelSpikes := n.labelEnc.Step()
 
 	// Loss layer (eq 6): ε accumulates wL·(ŝ − s) with wL = 1.
-	outSpikes := outLayer.Spikes()
-	for j := range outSpikes {
-		if n.outputDisabled[j] {
+	outSpikes := outLayer.Bits()
+	for j, disabled := range n.outputDisabled {
+		if disabled {
 			continue
 		}
 		drive := 0.0
 		if labelSpikes.Get(j) {
 			drive += 1
 		}
-		if outSpikes[j] {
+		if outSpikes.Get(j) {
 			drive -= 1
 		}
 		n.errOut.Accumulate(j, drive)

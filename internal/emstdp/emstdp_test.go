@@ -123,7 +123,7 @@ func TestPhase2DrivesTowardTarget(t *testing.T) {
 	x := make([]float64, 10)
 	r.FillUniform(x, 0.2, 0.8)
 
-	h1 := net.Counts(x) // phase-1 counts before training
+	h1 := phase1Counts(net, x) // phase-1 counts before training
 	net.TrainSample(x, 0)
 	// After phase 2 (inside TrainSample), h2 for the output layer is in
 	// the last counter bank.
@@ -135,6 +135,14 @@ func TestPhase2DrivesTowardTarget(t *testing.T) {
 		t.Errorf("phase 2 did not move target neuron toward target: |%d-%d| -> |%d-%d|",
 			h1[0], targetCount, h2[0], targetCount)
 	}
+}
+
+// phase1Counts runs an inference-only phase-1 pass on x and returns the
+// output layer's spike counts.
+func phase1Counts(n *Network, x []float64) []int {
+	n.ProgramSample(x, -1)
+	n.RunPhases(false)
+	return n.ReadCounts()
 }
 
 func abs(v int) int {

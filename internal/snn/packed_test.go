@@ -39,9 +39,9 @@ func TestPackedKernelBitIdenticalToDense(t *testing.T) {
 			sd := dense.Step(bits)
 			sp := packed.Step(bits)
 			for o := 0; o < out; o++ {
-				if sd[o] != sp[o] {
+				if sd.Get(o) != sp.Get(o) {
 					t.Fatalf("density %.2f step %d: spike[%d] dense=%v packed=%v",
-						density, step, o, sd[o], sp[o])
+						density, step, o, sd.Get(o), sp.Get(o))
 				}
 				if dense.Potential(o) != packed.Potential(o) {
 					t.Fatalf("density %.2f step %d: u[%d] diverges across kernels", density, step, o)
@@ -68,23 +68,25 @@ func TestPackedKernelBitIdenticalToDense(t *testing.T) {
 // TestStepMatchesStepSparseAuto chains two layers the way the network
 // does — the second fed the first's published output bitset — and
 // checks it against an identical chain whose second layer gets a bitset
-// rebuilt from the first's bool vector. Spikes and membranes must agree
-// at every step, so a producer's Bits() is a valid input for its
-// consumer.
+// rebuilt from the first's spikes expanded to a bool vector. Spikes and
+// membranes must agree at every step, so a producer's Bits() is a valid
+// input for its consumer.
 func TestStepMatchesStepSparseAuto(t *testing.T) {
 	a1 := NewIFLayer(rng.New(5), 40, 33, 0.5, 1.0)
 	a2 := NewIFLayer(rng.New(6), 33, 17, 0.5, 1.0)
 	b1, b2 := a1.Clone(), a2.Clone()
 	r := rng.New(99)
 	rebuilt := spike.NewBitset(33)
+	dense := make([]bool, 33)
 	for step := 0; step < 100; step++ {
 		pre := randomSpikes(r, 40, 0.25)
 		a1.Step(pre)
 		sa := a2.Step(a1.Bits())
-		rebuilt.FromBools(b1.Step(pre))
+		b1.Step(pre).ToBools(dense)
+		rebuilt.FromBools(dense)
 		sb := b2.Step(rebuilt)
-		for o := range sa {
-			if sa[o] != sb[o] || a2.Potential(o) != b2.Potential(o) {
+		for o := 0; o < a2.Out; o++ {
+			if sa.Get(o) != sb.Get(o) || a2.Potential(o) != b2.Potential(o) {
 				t.Fatalf("step %d neuron %d: upstream bitset and rebuilt bitset diverge", step, o)
 			}
 		}
@@ -124,8 +126,8 @@ func TestSetWeightKeepsTransposeCurrent(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		pre := randomSpikes(r, in, 0.3)
 		sp, sd := packed.Step(pre), dense.Step(pre)
-		for o := range sp {
-			if sp[o] != sd[o] || packed.Potential(o) != dense.Potential(o) {
+		for o := 0; o < out; o++ {
+			if sp.Get(o) != sd.Get(o) || packed.Potential(o) != dense.Potential(o) {
 				t.Fatalf("round %d neuron %d: packed and dense diverge after SetWeight", round, o)
 			}
 		}
@@ -225,9 +227,9 @@ func TestStepDriveMatchesStepUnderInject(t *testing.T) {
 		ss := stepped.Step(pres[s])
 		sr := replayed.StepDrive(drives[s])
 		for o := 0; o < out; o++ {
-			if ss[o] != sr[o] || stepped.Potential(o) != replayed.Potential(o) {
+			if ss.Get(o) != sr.Get(o) || stepped.Potential(o) != replayed.Potential(o) {
 				t.Fatalf("step %d neuron %d: Step (spike %v, u %v), StepDrive (spike %v, u %v)",
-					s, o, ss[o], stepped.Potential(o), sr[o], replayed.Potential(o))
+					s, o, ss.Get(o), stepped.Potential(o), sr.Get(o), replayed.Potential(o))
 			}
 		}
 		ws, wr := stepped.Bits().Words(), replayed.Bits().Words()

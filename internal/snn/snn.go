@@ -13,6 +13,7 @@ package snn
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"emstdp/internal/rng"
@@ -56,7 +57,6 @@ type IFLayer struct {
 	Kernel Kernel
 
 	u      []float64
-	spikes []bool
 	active []int32
 	bits   *spike.Bitset
 	// wt is the column-major (In×Out) transposed weight view the packed
@@ -80,7 +80,6 @@ func NewIFLayer(r *rng.Source, in, out int, scale, theta float64) *IFLayer {
 		Theta:    theta,
 		UMin:     -theta,
 		u:        make([]float64, out),
-		spikes:   make([]bool, out),
 		active:   make([]int32, 0, out),
 		bits:     spike.NewBitset(out),
 		wt:       make([]float64, in*out),
@@ -104,7 +103,6 @@ func (l *IFLayer) Clone() *IFLayer {
 		UMin:     l.UMin,
 		Kernel:   l.Kernel,
 		u:        make([]float64, l.Out),
-		spikes:   make([]bool, l.Out),
 		active:   make([]int32, 0, l.Out),
 		bits:     spike.NewBitset(l.Out),
 		wt:       make([]float64, len(l.W)),
@@ -150,21 +148,22 @@ func (l *IFLayer) ensureTransposed() {
 
 // Step integrates one timestep of presynaptic spikes, given as the
 // word-parallel view the upstream producer publishes (an encoder's step
-// row or the layer below's Bits), and returns the layer's spike vector
-// (valid until the next Step). Both kernels accumulate each neuron's
-// drive in the same order — bias first, then ascending presynaptic index
-// — so the float result is bit-identical whichever runs.
-func (l *IFLayer) Step(pre *spike.Bitset) []bool {
+// row or the layer below's Bits), and returns the layer's spikes as its
+// Bits view (valid until the next Step). Both kernels accumulate each
+// neuron's drive in the same order — bias first, then ascending
+// presynaptic index — so the float result is bit-identical whichever
+// runs.
+func (l *IFLayer) Step(pre *spike.Bitset) *spike.Bitset {
 	if pre.Len() != l.In {
 		panic(fmt.Sprintf("snn: layer expects %d inputs, got %d", l.In, pre.Len()))
 	}
 	if l.Kernel == KernelDense {
 		pre.ToBools(l.preDense)
 		l.stepDense(l.preDense)
-		return l.spikes
+	} else {
+		l.stepPacked(pre)
 	}
-	l.stepPacked(pre)
-	return l.spikes
+	return l.bits
 }
 
 // Drive returns the membrane drive the last step integrated — Bias plus
@@ -174,18 +173,18 @@ func (l *IFLayer) Step(pre *spike.Bitset) []bool {
 func (l *IFLayer) Drive() []float64 { return l.acc }
 
 // StepDrive advances one timestep from a drive recorded with Drive,
-// skipping the presynaptic gather, and returns the spike vector (valid
-// until the next step). Inject and the UMin floor act on the membrane
-// only, never on the drive, so interleaved injections leave the replay
-// exact: u, spikes, bits and the active list match a Step on the spikes
+// skipping the presynaptic gather, and returns the spikes as the Bits
+// view (valid until the next step). Inject and the UMin floor act on the
+// membrane only, never on the drive, so interleaved injections leave the
+// replay exact: u, bits and the active list match a Step on the spikes
 // the drive was recorded from.
-func (l *IFLayer) StepDrive(acc []float64) []bool {
+func (l *IFLayer) StepDrive(acc []float64) *spike.Bitset {
 	if len(acc) != l.Out {
 		panic(fmt.Sprintf("snn: layer expects a drive of %d, got %d", l.Out, len(acc)))
 	}
 	copy(l.acc, acc)
 	l.finishAll()
-	return l.spikes
+	return l.bits
 }
 
 // Active returns the indices of the neurons that fired in the last step
@@ -214,18 +213,18 @@ func (l *IFLayer) stepDense(pre []bool) {
 }
 
 // stepPacked is the word-parallel kernel: trailing-zeros iteration over
-// the nonzero words of the presynaptic bitset gathers up to four
+// the nonzero words of the presynaptic bitset gathers up to eight
 // transposed weight columns, which one fused pass adds into the
-// accumulator. Per output neuron the four additions happen left to
+// accumulator. Per output neuron the eight additions happen left to
 // right — the same ascending-presynaptic-index order as the reference —
-// but each accumulator element is loaded and stored once per four
+// but each accumulator element is loaded and stored once per eight
 // columns instead of once per column.
 func (l *IFLayer) stepPacked(preBits *spike.Bitset) {
 	l.ensureTransposed()
 	out := l.Out
 	acc := l.acc
 	copy(acc, l.Bias)
-	var cols [4][]float64
+	var cols [8][]float64
 	nb := 0
 	for wi, w := range preBits.Words() {
 		base := wi << 6
@@ -234,26 +233,31 @@ func (l *IFLayer) stepPacked(preBits *spike.Bitset) {
 			w &= w - 1
 			cols[nb] = l.wt[k*out : (k+1)*out]
 			nb++
-			if nb == 4 {
-				addCols4(acc, cols[0], cols[1], cols[2], cols[3])
+			if nb == 8 {
+				addCols8(acc, cols[0], cols[1], cols[2], cols[3], cols[4], cols[5], cols[6], cols[7])
 				nb = 0
 			}
 		}
 	}
-	switch nb {
+	tail := cols[:nb]
+	if len(tail) >= 4 {
+		addCols4(acc, tail[0], tail[1], tail[2], tail[3])
+		tail = tail[4:]
+	}
+	switch len(tail) {
 	case 1:
-		addCols1(acc, cols[0])
+		addCols1(acc, tail[0])
 	case 2:
-		addCols2(acc, cols[0], cols[1])
+		addCols2(acc, tail[0], tail[1])
 	case 3:
-		addCols3(acc, cols[0], cols[1], cols[2])
+		addCols3(acc, tail[0], tail[1], tail[2])
 	}
 	l.finishAll()
 }
 
-// addCols1..4 add one to four weight columns into the accumulator in one
-// pass. Go evaluates the chained additions left to right, preserving the
-// reference's per-neuron accumulation order exactly.
+// addCols1..4 and addCols8 add their weight columns into the accumulator
+// in one pass. Go evaluates the chained additions left to right,
+// preserving the reference's per-neuron accumulation order exactly.
 func addCols1(acc, a []float64) {
 	a = a[:len(acc)]
 	for o := range acc {
@@ -282,29 +286,35 @@ func addCols4(acc, a, b, c, d []float64) {
 	}
 }
 
+func addCols8(acc, a, b, c, d, e, f, g, h []float64) {
+	a, b, c, d = a[:len(acc)], b[:len(acc)], c[:len(acc)], d[:len(acc)]
+	e, f, g, h = e[:len(acc)], f[:len(acc)], g[:len(acc)], h[:len(acc)]
+	for o := range acc {
+		acc[o] = acc[o] + a[o] + b[o] + c[o] + d[o] + e[o] + f[o] + g[o] + h[o]
+	}
+}
+
 // finishAll integrates the accumulated drive of every neuron,
-// thresholds, and publishes the spikes in all three representations
-// (dense vector, bitset, active list). The loop is branchless on the
-// firing decision — spike bits are shifted into words and the reset
-// subtraction is θ·(0|1), the same float64 values the branching form
-// produces — because rate-coded firing is data-dependent and would
-// mispredict.
+// thresholds, and publishes the spikes as the bitset and the active
+// list. The loop is branchless because rate-coded firing and flooring
+// are data-dependent and would mispredict: spike bits are shifted into
+// words, the reset subtracts θ or +0 picked by a bit mask, and the floor
+// is max(u, UMin). These are the float64 values the branching form
+// produces, except that max gives +0 where `if u < UMin` keeps a −0 u
+// when UMin is +0; NaN stays NaN either way.
 func (l *IFLayer) finishAll() {
 	theta, umin := l.Theta, l.UMin
+	thetaBits := math.Float64bits(theta)
 	acc := l.acc
+	us := l.u[:len(acc)]
 	words := l.bits.Words()
 	var w uint64
 	wi := 0
 	for o, a := range acc {
-		u := l.u[o] + a
-		fired := u >= theta
-		b := b2u(fired)
-		u -= theta * float64(b)
-		if u < umin {
-			u = umin
-		}
-		l.u[o] = u
-		l.spikes[o] = fired
+		u := us[o] + a
+		b := b2u(u >= theta)
+		u -= math.Float64frombits(thetaBits & -b)
+		us[o] = max(u, umin)
 		w |= b << (uint(o) & 63)
 		if o&63 == 63 {
 			words[wi] = w
@@ -336,19 +346,13 @@ func (l *IFLayer) Inject(o int, v float64) {
 	}
 }
 
-// Spikes returns the most recent spike vector.
-func (l *IFLayer) Spikes() []bool { return l.spikes }
-
 // Potential returns neuron o's current membrane potential.
 func (l *IFLayer) Potential(o int) float64 { return l.u[o] }
 
 // Reset zeroes membrane state and spike outputs (the paper's per-sample
 // "Reset network state").
 func (l *IFLayer) Reset() {
-	for i := range l.u {
-		l.u[i] = 0
-		l.spikes[i] = false
-	}
+	clear(l.u)
 	l.active = l.active[:0]
 	l.bits.Zero()
 }

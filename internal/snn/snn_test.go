@@ -27,7 +27,7 @@ func TestIFLayerFloorQuantizedRate(t *testing.T) {
 		count := 0
 		const T = 64
 		for i := 0; i < T; i++ {
-			if l.Step(constantInput(1))[0] {
+			if l.Step(constantInput(1)).Get(0) {
 				count++
 			}
 		}
@@ -43,7 +43,7 @@ func TestIFLayerBias(t *testing.T) {
 	l.Bias[0] = 0.25
 	count := 0
 	for i := 0; i < 64; i++ {
-		if l.Step(spike.NewBitset(1))[0] { // no input spikes, bias only
+		if l.Step(spike.NewBitset(1)).Get(0) { // no input spikes, bias only
 			count++
 		}
 	}
@@ -67,7 +67,7 @@ func TestIFLayerNegativeDriveFloored(t *testing.T) {
 	l.MarkWeightsDirty()
 	fired := false
 	for i := 0; i < 3; i++ {
-		if l.Step(constantInput(1))[0] {
+		if l.Step(constantInput(1)).Get(0) {
 			fired = true
 		}
 	}
@@ -82,7 +82,7 @@ func TestIFLayerInject(t *testing.T) {
 	// Injected charge drives spikes on subsequent (zero-input) steps.
 	count := 0
 	for i := 0; i < 5; i++ {
-		if l.Step(spike.NewBitset(1))[0] {
+		if l.Step(spike.NewBitset(1)).Get(0) {
 			count++
 		}
 	}
@@ -96,7 +96,7 @@ func TestIFLayerReset(t *testing.T) {
 	l.Step(constantInput(2))
 	l.Reset()
 	for o := 0; o < 3; o++ {
-		if l.Potential(o) != 0 || l.Spikes()[o] {
+		if l.Potential(o) != 0 || l.Bits().Get(o) {
 			t.Fatal("reset left state behind")
 		}
 	}

@@ -74,20 +74,25 @@ func TestBiasEncoderCountsMatchSteps(t *testing.T) {
 	}
 }
 
+// TestCounterObserveActiveMatchesObserve checks ObserveActive against a
+// dense observe that counts every true entry of the spike vector.
 func TestCounterObserveActiveMatchesObserve(t *testing.T) {
 	r := rng.New(12)
 	spikes := make([]bool, 32)
-	a, b := NewCounter(32), NewCounter(32)
+	dense := make([]int, 32)
+	c := NewCounter(32)
 	for step := 0; step < 100; step++ {
 		for i := range spikes {
 			spikes[i] = r.Bernoulli(0.4)
+			if spikes[i] {
+				dense[i]++
+			}
 		}
-		a.Observe(spikes)
-		b.ObserveActive(activeOf(spikes))
+		c.ObserveActive(activeOf(spikes))
 	}
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			t.Fatalf("count %d: Observe %d, ObserveActive %d", i, a.Counts[i], b.Counts[i])
+	for i := range dense {
+		if dense[i] != c.Counts[i] {
+			t.Fatalf("count %d: dense observe %d, ObserveActive %d", i, dense[i], c.Counts[i])
 		}
 	}
 }

@@ -209,17 +209,8 @@ type Counter struct {
 // NewCounter returns a counter over n neurons.
 func NewCounter(n int) *Counter { return &Counter{Counts: make([]int, n)} }
 
-// Observe adds the current spike vector.
-func (c *Counter) Observe(spikes []bool) {
-	for i, s := range spikes {
-		if s {
-			c.Counts[i]++
-		}
-	}
-}
-
-// ObserveActive adds one spike per listed index — the event-driven
-// equivalent of Observe, O(spikes) instead of O(neurons).
+// ObserveActive adds one spike per listed index, O(spikes) rather than
+// O(neurons).
 func (c *Counter) ObserveActive(active []int32) {
 	for _, i := range active {
 		c.Counts[i]++
@@ -231,13 +222,4 @@ func (c *Counter) Reset() {
 	for i := range c.Counts {
 		c.Counts[i] = 0
 	}
-}
-
-// Total returns the sum of all counts.
-func (c *Counter) Total() int {
-	t := 0
-	for _, v := range c.Counts {
-		t += v
-	}
-	return t
 }

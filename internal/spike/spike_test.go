@@ -232,16 +232,13 @@ func TestQuantizeEncodeRoundTrip(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	c := NewCounter(3)
-	c.Observe([]bool{true, false, true})
-	c.Observe([]bool{true, false, false})
+	c.ObserveActive([]int32{0, 2})
+	c.ObserveActive([]int32{0})
 	if c.Counts[0] != 2 || c.Counts[1] != 0 || c.Counts[2] != 1 {
 		t.Errorf("counts = %v", c.Counts)
 	}
-	if c.Total() != 3 {
-		t.Errorf("total = %d", c.Total())
-	}
 	c.Reset()
-	if c.Total() != 0 {
-		t.Error("reset failed")
+	if c.Counts[0] != 0 || c.Counts[1] != 0 || c.Counts[2] != 0 {
+		t.Errorf("reset left counts %v", c.Counts)
 	}
 }
