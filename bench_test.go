@@ -25,6 +25,7 @@ import (
 	"emstdp/internal/experiments"
 	"emstdp/internal/incremental"
 	"emstdp/internal/loihi"
+	"emstdp/internal/mapping"
 	"emstdp/internal/rng"
 	"emstdp/internal/snn"
 )
@@ -398,16 +399,18 @@ func BenchmarkParallelTable1Grid(b *testing.B) {
 // --- Substrate micro-benchmarks ---
 
 // BenchmarkChipStep measures the simulator's raw step rate on the MNIST
-// training netlist.
+// training netlist at the real feature density, deployed as perfbench's
+// chip_mesh phase deploys it: four dies on a 2×2 mesh, every population
+// range-split across them.
 func BenchmarkChipStep(b *testing.B) {
 	cfg := chipnet.DefaultConfig(200, 100, 10)
+	cfg.Chips, cfg.Partition = 4, mapping.StrategyRange
+	cfg.Topology = loihi.Topology{Kind: loihi.TopoMesh}
 	net, err := chipnet.New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := rng.New(1)
-	x := make([]float64, 200)
-	r.FillUniform(x, 0, 1)
+	x := featureDensityRates(rng.New(1), 200)
 	net.ProgramSample(x, -1) // program biases, warm state
 	net.RunPhases(false)
 	mesh := net.Mesh()

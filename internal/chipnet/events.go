@@ -45,16 +45,11 @@ func (n *Network) CountsEvents(events EventTrain) []int {
 	return n.ReadCounts()
 }
 
-// PredictEvents returns the argmax class for an event train.
+// PredictEvents returns the argmax class for an event train (see
+// outputArgmax).
 func (n *Network) PredictEvents(events EventTrain) int {
-	counts := n.CountsEvents(events)
-	out := n.fwd[len(n.fwd)-1]
-	best, bi := -1.0, 0
-	for i, c := range counts {
-		score := float64(c) + float64(out.Potential(i))/float64(n.cfg.Theta)
-		if score > best {
-			best, bi = score, i
-		}
-	}
-	return bi
+	n.validateEvents(events)
+	n.resetSample(-1)
+	n.runPhases(false, events)
+	return n.outputArgmax()
 }

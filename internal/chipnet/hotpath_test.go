@@ -25,8 +25,11 @@ func chipStream(r *rng.Source, in, classes, n int) ([][]float64, []int) {
 // networks — one forced onto the reference dense delivery kernel, one on
 // the production packed path — and demands byte-identical plastic
 // mantissas, spike counts and predictions. Integer membrane accumulation
-// is saturating, so this holds only because both kernels deliver in
-// ascending presynaptic order; the test pins that contract.
+// is saturating, so order matters wherever a row can saturate: there
+// both kernels deliver in ascending presynaptic order, and elsewhere the
+// packed kernel's plain row sum equals the saturating sequence. The test
+// pins that contract end to end; loihi's TestDeliveryKernelsBitIdentical
+// drives rows into saturation.
 func TestChipTrainingBitIdenticalAcrossDelivery(t *testing.T) {
 	cfg := DefaultConfig(40, 30, 10)
 	dense, err := New(cfg)

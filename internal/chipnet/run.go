@@ -161,12 +161,18 @@ func (n *Network) ReadCounts() []int {
 	return counts
 }
 
-// Predict returns the argmax class for x, breaking spike-count ties with
-// residual membrane potential. Reads the output traces in place (no
-// per-call allocation, unlike ReadCounts).
+// Predict returns the argmax class for x (see outputArgmax).
 func (n *Network) Predict(x []float64) int {
 	n.ProgramSample(x, -1)
 	n.RunPhases(false)
+	return n.outputArgmax()
+}
+
+// outputArgmax returns the output neuron with the most spikes in the
+// most recent phase 1, breaking count ties with residual membrane
+// potential. It reads the output traces in place (no per-call
+// allocation, unlike ReadCounts).
+func (n *Network) outputArgmax() int {
 	out := n.fwd[len(n.fwd)-1]
 	best, bi := -1.0, 0
 	for i := 0; i < out.N; i++ {

@@ -3,6 +3,7 @@ package loihi
 import (
 	"testing"
 
+	"emstdp/internal/fixed"
 	"emstdp/internal/rng"
 )
 
@@ -47,8 +48,13 @@ func buildStepBench(tb testing.TB, preset ...DeliveryMode) oneDie {
 // kernels — the reference dense scan and the packed word-traversal
 // default — and, for each kernel, both call orders (SetDelivery after
 // all Connects, and SetDelivery on the empty chip before any Connect),
-// comparing every membrane, spike vector and counter each step.
+// comparing every membrane, spike vector and counter each step. The
+// saturating input (checkSaturatingDelivery) then runs on one die and on
+// the 2×2 range mesh.
 func TestDeliveryKernelsBitIdentical(t *testing.T) {
+	checkSaturatingDelivery(t, 1)
+	checkSaturatingDelivery(t, 4)
+
 	dense := buildStepBench(t)
 	packed := buildStepBench(t)
 	dense.SetDelivery(DeliveryDense)
@@ -85,6 +91,157 @@ func TestDeliveryKernelsBitIdentical(t *testing.T) {
 			t.Fatalf("counters diverge (chip %d):\ndense %+v\nother %+v", i+1, d, o)
 		}
 	}
+}
+
+// buildSaturatingBench wires two groups into one post population P of
+// 30 rows. "park" (A→P, Exp 13) delivers first and leaves a random third
+// of P's rows near +StateMax or clamped there, a third near or at
+// StateMin, and the rest near zero. "top" (B→P, Exp 8) then delivers on
+// top. A row parked high climbs on B's low half (+127) and falls on its
+// high half (−128), which fires less often, so its partial sums can
+// cross StateMax and come back, where the saturating sequence and a
+// plain sum differ; a row parked low mirrors it, and a row near zero has
+// random weights. Row classes are drawn per row, so a four-row block
+// mixes rows near a bound with rows far from both. On four dies (2×2
+// mesh) P is range-split at 7/15/22, inside the packed kernel's row
+// blocks. Both groups record a drive tape of steps rows, which holds the
+// accumulators each delivery leaves.
+func buildSaturatingBench(tb testing.TB, dies int, dm DeliveryMode, steps int) (mesh *Mesh, park, top *SynapseGroup) {
+	tb.Helper()
+	mesh, err := NewMeshTopology(DefaultHardware(), dies, AutoTopology(TopoMesh, dies))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mesh.SetDelivery(dm)
+	a := NewPopulation("a", PopulationConfig{N: 16, Theta: 256, VMin: -256})
+	b := NewPopulation("b", PopulationConfig{N: 32, Theta: 256, VMin: -256})
+	p := NewPopulation("p", PopulationConfig{N: 30, Theta: 256, VMin: -256})
+	cuts := []int{0, 7, 15, 22, 30}
+	if dies == 1 {
+		cuts = []int{0, 30}
+	}
+	for die := 0; die+1 < len(cuts); die++ {
+		if err := mesh.AddPopulation(p, die, cuts[die], cuts[die+1], 0, 8); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := mesh.AddPopulation(a, dies-1, 0, a.N, 8, 8); err != nil {
+		tb.Fatal(err)
+	}
+	if err := mesh.AddPopulation(b, 0, 0, b.N, 16, 8); err != nil {
+		tb.Fatal(err)
+	}
+	r := rng.New(11)
+	park = NewSynapseGroup("park", a, p, 13)
+	top = NewSynapseGroup("top", b, p, 8)
+	for o := 0; o < p.N; o++ {
+		sign := int8(1)
+		switch r.Intn(3) {
+		case 0: // near zero
+			for k := 0; k < a.N; k++ {
+				park.W[o*a.N+k] = int8(r.Intn(7) - 3)
+			}
+			for k := 0; k < b.N; k++ {
+				top.W[o*b.N+k] = int8(r.Intn(256) - 128)
+			}
+			continue
+		case 1:
+			sign = -1
+		}
+		for k := 0; k < a.N; k++ {
+			park.W[o*a.N+k] = sign * int8(80+r.Intn(48))
+		}
+		for k := 0; k < b.N; k++ {
+			if (k < b.N/2) == (sign > 0) {
+				top.W[o*b.N+k] = 127
+			} else {
+				top.W[o*b.N+k] = -128
+			}
+		}
+	}
+	for _, g := range []*SynapseGroup{park, top} {
+		g.EnableDriveTape(steps)
+		if err := mesh.Connect(g); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	biasA, biasB := make([]int32, a.N), make([]int32, b.N)
+	for k := range biasA {
+		biasA[k] = int32(100 + r.Intn(100))
+	}
+	for k := range biasB {
+		if k < b.N/2 {
+			biasB[k] = int32(150 + r.Intn(100))
+		} else {
+			biasB[k] = int32(20 + r.Intn(60))
+		}
+	}
+	a.SetBiases(biasA)
+	b.SetBiases(biasB)
+	return mesh, park, top
+}
+
+// checkSaturatingDelivery steps buildSaturatingBench's board under both
+// kernels and compares, every step, the accumulators each group leaves
+// (its drive tape row), every membrane and spike, and at the end every
+// counter. It fails unless the input reached both of the packed kernel's
+// paths: a row whose accumulator lay at least reach =
+// len(active)·128·2^Exp inside the state range before "top" delivered
+// (the plain sum), and a row whose saturating sum differs from its plain
+// sum (an accumulator that saturated).
+func checkSaturatingDelivery(t *testing.T, dies int) {
+	t.Helper()
+	const steps = 256
+	dense, dPark, dTop := buildSaturatingBench(t, dies, DeliveryDense, steps)
+	packed, pPark, pTop := buildSaturatingBench(t, dies, DeliveryPacked, steps)
+	preN, n := pTop.Pre.N, pTop.Post.N
+	fast, saturated := 0, 0
+	for step := 0; step < steps; step++ {
+		active := append([]int32(nil), pTop.Pre.ActiveSpikes()...)
+		for _, g := range []*SynapseGroup{dPark, dTop, pPark, pTop} {
+			g.SetTape(TapeRecord, step)
+		}
+		dense.Step()
+		packed.Step()
+		for gi, g := range []*SynapseGroup{pPark, pTop} {
+			want := []*SynapseGroup{dPark, dTop}[gi].tapeRow
+			for o, v := range g.tapeRow {
+				if v != want[o] {
+					t.Fatalf("%d dies, step %d: %s leaves row %d at %d, dense reference %d",
+						dies, step, g.Name, o, v, want[o])
+				}
+			}
+		}
+		reach := int64(len(active)) << (pTop.Exp + 7)
+		for o := 0; o < n; o++ {
+			sum := int64(pPark.tapeRow[o])
+			if sum >= fixed.StateMin+reach && sum <= fixed.StateMax-reach {
+				fast++
+			}
+			for _, k := range active {
+				sum += int64(pTop.W[o*preN+int(k)]) << pTop.Exp
+			}
+			if sum != int64(pTop.tapeRow[o]) {
+				saturated++
+			}
+		}
+		for pi, dp := range dense.pops {
+			pp := packed.pops[pi].p
+			for i := 0; i < dp.p.N; i++ {
+				if dp.p.Potential(i) != pp.Potential(i) || dp.p.SpikeBits().Get(i) != pp.SpikeBits().Get(i) {
+					t.Fatalf("%d dies, step %d pop %s compartment %d: dense v=%d packed v=%d",
+						dies, step, pp.Name, i, dp.p.Potential(i), pp.Potential(i))
+				}
+			}
+		}
+	}
+	if d, p := dense.Counters(), packed.Counters(); d != p {
+		t.Fatalf("%d dies: counters diverge:\ndense  %+v\npacked %+v", dies, d, p)
+	}
+	if fast == 0 || saturated == 0 {
+		t.Fatalf("%d dies: %d plain-sum rows, %d saturated rows: the input misses a path", dies, fast, saturated)
+	}
+	t.Logf("%d dies: %d plain-sum rows, %d saturated rows over %d steps", dies, fast, saturated, steps)
 }
 
 // TestMeshDeliverySetThenConnect pins the order-independence contract

@@ -550,11 +550,12 @@ func (m *Mesh) LatchGates() {
 	}
 }
 
-// SetDelivery selects every connector's spike-iteration kernel: packed
-// word traversal (the default) or the reference dense scan. Both are
-// bit-identical by construction; this hook exists so the equivalence
-// tests can prove it end to end. The mode persists on the mesh, so groups connected after the call pick it
-// up too — SetDelivery and Connect commute.
+// SetDelivery selects every connector's spike-iteration kernel: the
+// packed active-list gather (the default) or the reference dense scan.
+// Both are bit-identical by construction; this hook exists so the
+// equivalence tests can prove it end to end. The mode persists on the
+// mesh, so groups connected after the call pick it up too — SetDelivery
+// and Connect commute.
 func (m *Mesh) SetDelivery(dm DeliveryMode) {
 	m.delivery = dm
 	for _, mg := range m.groups {

@@ -186,8 +186,8 @@ func (g *SynapseGroup) WeightFloat(o, k int, scale float64) float64 {
 // (per-spike fan-out deliveries). The simulator does work proportional
 // to the SynapticEvents it counts, like the chip, and accumulates
 // membrane input saturating-integer in the dense reference's order
-// (ascending presynaptic index per post neuron), so results are
-// bit-identical.
+// (ascending presynaptic index per post neuron) wherever a row can
+// saturate, so results are bit-identical (see deliverPackedRange).
 //
 // [lo,hi) is the whole group or the shard a die hosts when the post
 // population is range-partitioned (Loihi stores synapses at the
@@ -233,15 +233,23 @@ func (g *SynapseGroup) replayRange(lo, hi int, tracePre bool) int64 {
 }
 
 // deliverPackedRange is the production kernel: a row gather over the
-// presynaptic active list. Each post row [lo,hi) holds its accumulator
-// in a register and adds its weights at the active presynaptic indices,
-// which the list holds in ascending order — per row the dense
-// reference's addition sequence, so the saturating sums are
-// bit-identical. The reference skips zero weights; here every weight is
-// added, since a zero adds nothing to an in-range accumulator and a
-// branch on it mispredicts on learned weights. It reads W itself, so an
-// in-place write of W is delivered on the next step with no view to
-// invalidate.
+// presynaptic active list, which holds the spiking indices in ascending
+// order. It reads W itself, so an in-place write of W is delivered on
+// the next step with no view to invalidate.
+//
+// An int8 mantissa is at most 128 in magnitude, so no partial sum of a
+// row's contributions over the active list exceeds
+// reach = len(active)·128·2^Exp. A row whose accumulator lies in
+// [StateMin+reach, StateMax−reach] therefore cannot saturate at any
+// partial sum: it sums its mantissas in plain int32, shifts once and
+// adds once, which equals the reference's saturating sequence exactly.
+// Four such rows share one pass over the active list, so each index
+// load feeds four independent sums. A row within reach of either bound
+// (deliverRow) adds weight by weight with saturation in ascending
+// presynaptic order — the dense reference's sequence. The reference
+// skips zero weights; here every weight is added, since a zero adds
+// nothing to an in-range accumulator and a branch on it mispredicts on
+// learned weights.
 func (g *SynapseGroup) deliverPackedRange(lo, hi int, tracePre bool) int64 {
 	active := g.Pre.activePrev.Indices()
 	if tracePre && g.preTrace != nil {
@@ -250,16 +258,58 @@ func (g *SynapseGroup) deliverPackedRange(lo, hi int, tracePre bool) int64 {
 		}
 	}
 	preN, exp := g.Pre.N, g.Exp
+	// Past StateBits every row is within reach anyway; the clamp only
+	// keeps the int64 shift from overflowing.
+	reach := int64(len(active)) << (min(exp, fixed.StateBits) + 7)
+	fastMin, fastMax := int64(fixed.StateMin)+reach, int64(fixed.StateMax)-reach
 	acc := g.Post.acc[lo:hi]
-	for j := range acc {
-		row := g.W[(lo+j)*preN : (lo+j+1)*preN]
-		a := acc[j]
-		for _, k := range active {
-			a = fixed.SatAdd32(a, int32(row[k])<<exp, fixed.StateMin, fixed.StateMax)
+	w := g.W[lo*preN : hi*preN]
+	j := 0
+	for ; j+4 <= len(acc); j += 4 {
+		a := acc[j : j+4 : j+4]
+		if int64(min(a[0], a[1], a[2], a[3])) < fastMin || int64(max(a[0], a[1], a[2], a[3])) > fastMax {
+			for i := range a {
+				a[i] = deliverRow(a[i], w[(j+i)*preN:(j+i+1)*preN], active, exp, fastMin, fastMax)
+			}
+			continue
 		}
-		acc[j] = a
+		r0 := w[j*preN : (j+1)*preN]
+		r1 := w[(j+1)*preN : (j+2)*preN]
+		r2 := w[(j+2)*preN : (j+3)*preN]
+		r3 := w[(j+3)*preN : (j+4)*preN]
+		var s0, s1, s2, s3 int32
+		for _, k := range active {
+			s0 += int32(r0[k])
+			s1 += int32(r1[k])
+			s2 += int32(r2[k])
+			s3 += int32(r3[k])
+		}
+		a[0] += s0 << exp
+		a[1] += s1 << exp
+		a[2] += s2 << exp
+		a[3] += s3 << exp
+	}
+	for ; j < len(acc); j++ {
+		acc[j] = deliverRow(acc[j], w[j*preN:(j+1)*preN], active, exp, fastMin, fastMax)
 	}
 	return int64(len(active)) * int64(hi-lo)
+}
+
+// deliverRow delivers one row of deliverPackedRange: a plain sum when
+// its accumulator a lies in [fastMin, fastMax], else the saturating
+// per-weight sequence.
+func deliverRow(a int32, row []int8, active []int32, exp uint, fastMin, fastMax int64) int32 {
+	if int64(a) >= fastMin && int64(a) <= fastMax {
+		var s int32
+		for _, k := range active {
+			s += int32(row[k])
+		}
+		return a + s<<exp
+	}
+	for _, k := range active {
+		a = fixed.SatAdd32(a, int32(row[k])<<exp, fixed.StateMin, fixed.StateMax)
+	}
+	return a
 }
 
 // deliverDenseRange is the reference row-strided kernel, kept for the
