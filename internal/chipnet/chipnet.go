@@ -70,13 +70,6 @@ type Config struct {
 	GateHidden bool
 	// Seed drives initialisation.
 	Seed uint64
-	// SpikeInput builds the input population as a host-driven spike
-	// source instead of bias-driven integrators: samples arrive as event
-	// trains (one spike mask per timestep) through mesh spike insertion,
-	// the input path of event sensors like DVS — and the costly
-	// alternative that §III-D's bias coding replaces for frame data.
-	// Use TrainSampleEvents / PredictEvents with this mode.
-	SpikeInput bool
 	// InferenceOnly deploys the forward path only: no label, phase,
 	// error populations or learning engine. This is how the paper
 	// deploys for testing ("during the inference mode, backward paths
@@ -183,7 +176,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	in := loihi.NewPopulation("input", loihi.PopulationConfig{
 		N: cfg.LayerSizes[0], Theta: cfg.Theta, VMin: -cfg.Theta,
-		Source: cfg.SpikeInput,
 	})
 	if err := n.place(in, cfg.NeuronsPerCore); err != nil {
 		return nil, err

@@ -77,8 +77,7 @@ func TestChipTrainingBitIdenticalAcrossDelivery(t *testing.T) {
 // TestChipTrainSampleAndPredictAllocateNothing mirrors the FP backend's
 // zero-allocation guarantee on the cycle-level simulator: after warm-up
 // the two-phase schedule and inference must not allocate per sample —
-// on one die or a 4-die mesh, on a Clone()d replica's inference, or
-// through the event-input schedule.
+// on one die or a 4-die mesh, or on a Clone()d replica's inference.
 func TestChipTrainSampleAndPredictAllocateNothing(t *testing.T) {
 	cfg := DefaultConfig(40, 30, 10)
 	net, err := New(cfg)
@@ -130,21 +129,5 @@ func TestChipTrainSampleAndPredictAllocateNothing(t *testing.T) {
 		replica.Predict(xs[2])
 	}); avg != 0 {
 		t.Errorf("Clone()d replica Predict allocates %.1f objects per call, want 0", avg)
-	}
-
-	// Event input: the same boundary and step loop with per-step spike
-	// injection.
-	evCfg := cfg
-	evCfg.SpikeInput = true
-	ev, err := New(evCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	train := rateEvents(xs[3], cfg.T)
-	ev.TrainSampleEvents(train, ys[3])
-	if avg := testing.AllocsPerRun(20, func() {
-		ev.TrainSampleEvents(train, ys[3])
-	}); avg != 0 {
-		t.Errorf("TrainSampleEvents allocates %.1f objects per call, want 0", avg)
 	}
 }

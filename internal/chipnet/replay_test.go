@@ -14,12 +14,9 @@ import (
 // live in both phases, so phase 2 scatters every presynaptic spike
 // again. The boundary is production's, so the two passes differ only in
 // how phase 2 gets W1's drive.
-func runPhasesRestep(n *Network, events EventTrain) {
+func runPhasesRestep(n *Network) {
 	phase := func() {
 		for t := 0; t < n.cfg.T; t++ {
-			if t < len(events) {
-				n.mesh.CountHostTransaction(n.inputPop().InjectSpikes(events[t]))
-			}
 			n.mesh.Step()
 		}
 	}
@@ -72,15 +69,14 @@ func assertReplayMatches(t *testing.T, i int, replay, restep *Network) {
 // sample the plastic mantissas, every group's learning state, all
 // activity counters, the mesh traffic and the output traces must agree
 // exactly — over one die and a 2×2 range-partitioned mesh, DFA and FA,
-// one and two hidden layers, event input, the conv front end, disabled
-// outputs and the dense delivery kernel.
+// one and two hidden layers, the conv front end, disabled outputs and
+// the dense delivery kernel.
 func TestChipPhase2ReplayBitIdentical(t *testing.T) {
 	type tc struct {
 		name     string
 		sizes    []int
 		mode     emstdp.FeedbackMode
 		dies     int
-		events   bool
 		conv     bool
 		disabled bool
 		dense    bool
@@ -92,8 +88,6 @@ func TestChipPhase2ReplayBitIdentical(t *testing.T) {
 		{name: "FA-2hidden", sizes: []int{40, 30, 20, 10}, mode: emstdp.FA},
 		{name: "mesh2x2-DFA-1hidden", sizes: []int{40, 30, 10}, mode: emstdp.DFA, dies: 4},
 		{name: "mesh2x2-FA-2hidden", sizes: []int{40, 30, 20, 10}, mode: emstdp.FA, dies: 4},
-		{name: "events-DFA", sizes: []int{40, 30, 10}, mode: emstdp.DFA, events: true},
-		{name: "mesh2x2-events-FA", sizes: []int{40, 30, 10}, mode: emstdp.FA, dies: 4, events: true},
 		{name: "conv-DFA", mode: emstdp.DFA, conv: true},
 		{name: "DFA-outputDisabled", sizes: []int{40, 30, 10}, mode: emstdp.DFA, disabled: true},
 		{name: "FA-2hidden-denseDelivery", sizes: []int{40, 30, 20, 10}, mode: emstdp.FA, dense: true},
@@ -115,10 +109,6 @@ func TestChipPhase2ReplayBitIdentical(t *testing.T) {
 			cfg := DefaultConfig(sizes...)
 			cfg.Mode = c.mode
 			cfg.Seed = 29
-			cfg.SpikeInput = c.events
-			if c.events {
-				cfg.WInit = 4 // sparse event input needs a stronger first layer (see eventNet)
-			}
 			if c.dies > 1 {
 				cfg.Chips = c.dies
 				cfg.Partition = mapping.StrategyRange
@@ -149,16 +139,9 @@ func TestChipPhase2ReplayBitIdentical(t *testing.T) {
 			in := replay.inputPop().N
 			xs, ys := chipStream(rng.New(77), in, sizes[len(sizes)-1], samples)
 			for i := range xs {
-				if c.events {
-					ev := rateEvents(xs[i], cfg.T)
-					replay.TrainSampleEvents(ev, ys[i])
-					restep.resetSample(ys[i])
-					runPhasesRestep(restep, ev)
-				} else {
-					replay.TrainSample(xs[i], ys[i])
-					restep.ProgramSample(xs[i], ys[i])
-					runPhasesRestep(restep, nil)
-				}
+				replay.TrainSample(xs[i], ys[i])
+				restep.ProgramSample(xs[i], ys[i])
+				runPhasesRestep(restep)
 				restep.ApplyUpdate(nil)
 				assertReplayMatches(t, i, replay, restep)
 			}

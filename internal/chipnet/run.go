@@ -103,26 +103,21 @@ func (n *Network) resetSample(label int) {
 // scattering every presynaptic spike again, keeping the trace increments
 // and synaptic-event counts of a live delivery. This is exact because
 // the boundary resets every membrane and nothing feeds back into the
-// input side (bias or event input, conv front end), so W1's presynaptic
-// spikes repeat in phase 2; W1's weights change only at the learning
-// epoch; and W1 is the first connector into fwd0 on every die (checked
-// when the netlist is built), so it adds into a zero accumulator and the
-// recorded drive already holds any saturation. RunPhases(false) runs
-// live and records nothing.
-func (n *Network) RunPhases(train bool) { n.runPhases(train, nil) }
-
-// runPhases is RunPhases with an optional event train, injected anew in
-// each phase (the event stream is the sample, so phase 2 corrects
-// against the same input phase 1 measured).
-func (n *Network) runPhases(train bool, events EventTrain) {
+// input side (bias input, conv front end), so W1's presynaptic spikes
+// repeat in phase 2; W1's weights change only at the learning epoch; and
+// W1 is the first connector into fwd0 on every die (checked when the
+// netlist is built), so it adds into a zero accumulator and the recorded
+// drive already holds any saturation. RunPhases(false) runs live and
+// records nothing.
+func (n *Network) RunPhases(train bool) {
 	if !train {
-		n.runPhase(loihi.TapeLive, events)
+		n.runPhase(loihi.TapeLive)
 		return
 	}
 	if n.pendingLabel < 0 {
 		panic("chipnet: RunPhases(train) without a labelled ProgramSample")
 	}
-	n.runPhase(loihi.TapeRecord, events) // phase 1
+	n.runPhase(loihi.TapeRecord) // phase 1
 
 	n.mesh.LatchGates()
 	n.mesh.ResetPhaseTraces()
@@ -131,19 +126,14 @@ func (n *Network) runPhases(train bool, events EventTrain) {
 	n.phase.SetBiases(n.phaseOn)
 	n.mesh.CountHostTransaction(1) // the phase-control bias write
 
-	n.runPhase(loihi.TapeReplay, events) // phase 2
+	n.runPhase(loihi.TapeReplay) // phase 2
 }
 
 // runPhase advances one phase of T steps with W1's drive tape in the
-// given mode, injecting events[t] before step t when an event train is
-// given. Each injected spike is a host transaction — the I/O cost
-// §III-D's bias coding eliminates for frame data.
-func (n *Network) runPhase(tape loihi.TapeMode, events EventTrain) {
+// given mode.
+func (n *Network) runPhase(tape loihi.TapeMode) {
 	w1 := n.plastic[0]
 	for t := 0; t < n.cfg.T; t++ {
-		if t < len(events) {
-			n.mesh.CountHostTransaction(n.inputPop().InjectSpikes(events[t]))
-		}
 		w1.SetTape(tape, t)
 		n.mesh.Step()
 	}

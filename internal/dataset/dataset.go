@@ -136,44 +136,6 @@ func genSplit(gen generator, r *rng.Source, n int) []Sample {
 	return samples
 }
 
-// Filter returns a shallow copy containing only samples whose label is in
-// classes. Labels are preserved (not re-indexed) — incremental learning
-// needs stable class identities as new classes arrive.
-func (d *Dataset) Filter(classes ...int) *Dataset {
-	keep := map[int]bool{}
-	for _, c := range classes {
-		keep[c] = true
-	}
-	out := &Dataset{Kind: d.Kind, C: d.C, H: d.H, W: d.W, NumClasses: d.NumClasses}
-	for _, s := range d.Train {
-		if keep[s.Label] {
-			out.Train = append(out.Train, s)
-		}
-	}
-	for _, s := range d.Test {
-		if keep[s.Label] {
-			out.Test = append(out.Test, s)
-		}
-	}
-	return out
-}
-
-// Chunks splits the training set into n nearly-equal contiguous chunks,
-// the streaming structure of the incremental-online-learning experiment.
-func (d *Dataset) Chunks(n int) [][]Sample {
-	if n <= 0 {
-		n = 1
-	}
-	out := make([][]Sample, 0, n)
-	total := len(d.Train)
-	for i := 0; i < n; i++ {
-		lo := i * total / n
-		hi := (i + 1) * total / n
-		out = append(out, d.Train[lo:hi])
-	}
-	return out
-}
-
 // ClassCounts returns per-class sample counts for the training split.
 func (d *Dataset) ClassCounts() []int {
 	counts := make([]int, d.NumClasses)

@@ -111,40 +111,6 @@ func TestIntraClassVariation(t *testing.T) {
 	}
 }
 
-func TestFilterKeepsLabels(t *testing.T) {
-	d := Generate(MNIST, 100, 40, 5)
-	f := d.Filter(2, 7)
-	if len(f.Train) != 20 || len(f.Test) != 8 {
-		t.Fatalf("filter sizes train %d test %d", len(f.Train), len(f.Test))
-	}
-	for _, s := range f.Train {
-		if s.Label != 2 && s.Label != 7 {
-			t.Fatalf("filter leaked label %d", s.Label)
-		}
-	}
-}
-
-func TestChunks(t *testing.T) {
-	d := Generate(MNIST, 53, 0, 5)
-	chunks := d.Chunks(5)
-	if len(chunks) != 5 {
-		t.Fatalf("chunks = %d", len(chunks))
-	}
-	total := 0
-	for _, ch := range chunks {
-		total += len(ch)
-		if len(ch) < 10 || len(ch) > 11 {
-			t.Errorf("chunk size %d not balanced", len(ch))
-		}
-	}
-	if total != 53 {
-		t.Errorf("chunks lose samples: %d", total)
-	}
-	if got := len(d.Chunks(0)); got != 1 {
-		t.Errorf("Chunks(0) should fall back to 1 chunk, got %d", got)
-	}
-}
-
 // nearestCentroid trains per-class mean images and classifies the test set;
 // a crude but fast probe of linear separability.
 func nearestCentroid(d *Dataset) float64 {

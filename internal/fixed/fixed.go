@@ -36,17 +36,6 @@ func SatAdd32(a, b, min, max int32) int32 {
 	return int32(s)
 }
 
-// SatState returns v saturated to the membrane/current state range.
-func SatState(v int64) int32 {
-	if v > StateMax {
-		return StateMax
-	}
-	if v < StateMin {
-		return StateMin
-	}
-	return int32(v)
-}
-
 // SatWeight returns v saturated to the signed 8-bit weight range.
 func SatWeight(v int64) int8 {
 	if v > WeightMax {
@@ -114,24 +103,6 @@ func (q Quantizer) Quantize(w float64) int8 {
 // Dequantize maps an int8 mantissa back to its real value.
 func (q Quantizer) Dequantize(m int8) float64 { return float64(m) * q.Scale() }
 
-// QuantizeSlice quantizes ws in place-semantics fashion, returning the
-// mantissas and the quantizer used (exponent picked from the slice's max
-// magnitude).
-func QuantizeSlice(ws []float64) ([]int8, Quantizer) {
-	maxAbs := 0.0
-	for _, w := range ws {
-		if a := math.Abs(w); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	q := NewQuantizer(maxAbs)
-	ms := make([]int8, len(ws))
-	for i, w := range ws {
-		ms[i] = q.Quantize(w)
-	}
-	return ms, q
-}
-
 // QuantizeBits quantizes w to a signed integer of the given bit width
 // (2..16) with scale step, saturating. Used by the precision-ablation
 // benches to model 4/6/8/16-bit synapses.
@@ -164,17 +135,6 @@ func Pow2Ceil(x float64) float64 {
 		return x // already a power of two
 	}
 	return math.Ldexp(1, exp)
-}
-
-// ClampInt returns v clamped to [lo, hi].
-func ClampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // ClampF returns v clamped to [lo, hi].

@@ -24,18 +24,6 @@ func TestSatAdd32(t *testing.T) {
 	}
 }
 
-func TestSatState(t *testing.T) {
-	if got := SatState(int64(StateMax) + 1); got != StateMax {
-		t.Errorf("SatState(max+1) = %d, want %d", got, StateMax)
-	}
-	if got := SatState(int64(StateMin) - 1); got != StateMin {
-		t.Errorf("SatState(min-1) = %d, want %d", got, StateMin)
-	}
-	if got := SatState(42); got != 42 {
-		t.Errorf("SatState(42) = %d", got)
-	}
-}
-
 func TestSatWeight(t *testing.T) {
 	if got := SatWeight(200); got != 127 {
 		t.Errorf("SatWeight(200) = %d, want 127", got)
@@ -100,32 +88,6 @@ func TestQuantizeRoundTripError(t *testing.T) {
 	}
 }
 
-func TestQuantizeSlice(t *testing.T) {
-	ws := []float64{-1.5, 0, 0.25, 1.5}
-	ms, q := QuantizeSlice(ws)
-	if len(ms) != len(ws) {
-		t.Fatalf("len = %d", len(ms))
-	}
-	for i, w := range ws {
-		back := q.Dequantize(ms[i])
-		if math.Abs(back-w) > q.Scale()/2+1e-12 {
-			t.Errorf("ws[%d]=%v -> %d -> %v (scale %v)", i, w, ms[i], back, q.Scale())
-		}
-	}
-}
-
-func TestQuantizeSliceAllZero(t *testing.T) {
-	ms, q := QuantizeSlice([]float64{0, 0, 0})
-	for _, m := range ms {
-		if m != 0 {
-			t.Errorf("zero weight quantized to %d", m)
-		}
-	}
-	if q.Scale() <= 0 {
-		t.Errorf("scale %v", q.Scale())
-	}
-}
-
 func TestQuantizeBits(t *testing.T) {
 	// 4-bit: range [-8, 7]
 	if got := QuantizeBits(100, 4, 1); got != 7 {
@@ -143,9 +105,6 @@ func TestQuantizeBits(t *testing.T) {
 }
 
 func TestClamp(t *testing.T) {
-	if ClampInt(5, 0, 3) != 3 || ClampInt(-1, 0, 3) != 0 || ClampInt(2, 0, 3) != 2 {
-		t.Error("ClampInt wrong")
-	}
 	if ClampF(5, 0, 3) != 3 || ClampF(-1, 0, 3) != 0 || ClampF(2, 0, 3) != 2 {
 		t.Error("ClampF wrong")
 	}

@@ -26,12 +26,6 @@ type PopulationConfig struct {
 	// VMin floors the membrane potential (the register saturates rather
 	// than wraps). Set to a small negative multiple of Theta.
 	VMin int32
-	// Source marks a host-driven spike source: the population has no
-	// compartment dynamics and emits exactly the spikes the host injects
-	// each step via InjectSpikes — the mesh-level spike-insertion input
-	// path that §III-D's bias coding replaces. Each injected spike costs
-	// one host transaction.
-	Source bool
 	// Gated marks a two-compartment neuron: the soma's spike output is
 	// ANDed with the auxiliary compartment's latched activity (§III-A).
 	Gated bool
@@ -53,10 +47,10 @@ type Population struct {
 	acc []int32 // this step's synaptic input accumulator
 
 	// bitsNow collects this step's spikes: the compartment update sets
-	// the bit of each compartment that fires (InjectSpikes stages a
-	// source's), and rotate swaps it into bitsPrev, the word-parallel
-	// view synapse groups read this step. Sparse packed delivery
-	// traverses bitsPrev's nonzero words with trailing-zeros iteration.
+	// the bit of each compartment that fires, and rotate swaps it into
+	// bitsPrev, the word-parallel view synapse groups read this step.
+	// Sparse packed delivery traverses bitsPrev's nonzero words with
+	// trailing-zeros iteration.
 	bitsNow, bitsPrev *spike.Bitset
 	// activePrev holds the indices set in bitsPrev (ascending) — the
 	// sparse view event-driven consumers iterate. Gathered from bitsPrev
@@ -93,7 +87,7 @@ func NewPopulation(name string, cfg PopulationConfig) *Population {
 	if cfg.N <= 0 {
 		panic(fmt.Sprintf("loihi: population %q needs positive size", name))
 	}
-	if cfg.Theta <= 0 && !cfg.Source {
+	if cfg.Theta <= 0 {
 		panic(fmt.Sprintf("loihi: population %q needs positive threshold", name))
 	}
 	p := &Population{
@@ -186,20 +180,6 @@ func (p *Population) addInput(i int, w int32) {
 	p.acc[i] = fixed.SatAdd32(p.acc[i], w, fixed.StateMin, fixed.StateMax)
 }
 
-// InjectSpikes queues host spike events for the next step (Source
-// populations only), replacing any staged this step. Returns the number
-// of injected spikes, which the caller accounts as host transactions.
-func (p *Population) InjectSpikes(spikes []bool) int {
-	if !p.cfg.Source {
-		panic(fmt.Sprintf("loihi: population %q is not a spike source", p.Name))
-	}
-	if len(spikes) != p.N {
-		panic(fmt.Sprintf("loihi: population %q spike vector %d != %d", p.Name, len(spikes), p.N))
-	}
-	p.bitsNow.FromBools(spikes)
-	return p.bitsNow.Count()
-}
-
 // updateRange advances compartments [lo,hi) only, setting the bitsNow
 // bit of every compartment that fires; the mesh updates each population
 // in one pass over [0,N). Compartment dynamics are strictly per-neuron,
@@ -208,21 +188,6 @@ func (p *Population) InjectSpikes(spikes []bool) int {
 // consecutive ranges each OR only their own bits into words rotate
 // cleared.
 func (p *Population) updateRange(lo, hi int) int {
-	now := p.bitsNow.Words()
-	trace := p.postTrace[lo:hi]
-	if p.cfg.Source {
-		// Host-injected spikes pass straight through; they were staged
-		// by InjectSpikes into bitsNow.
-		n := 0
-		for j := range trace {
-			i := lo + j
-			if now[i>>6]>>(uint(i)&63)&1 != 0 {
-				n++
-				trace[j] = fixed.SatTrace(int64(trace[j]) + 1)
-			}
-		}
-		return n
-	}
 	// Locals for everything the loop reads but never writes, and
 	// sub-slices of one length so the compiler drops their bounds
 	// checks. The phase gate is the control neuron's previous-step
@@ -232,7 +197,8 @@ func (p *Population) updateRange(lo, hi int) int {
 	acc := p.acc[lo:hi]
 	n := len(acc)
 	v, bias := p.v[lo:hi][:n], p.Bias[lo:hi][:n]
-	trace = trace[:n]
+	trace := p.postTrace[lo:hi][:n]
+	now := p.bitsNow.Words()
 	var gate, disabled []bool
 	if p.gateMask != nil {
 		gate = p.gateMask[lo:hi][:n]
@@ -284,8 +250,7 @@ func (p *Population) updateRange(lo, hi int) int {
 
 // rotate publishes this step's spikes to the synapse-visible bitset,
 // clears the next step's and gathers the active-index view (derived from
-// the bitset, so the two can never disagree). Injected source spikes are
-// one-shot events, cleared with the rest.
+// the bitset, so the two can never disagree).
 func (p *Population) rotate() {
 	p.bitsPrev, p.bitsNow = p.bitsNow, p.bitsPrev
 	p.bitsNow.Zero()

@@ -50,16 +50,6 @@ func (r *refPopulation) addInput(i int, w int32) {
 }
 
 func (r *refPopulation) updateRange(lo, hi int) int {
-	if r.cfg.Source {
-		n := 0
-		for i := lo; i < hi; i++ {
-			if r.spikesNow[i] {
-				n++
-				r.postTrace[i] = fixed.SatTrace(int64(r.postTrace[i]) + 1)
-			}
-		}
-		return n
-	}
 	spikes := 0
 	for i := lo; i < hi; i++ {
 		drive := r.acc[i]
@@ -112,9 +102,6 @@ func (r *refPopulation) updateRange(lo, hi int) int {
 
 func (r *refPopulation) rotate() {
 	r.spikesPrev, r.spikesNow = r.spikesNow, r.spikesPrev
-	if r.cfg.Source {
-		clear(r.spikesNow)
-	}
 }
 
 func (r *refPopulation) latchGate() {
@@ -145,7 +132,6 @@ const (
 	featPhaseGate
 	featDisabled
 	featVMinNeg
-	featSource
 	featAll
 )
 
@@ -159,13 +145,10 @@ func TestPopulationUpdateMatchesReference(t *testing.T) {
 	sizes := []int{1, 63, 64, 65, 130, 200}
 	var satHi, satLo, fired, gateClosed int
 	for feat := 0; feat < featAll; feat += featGated {
-		if feat&featSource != 0 && feat != featSource {
-			continue // a source has no dynamics to combine with
-		}
 		for si, n := range sizes {
 			r := rng.New(uint64(1000*feat + si + 1))
 			theta := int32(16 + r.Intn(1024))
-			cfg := PopulationConfig{N: n, Theta: theta, Source: feat&featSource != 0}
+			cfg := PopulationConfig{N: n, Theta: theta}
 			if feat&featVMinNeg != 0 {
 				cfg.VMin = -4 * theta
 			}
@@ -177,9 +160,10 @@ func TestPopulationUpdateMatchesReference(t *testing.T) {
 			ref := newRefPopulation(cfg)
 
 			// Shared inputs: the aux source and the phase-control
-			// neuron are host-driven with random spikes.
-			aux := NewPopulation("aux", PopulationConfig{N: n, Source: true})
-			ctrl := NewPopulation("ctrl", PopulationConfig{N: 1, Source: true})
+			// neuron carry random spikes, staged by the test straight
+			// into their bitsNow and published by their rotate.
+			aux := NewPopulation("aux", PopulationConfig{N: n, Theta: 1})
+			ctrl := NewPopulation("ctrl", PopulationConfig{N: 1, Theta: 1})
 			if cfg.Gated {
 				p.AuxSource(aux)
 				ref.auxSrc = aux
@@ -236,16 +220,9 @@ func TestPopulationUpdateMatchesReference(t *testing.T) {
 				for i := range inject {
 					inject[i] = r.Intn(3) == 0
 				}
-				aux.InjectSpikes(inject)
-				if cfg.Source {
-					for i := range inject {
-						inject[i] = r.Intn(3) == 0
-					}
-					p.InjectSpikes(inject)
-					copy(ref.spikesNow, inject)
-				}
+				aux.bitsNow.FromBools(inject)
 				ctrlSpike[0] = r.Intn(2) == 0
-				ctrl.InjectSpikes(ctrlSpike)
+				ctrl.bitsNow.FromBools(ctrlSpike)
 				if ref.phaseGate != nil && !ctrl.SpikeBits().Get(0) {
 					gateClosed++
 				}
@@ -255,8 +232,6 @@ func TestPopulationUpdateMatchesReference(t *testing.T) {
 					got += p.updateRange(rg[0], rg[1])
 				}
 				want := ref.updateRange(0, n)
-				aux.updateRange(0, n)
-				ctrl.updateRange(0, 1)
 				p.rotate()
 				aux.rotate()
 				ctrl.rotate()

@@ -78,11 +78,6 @@ type Topology struct {
 	LinkBandwidth int
 }
 
-// LineTopology returns the 1-D default fabric for a board of dies chips.
-func LineTopology(dies int) Topology {
-	return Topology{Kind: TopoLine, RadixX: dies, RadixY: 1}
-}
-
 // AutoTopology returns kind with its automatic radix factorisation for
 // a board of dies chips: a line stays dies×1; mesh and torus take the
 // most-square RadixX×RadixY with RadixX ≥ RadixY (primes degrade to
@@ -98,16 +93,6 @@ func AutoTopology(kind TopologyKind, dies int) Topology {
 		}
 	}
 	return Topology{Kind: kind, RadixX: dies / ry, RadixY: ry}
-}
-
-// ParseTopology resolves a topology name for a board of dies chips,
-// with automatic radix factorisation.
-func ParseTopology(name string, dies int) (Topology, error) {
-	kind, err := ParseTopologyKind(name)
-	if err != nil {
-		return Topology{}, err
-	}
-	return Topology{Kind: kind}.Normalize(dies)
 }
 
 // Normalize validates the topology against the board's die count and

@@ -43,10 +43,10 @@ func TestTopologyParseAndNormalize(t *testing.T) {
 		}
 	}
 
-	// ParseTopology composes both.
-	topo, err := ParseTopology("torus", 6)
+	// A bare kind normalises to its automatic factorisation.
+	topo, err := Topology{Kind: TopoTorus}.Normalize(6)
 	if err != nil || topo.Kind != TopoTorus || topo.RadixX != 3 || topo.RadixY != 2 {
-		t.Fatalf("ParseTopology(torus, 6) = %+v, %v", topo, err)
+		t.Fatalf("Topology{torus}.Normalize(6) = %+v, %v", topo, err)
 	}
 	if got := topo.String(); got != "torus3x2" {
 		t.Fatalf("String() = %q, want torus3x2", got)
@@ -156,7 +156,7 @@ func TestTopologyRoutingPinned(t *testing.T) {
 	}
 
 	// Line topology hop counts reduce to |src-dst|.
-	line := LineTopology(6)
+	line := Topology{Kind: TopoLine, RadixX: 6, RadixY: 1}
 	for src := 0; src < 6; src++ {
 		for dst := 0; dst < 6; dst++ {
 			want := src - dst

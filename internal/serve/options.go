@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"runtime"
+
 	"emstdp/internal/core"
 	"emstdp/internal/dataset"
 )
@@ -41,7 +43,9 @@ type TenantOptions struct {
 	Chips          int `json:"chips,omitempty"`
 	// Seed drives every random choice in the tenant's model.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers sizes the replica pool classify batches shard across.
+	// Workers sizes the replica pool classify batches shard across,
+	// capped at runtime.NumCPU() (results are bit-identical at any pool
+	// width); negative selects GOMAXPROCS workers.
 	Workers int `json:"workers,omitempty"`
 
 	// MaxBatch caps the feature vectors coalesced into one pool
@@ -62,6 +66,10 @@ type TenantOptions struct {
 // model is built from. Knobs TenantOptions does not expose (feedback
 // mode, partition strategy, topology, conv on chip) stay at their core
 // defaults. Training is online, one sample at a time, as everywhere.
+// Workers is capped at runtime.NumCPU(): the pool builds up to Workers
+// model replicas and, with Trace, one preallocated event ring per
+// worker, so an unbounded request could exhaust the server's memory
+// with one body.
 func (o TenantOptions) coreOptions() (core.Options, error) {
 	ds, err := dataset.ParseKind(o.Dataset)
 	if err != nil {
@@ -82,7 +90,7 @@ func (o TenantOptions) coreOptions() (core.Options, error) {
 		NeuronsPerCore: o.NeuronsPerCore,
 		Chips:          o.Chips,
 		Seed:           o.Seed,
-		Workers:        o.Workers,
+		Workers:        min(o.Workers, runtime.NumCPU()),
 	}, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -496,6 +497,33 @@ func TestCreateValidation(t *testing.T) {
 	}
 	if len(out.Tenants) != 1 || out.Tenants[0].Name != "a" {
 		t.Fatalf("tenant list %+v, want just %q", out.Tenants, "a")
+	}
+}
+
+// TestCreateWorkersCappedAtCPUs checks that a tenant body cannot size
+// the replica pool (up to one model replica and, traced, one event ring
+// per worker) beyond the host's CPUs, while zero and negative keep their
+// meanings (one worker, every CPU). It checks the translation only: a
+// tenant built from an uncapped request would allocate what the cap
+// prevents.
+func TestCreateWorkersCappedAtCPUs(t *testing.T) {
+	cpus := runtime.NumCPU()
+	for _, c := range []struct{ in, want int }{
+		{0, 0},
+		{-1, -1},
+		{1, 1},
+		{cpus, cpus},
+		{cpus + 1, cpus},
+		{65536, cpus},
+		{math.MaxInt, cpus},
+	} {
+		copts, err := TenantOptions{Workers: c.in, Trace: true}.coreOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if copts.Workers != c.want {
+			t.Errorf("workers %d: core Workers %d, want %d", c.in, copts.Workers, c.want)
+		}
 	}
 }
 

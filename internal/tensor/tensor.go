@@ -80,13 +80,6 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // Scale multiplies every element by a.
 func (t *Tensor) Scale(a float64) {
 	for i := range t.Data {
@@ -216,18 +209,4 @@ func (t *Tensor) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// MaxAbs returns the maximum absolute element value (0 for empty).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -226,20 +226,13 @@ func TestArgMax(t *testing.T) {
 	}
 }
 
-func TestSumScaleFillMaxAbs(t *testing.T) {
+func TestSumScale(t *testing.T) {
 	a := FromSlice([]float64{1, -4, 2}, 3)
 	if a.Sum() != -1 {
 		t.Error("Sum")
 	}
-	if a.MaxAbs() != 4 {
-		t.Error("MaxAbs")
-	}
 	a.Scale(2)
 	if a.Data[1] != -8 {
 		t.Error("Scale")
-	}
-	a.Fill(3)
-	if a.Sum() != 9 {
-		t.Error("Fill")
 	}
 }
